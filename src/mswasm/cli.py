@@ -51,8 +51,6 @@ def cmd_run(args) -> int:
     jsonl = interp.trace_to_jsonl(res.trace)
     if args.trace:
         Path(args.trace).write_text(jsonl)
-    elif args.json:
-        sys.stdout.write(jsonl)
     else:
         sys.stdout.write(jsonl)
     if res.outcome == "trap":
@@ -173,62 +171,6 @@ def cmd_fuzz(args) -> int:
     return EXIT_OK if failures == 0 else 1
 
 
-def _bench_module(kind: str) -> bytecode.ModuleDef:
-    b = bytecode
-    if kind == "churn":
-        body = []
-        for _ in range(200):
-            body += [b.const(b.ValueType.I32, 64), b.new_segment(), b.set_(0),
-                     b.get(0), b.segfree()]
-        body += [b.const(b.ValueType.I32, 0)]
-        return b.ModuleDef((b.FuncDef((), (b.ValueType.HANDLE,),
-                                      (b.ValueType.I32,), tuple(body)),),
-                           (), 0, 1 << 16)
-    if kind == "sweep":
-        body = [b.const(b.ValueType.I32, 4096), b.new_segment(), b.set_(0)]
-        for i in range(0, 4096, 4):
-            body += [b.get(0), b.const(b.ValueType.I32, i), b.handle_add(),
-                     b.const(b.ValueType.I32, i), b.segstore(b.ValueType.I32)]
-        body += [b.const(b.ValueType.I32, 0)]
-        return b.ModuleDef((b.FuncDef((), (b.ValueType.HANDLE,),
-                                      (b.ValueType.I32,), tuple(body)),),
-                           (), 0, 1 << 16)
-    # handle.add chains through recursion
-    step = b.FuncDef((b.ValueType.HANDLE, b.ValueType.I32), (),
-                     (b.ValueType.HANDLE,), (
-        b.get(1), b.const(b.ValueType.I32, 0), b.binop(b.ValueType.I32, "eq"),
-        b.if_((b.get(0), b.return_()), ()),
-        b.get(0), b.const(b.ValueType.I32, 1), b.handle_add(),
-        b.get(1), b.const(b.ValueType.I32, 1), b.binop(b.ValueType.I32, "sub"),
-        b.call(1), b.return_()))
-    main = b.FuncDef((), (), (b.ValueType.I32,), (
-        b.const(b.ValueType.I32, 64), b.new_segment(),
-        b.const(b.ValueType.I32, 500), b.call(1),
-        b.const(b.ValueType.I32, 0), b.segstore(b.ValueType.I32),
-        b.const(b.ValueType.I32, 0)))
-    return b.ModuleDef((main, step), (), 0, 1 << 16)
-
-
-def cmd_bench(args) -> int:
-    for backend in ("tagged", "baggy"):
-        for kind in ("churn", "sweep", "handle-add"):
-            m = _bench_module(kind)
-            typecheck_module(m)
-            reps = 0
-            steps = 0
-            t0 = time.perf_counter()
-            while time.perf_counter() - t0 < args.seconds:
-                config = interp.init_state(m, backend)
-                while not config.terminal:
-                    interp.step(config)
-                    steps += 1
-                reps += 1
-            dt = time.perf_counter() - t0
-            print(f"{backend:7s} {kind:10s} {steps / dt:12.0f} ops/sec "
-                  f"({reps} reps)")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mswasm",
                                 description="segment-memory bytecode toolkit")
@@ -248,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trace", help="write JSON-lines trace here")
     sp.add_argument("--budget", type=int, default=interp.DEFAULT_BUDGET)
     sp.add_argument("--segment-size", type=int, default=None)
-    sp.add_argument("--json", action="store_true")
+    sp.add_argument("--json", action="store_true",
+                    help="trace to stdout as JSON lines (the default)")
     sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser("compile", help="compile a source program")
@@ -281,10 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget", type=int, default=1_000_000)
     sp.add_argument("--out", default="counterexamples")
     sp.set_defaults(fn=cmd_fuzz)
-
-    sp = sub.add_parser("bench", help="micro-benchmarks on both backends")
-    sp.add_argument("--seconds", type=float, default=0.5)
-    sp.set_defaults(fn=cmd_bench)
 
     return p
 

@@ -1,5 +1,13 @@
 """Small-step, trace-emitting interpreter.
 
+`step` is the only semantics.  It pops the next instruction of the top
+frame and runs the handler that `_HANDLERS`, one table from opcode to a
+small function, holds for it; a handler mutates the configuration and
+returns the event it emits, or None for the silent instructions.  `run`
+drives `step` from function 0 until the configuration is terminal or the
+step budget is spent; it counts the steps and collects the trace, and
+decides nothing about instructions itself.
+
 Execution is deterministic: one rule applies per step, and any failed
 premise of a segment operation emits a trap event and halts with an empty
 operand stack.  Traces collect the non-silent memory events (reads,
@@ -12,41 +20,40 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import baggy as baggy_mod
-from .bytecode import SIZEOF, FuncDef, FuncType, Instr, ModuleDef, ValueType
-from .segmem import (
-    Handle,
-    MemTrap,
-    NULL_HANDLE,
-    SegmentMemory,
-    Tag,
-    TaggedByte,
-    TrapKind,
-    pack_handle,
-    unpack_handle,
-    wrap_i32,
+from .bytecode import (
+    COMPARISON_OPS, OPCODES, FuncDef, Instr, ModuleDef, ValueType,
 )
+from .segmem import Handle, MemTrap, NULL_HANDLE, SegmentMemory
 
 DEFAULT_BUDGET = 10_000_000
 
-_MASKS = {ValueType.I32: 0xFFFFFFFF, ValueType.I64: 0xFFFFFFFFFFFFFFFF}
+I32, I64, F32, F64, HANDLE = (ValueType.I32, ValueType.I64, ValueType.F32,
+                              ValueType.F64, ValueType.HANDLE)
+
+# Number layouts, keyed by the type's value string rather than by the
+# member: Enum.__hash__ runs in Python, and these lookups sit on every
+# memory access.
+_NUM = {t._value_: struct.Struct(f) for t, f in
+        ((I32, "<i"), (I64, "<q"), (F32, "<f"), (F64, "<d"))}
+_F32 = _NUM[F32._value_]
+_I32_HALF, _I32_MASK = 1 << 31, (1 << 32) - 1
+_I64_HALF, _I64_MASK = 1 << 63, (1 << 64) - 1
 
 
-def _wrap(ty: ValueType, v: int) -> int:
-    mask = _MASKS[ty]
-    v &= mask
-    half = (mask + 1) >> 1
-    return v - (mask + 1) if v >= half else v
-
-
-@dataclass(frozen=True)
-class Value:
+class Value(NamedTuple):
     ty: ValueType
     v: object  # int, float, or a backend handle
 
     def __repr__(self) -> str:
         return f"{self.ty}:{self.v!r}"
+
+
+# _new(Value, (ty, v)) is Value(ty, v) without NamedTuple's Python-level
+# __new__; the interpreter builds a Value on most steps.
+_new = tuple.__new__
 
 
 # -- events -----------------------------------------------------------
@@ -83,10 +90,6 @@ class TrapEv:
     kind = "trap"
 
 
-Event = object
-Trace = list
-
-
 def event_to_json(ev) -> str:
     if isinstance(ev, TrapEv):
         return json.dumps({"ev": "trap"}, separators=(",", ":"))
@@ -113,43 +116,28 @@ class TaggedBackend:
     name = "tagged"
 
     def __init__(self, segment_size: int):
-        self.mem = SegmentMemory(segment_size)
+        self.mem = mem = SegmentMemory(segment_size)
+        # The memory's own methods, bound once: one call less per use.
+        self.alloc = mem.alloc
+        self.free = mem.free
+        self.slice = mem.slice_handle
 
     def null_handle(self) -> Handle:
         return NULL_HANDLE
 
-    def alloc(self, n: int) -> Handle:
-        return self.mem.alloc(n)
-
-    def free(self, h: Handle) -> None:
-        self.mem.free(h)
-
     def handle_add(self, h: Handle, delta: int) -> Handle:
         return h.moved(delta)
 
-    def slice(self, h: Handle, o1: int, o2: int) -> Handle:
-        return self.mem.slice_handle(h, o1, o2)
-
     def load(self, h: Handle, ty: ValueType):
-        if ty is ValueType.HANDLE:
-            tagged = self.mem.read_bytes(h, SIZEOF[ty])
-            if (h.base + h.offset) % SIZEOF[ValueType.HANDLE] != 0:
-                raise MemTrap(TrapKind.INTEGRITY, "misaligned handle load")
-            return unpack_handle(tagged)
-        raw = bytes(b.value for b in self.mem.read_bytes(h, SIZEOF[ty]))
-        return _unpack_num(ty, raw)
+        if ty is HANDLE:
+            return self.mem.load_handle(h)
+        return self.mem.load(h, _NUM[ty._value_])
 
     def store(self, h: Handle, ty: ValueType, v) -> None:
-        if ty is ValueType.HANDLE:
-            # Alignment first so the premise is judged before bounds when
-            # both fail; either way the step traps.
-            self.mem._check_access(h, SIZEOF[ty])
-            if (h.base + h.offset) % SIZEOF[ValueType.HANDLE] != 0:
-                raise MemTrap(TrapKind.INTEGRITY, "misaligned handle store")
-            payload = [TaggedByte(b, Tag.HANDLE) for b in pack_handle(v)]
+        if ty is HANDLE:
+            self.mem.store_handle(h, v)
         else:
-            payload = [TaggedByte(b, Tag.DATA) for b in _pack_num(ty, v)]
-        self.mem.write_bytes(h, payload)
+            self.mem.store(h, _NUM[ty._value_], v)
 
     def view(self, h: Handle) -> Handle:
         return h
@@ -161,50 +149,31 @@ class BaggyBackend:
     name = "baggy"
 
     def __init__(self, segment_size: int):
-        self.mem = baggy_mod.BuddyMemory(size=max(16, segment_size))
+        self.mem = mem = baggy_mod.BuddyMemory(size=max(16, segment_size))
+        # The memory's own methods, bound once: one call less per use.
+        self.alloc = mem.alloc
+        self.free = mem.free
+        self.handle_add = mem.handle_add
+        self.slice = mem.slice_handle
+        self.view = mem.view
 
     def null_handle(self):
         return baggy_mod.NULL_BAGGY
 
-    def alloc(self, n: int):
-        return self.mem.alloc(n)
-
-    def free(self, h) -> None:
-        self.mem.free(h)
-
-    def handle_add(self, h, delta: int):
-        return self.mem.handle_add(h, delta)
-
-    def slice(self, h, o1: int, o2: int):
-        return self.mem.slice_handle(h, o1, o2)
-
     def load(self, h, ty: ValueType):
-        if ty is ValueType.HANDLE:
+        if ty is HANDLE:
             return baggy_mod.unpack_baggy(self.mem.read(h, 8))
-        return _unpack_num(ty, self.mem.read(h, SIZEOF[ty]))
+        layout = _NUM[ty._value_]
+        return layout.unpack(self.mem.read(h, layout.size))[0]
 
     def store(self, h, ty: ValueType, v) -> None:
-        if ty is ValueType.HANDLE:
+        if ty is HANDLE:
             self.mem.write(h, baggy_mod.pack_baggy(v))
         else:
-            self.mem.write(h, _pack_num(ty, v))
-
-    def view(self, h) -> Handle:
-        return self.mem.view(h)
+            self.mem.write(h, _NUM[ty._value_].pack(v))
 
 
 BACKENDS = {"tagged": TaggedBackend, "baggy": BaggyBackend}
-
-_NUM_FMT = {ValueType.I32: "<i", ValueType.I64: "<q",
-            ValueType.F32: "<f", ValueType.F64: "<d"}
-
-
-def _pack_num(ty: ValueType, v) -> bytes:
-    return struct.pack(_NUM_FMT[ty], v)
-
-
-def _unpack_num(ty: ValueType, raw: bytes):
-    return struct.unpack(_NUM_FMT[ty], raw)[0]
 
 
 # -- machine state ----------------------------------------------------
@@ -222,7 +191,7 @@ class LinkError(Exception):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     locals: list[Value]
     code: list[Instr]        # reversed: next instruction is code[-1]
@@ -231,7 +200,7 @@ class Frame:
     func_index: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Config:
     module: ModuleDef
     heap: bytearray
@@ -246,16 +215,16 @@ class Config:
 
 
 def zero_value(ty: ValueType, backend) -> Value:
-    if ty in (ValueType.F32, ValueType.F64):
-        return Value(ty, 0.0)
-    if ty is ValueType.HANDLE:
-        return Value(ty, backend.null_handle())
-    return Value(ty, 0)
+    if ty is F32 or ty is F64:
+        return _new(Value, (ty, 0.0))
+    if ty is HANDLE:
+        return _new(Value, (ty, backend.null_handle()))
+    return _new(Value, (ty, 0))
 
 
 def _new_frame(m: ModuleDef, idx: int, args: list[Value], backend) -> Frame:
     f = m.funcs[idx]
-    locs = list(args) + [zero_value(t, backend) for t in f.locals]
+    locs = args + [zero_value(t, backend) for t in f.locals]
     return Frame(locs, list(reversed(f.body)), [], f, idx)
 
 
@@ -277,187 +246,237 @@ def init_state(m: ModuleDef, backend_name: str = "tagged",
 
 def _trap(config: Config) -> TrapEv:
     config.trapped = True
-    config.frames = []
+    config.frames.clear()
     return TrapEv()
 
 
-def _binop_int(ty: ValueType, op: str, a: int, b: int):
-    if op == "add":
-        return _wrap(ty, a + b)
-    if op == "sub":
-        return _wrap(ty, a - b)
-    if op == "mul":
-        return _wrap(ty, a * b)
-    if op == "div_s":
-        if b == 0:
-            return None  # trap
-        q = abs(a) // abs(b)
-        if (a < 0) != (b < 0):
-            q = -q
-        if q != _wrap(ty, q):
-            return None  # overflow: int_min / -1
-        return q
-    mask = _MASKS[ty]
-    if op == "and":
-        return _wrap(ty, (a & mask) & (b & mask))
-    if op == "or":
-        return _wrap(ty, (a & mask) | (b & mask))
-    if op == "xor":
-        return _wrap(ty, (a & mask) ^ (b & mask))
-    if op == "eq":
-        return 1 if a == b else 0
-    if op == "lt_s":
-        return 1 if a < b else 0
-    raise InterpBug(f"operator {ty}.{op}")
+# -- arithmetic -------------------------------------------------------
 
 
-def _binop_float(ty: ValueType, op: str, a: float, b: float):
-    if op == "eq":
-        return 1 if a == b else 0
-    if op == "lt":
-        return 1 if a < b else 0
-    if op == "add":
-        r = a + b
-    elif op == "sub":
-        r = a - b
-    elif op == "mul":
-        r = a * b
-    elif op == "div":
-        if b == 0.0:
-            if a == 0.0 or math.isnan(a):
-                r = math.nan
-            else:
-                r = math.copysign(math.inf, a) * math.copysign(1.0, b)
-        else:
-            r = a / b
-    else:
-        raise InterpBug(f"operator {ty}.{op}")
-    if ty is ValueType.F32:
-        r = struct.unpack("<f", struct.pack("<f", r))[0]
+def _fit(ty: ValueType, r):
+    """r as a value of ty: two's-complement wrap for the integer types,
+    rounding to single precision for f32."""
+    if ty is I32:
+        return ((r + _I32_HALF) & _I32_MASK) - _I32_HALF
+    if ty is I64:
+        return ((r + _I64_HALF) & _I64_MASK) - _I64_HALF
+    if ty is F32:
+        return _F32.unpack(_F32.pack(r))[0]
     return r
 
 
-def step(config: Config) -> Event | None:
+def _div_s(ty: ValueType, a: int, b: int):
+    if b == 0:
+        return None  # trap
+    q = abs(a) // abs(b)
+    if (a < 0) != (b < 0):
+        q = -q
+    return q if q == _fit(ty, q) else None  # int_min / -1 overflows: trap
+
+
+def _div(ty: ValueType, a: float, b: float) -> float:
+    if b == 0.0:
+        if a == 0.0 or math.isnan(a):
+            return math.nan
+        return _fit(ty, math.copysign(math.inf, a) * math.copysign(1.0, b))
+    return _fit(ty, a / b)
+
+
+def _eq(ty, a, b) -> int:
+    return 1 if a == b else 0
+
+
+def _lt(ty, a, b) -> int:
+    return 1 if a < b else 0
+
+
+# Operator -> f(ty, a, b); None from f means trap.
+_SHARED_OPS = {
+    "add": lambda ty, a, b: _fit(ty, a + b),
+    "sub": lambda ty, a, b: _fit(ty, a - b),
+    "mul": lambda ty, a, b: _fit(ty, a * b),
+    "eq": _eq,
+}
+_INT_OPS = {
+    **_SHARED_OPS,
+    "div_s": _div_s,
+    "and": lambda ty, a, b: _fit(ty, a & b),
+    "or": lambda ty, a, b: _fit(ty, a | b),
+    "xor": lambda ty, a, b: _fit(ty, a ^ b),
+    "lt_s": _lt,
+}
+_FLOAT_OPS = {**_SHARED_OPS, "div": _div, "lt": _lt}
+
+
+# -- instructions: one handler per opcode ------------------------------
+#
+# A handler takes (config, top frame, instruction), the instruction
+# already popped, and returns the emitted event or None.
+
+
+def _nop(config, frame, ins):
+    return None
+
+
+def _trap_ins(config, frame, ins):
+    return _trap(config)
+
+
+def _const(config, frame, ins):
+    frame.operands.append(_new(Value, (ins.ty, ins.literal)))
+
+
+def _binop(config, frame, ins):
+    ops = frame.operands
+    b = ops.pop().v
+    a = ops.pop().v
+    ty = ins.ty
+    f = (_FLOAT_OPS if ty is F32 or ty is F64 else _INT_OPS).get(ins.operator)
+    if f is None:
+        raise InterpBug(f"operator {ty}.{ins.operator}")
+    r = f(ty, a, b)
+    if r is None:
+        return _trap(config)
+    ops.append(_new(Value, (I32 if ins.operator in COMPARISON_OPS else ty, r)))
+
+
+def _get(config, frame, ins):
+    frame.operands.append(frame.locals[ins.idx])
+
+
+def _set(config, frame, ins):
+    frame.locals[ins.idx] = frame.operands.pop()
+
+
+def _load(config, frame, ins):
+    assert ins.ty is not HANDLE, "handle load from flat heap"
+    layout = _NUM[ins.ty._value_]
+    n = frame.operands.pop().v
+    if not (0 <= n and n + layout.size <= len(config.heap)):
+        return _trap(config)
+    frame.operands.append(_new(Value, (ins.ty, layout.unpack_from(config.heap, n)[0])))
+
+
+def _store(config, frame, ins):
+    assert ins.ty is not HANDLE, "handle store to flat heap"
+    layout = _NUM[ins.ty._value_]
+    v = frame.operands.pop().v
+    n = frame.operands.pop().v
+    if not (0 <= n and n + layout.size <= len(config.heap)):
+        return _trap(config)
+    config.heap[n:n + layout.size] = layout.pack(v)
+
+
+def _if(config, frame, ins):
+    body = ins.then_body if frame.operands.pop().v != 0 else ins.else_body
+    frame.code.extend(reversed(body))
+
+
+def _call(config, frame, ins):
+    m = config.module
+    ops = frame.operands
+    first_arg = len(ops) - len(m.funcs[ins.idx].params)
+    args = ops[first_arg:]
+    del ops[first_arg:]
+    config.frames.append(_new_frame(m, ins.idx, args, config.backend))
+
+
+def _return(config, frame, ins):
+    return _do_return(config, frame)
+
+
+def _segload(config, frame, ins):
+    backend = config.backend
+    ops = frame.operands
+    h = ops.pop().v
+    try:
+        v = backend.load(h, ins.ty)
+    except MemTrap:
+        return _trap(config)
+    ops.append(_new(Value, (ins.ty, v)))
+    return ReadEv(ins.ty, backend.view(h))
+
+
+def _segstore(config, frame, ins):
+    backend = config.backend
+    ops = frame.operands
+    v = ops.pop().v
+    h = ops.pop().v
+    try:
+        backend.store(h, ins.ty, v)
+    except MemTrap:
+        return _trap(config)
+    return WriteEv(ins.ty, backend.view(h))
+
+
+def _slice(config, frame, ins):
+    ops = frame.operands
+    o2 = ops.pop().v
+    o1 = ops.pop().v
+    h = ops.pop().v
+    try:
+        ops.append(_new(Value, (HANDLE, config.backend.slice(h, o1, o2))))
+    except MemTrap:
+        return _trap(config)
+
+
+def _new_segment(config, frame, ins):
+    backend = config.backend
+    n = frame.operands.pop().v
+    try:
+        h = backend.alloc(n)
+    except MemTrap:
+        return _trap(config)
+    frame.operands.append(_new(Value, (HANDLE, h)))
+    return SAllocEv(backend.view(h))
+
+
+def _handle_add(config, frame, ins):
+    ops = frame.operands
+    n = ops.pop().v
+    h = ops.pop().v
+    try:
+        ops.append(_new(Value, (HANDLE, config.backend.handle_add(h, n))))
+    except MemTrap:
+        return _trap(config)
+
+
+def _segfree(config, frame, ins):
+    backend = config.backend
+    h = frame.operands.pop().v
+    view = backend.view(h)
+    try:
+        backend.free(h)
+    except MemTrap:
+        return _trap(config)
+    return SFreeEv(view)
+
+
+_HANDLERS = {
+    "nop": _nop, "trap": _trap_ins, "const": _const, "binop": _binop,
+    "get": _get, "set": _set, "load": _load, "store": _store, "if": _if,
+    "call": _call, "return": _return, "segload": _segload,
+    "segstore": _segstore, "slice": _slice, "new_segment": _new_segment,
+    "handle_add": _handle_add, "segfree": _segfree,
+}
+assert _HANDLERS.keys() == set(OPCODES)
+
+
+def step(config: Config):
     """Execute one instruction; returns the emitted event (None for the
     silent ones).  Mutates config."""
-    if config.terminal:
+    if config.trapped or not config.frames:
         raise InterpBug("step on terminal configuration")
     frame = config.frames[-1]
-
     if not frame.code:
         # Fell off the end: implicit return of the declared results.
         return _do_return(config, frame)
-
     ins = frame.code.pop()
-    op = ins.op
-    ops = frame.operands
-
-    if op == "nop":
-        return None
-    if op == "trap":
-        return _trap(config)
-    if op == "const":
-        ops.append(Value(ins.ty, ins.literal))
-        return None
-    if op == "binop":
-        b, a = ops.pop(), ops.pop()
-        if ins.ty in (ValueType.F32, ValueType.F64):
-            r = _binop_float(ins.ty, ins.operator, a.v, b.v)
-        else:
-            r = _binop_int(ins.ty, ins.operator, a.v, b.v)
-        if r is None:
-            return _trap(config)
-        out_ty = ValueType.I32 if ins.operator in ("eq", "lt_s", "lt") else ins.ty
-        ops.append(Value(out_ty, r))
-        return None
-    if op == "get":
-        ops.append(frame.locals[ins.idx])
-        return None
-    if op == "set":
-        frame.locals[ins.idx] = ops.pop()
-        return None
-    if op == "load":
-        assert ins.ty is not ValueType.HANDLE, "handle load from flat heap"
-        n = ops.pop().v
-        if not (0 <= n and n + SIZEOF[ins.ty] < len(config.heap)):
-            return _trap(config)
-        ops.append(Value(ins.ty, _unpack_num(ins.ty, bytes(config.heap[n:n + SIZEOF[ins.ty]]))))
-        return None
-    if op == "store":
-        assert ins.ty is not ValueType.HANDLE, "handle store to flat heap"
-        v = ops.pop()
-        n = ops.pop().v
-        if not (0 <= n and n + SIZEOF[ins.ty] < len(config.heap)):
-            return _trap(config)
-        config.heap[n:n + SIZEOF[ins.ty]] = _pack_num(ins.ty, v.v)
-        return None
-    if op == "if":
-        n = ops.pop()
-        body = ins.then_body if n.v != 0 else ins.else_body
-        frame.code.extend(reversed(body))
-        return None
-    if op == "call":
-        target = config.module.funcs[ins.idx]
-        k = len(target.params)
-        args = ops[len(ops) - k:]
-        del ops[len(ops) - k:]
-        config.frames.append(_new_frame(config.module, ins.idx, args, config.backend))
-        return None
-    if op == "return":
-        return _do_return(config, frame)
-
-    backend = config.backend
-    if op == "segload":
-        h = ops.pop().v
-        try:
-            v = backend.load(h, ins.ty)
-        except MemTrap:
-            return _trap(config)
-        ops.append(Value(ins.ty, v))
-        return ReadEv(ins.ty, backend.view(h))
-    if op == "segstore":
-        v = ops.pop()
-        h = ops.pop().v
-        try:
-            backend.store(h, ins.ty, v.v)
-        except MemTrap:
-            return _trap(config)
-        return WriteEv(ins.ty, backend.view(h))
-    if op == "slice":
-        o2 = ops.pop().v
-        o1 = ops.pop().v
-        h = ops.pop().v
-        try:
-            ops.append(Value(ValueType.HANDLE, backend.slice(h, o1, o2)))
-        except MemTrap:
-            return _trap(config)
-        return None
-    if op == "new_segment":
-        n = ops.pop().v
-        try:
-            h = backend.alloc(n)
-        except MemTrap:
-            return _trap(config)
-        ops.append(Value(ValueType.HANDLE, h))
-        return SAllocEv(backend.view(h))
-    if op == "handle_add":
-        n = ops.pop().v
-        h = ops.pop().v
-        try:
-            ops.append(Value(ValueType.HANDLE, backend.handle_add(h, n)))
-        except MemTrap:
-            return _trap(config)
-        return None
-    if op == "segfree":
-        h = ops.pop().v
-        view = backend.view(h)
-        try:
-            backend.free(h)
-        except MemTrap:
-            return _trap(config)
-        return SFreeEv(view)
-
-    raise InterpBug(f"unknown opcode {op}")
+    try:
+        handler = _HANDLERS[ins.op]
+    except KeyError:
+        raise InterpBug(f"unknown opcode {ins.op}") from None
+    return handler(config, frame, ins)
 
 
 def _do_return(config: Config, frame: Frame):
@@ -476,6 +495,7 @@ class RunResult:
     trace: list
     outcome: str            # "ok" | "trap" | "budget"
     config: Config
+    steps: int              # instructions executed, by step()
 
     @property
     def results(self) -> list[Value]:
@@ -484,19 +504,22 @@ class RunResult:
 
 def run(m: ModuleDef, backend: str = "tagged", budget: int = DEFAULT_BUDGET,
         segment_size: int | None = None) -> RunResult:
-    """Run a whole module from function 0, collecting its event trace."""
+    """Run a whole module from function 0, collecting its event trace:
+    `step` until the configuration is terminal or `budget` steps ran."""
     config = init_state(m, backend, segment_size)
+    frames = config.frames  # emptied in place when the run ends or traps
     trace: list = []
+    append = trace.append
     steps = 0
-    while not config.terminal:
+    while frames:
         if steps >= budget:
-            return RunResult(trace, "budget", config)
+            return RunResult(trace, "budget", config, steps)
         ev = step(config)
         steps += 1
         if ev is not None:
-            trace.append(ev)
+            append(ev)
     outcome = "trap" if config.trapped else "ok"
-    return RunResult(trace, outcome, config)
+    return RunResult(trace, outcome, config, steps)
 
 
 # -- linking ----------------------------------------------------------

@@ -1,11 +1,20 @@
 """Tagged segment memory: per-byte data/handle tags, a deterministic
 first-fit allocator with never-reused segment ids, and handle packing.
 
+Memory is two bytearrays of one size: `data` holds the bytes and `tags`
+holds one tag per byte, 0 for data and 1 for a byte of a stored handle.
+Every access is a pair of slices at one address: a number is read with
+`struct.unpack_from` on `data`; a store writes `data[a:a+n]` and
+`tags[a:a+n]`, with tags 0 for a number and 1 for a handle.  A handle
+reads back valid only when all 16 of its tag bytes are 1 and its valid
+bit is set, so a number stored over any byte of a handle kills it.
+
 Access checks and their trap classification (checked in this order):
   integrity  -- the handle's valid flag is false
   temporal   -- the handle's id is not currently allocated
   spatial    -- the handle's window escapes its segment, or the offset
                 is outside [0, bound - size]
+Handle loads and stores then check 16-byte alignment (integrity).
 """
 
 from __future__ import annotations
@@ -16,29 +25,20 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 HANDLE_BYTES = 16
+HANDLE_TAGS = b"\x01" * HANDLE_BYTES  # the tag bytes of a stored handle
 ALIGN = 16
 MAX_ID = (1 << 31) - 1
 
 _U32 = 0xFFFFFFFF
+_I32_HALF = 1 << 31
+_HANDLE_LAYOUT = struct.Struct("<IiII")
 
 
 def wrap_i32(v: int) -> int:
-    v &= _U32
-    return v - (1 << 32) if v >= (1 << 31) else v
+    return ((v + _I32_HALF) & _U32) - _I32_HALF
 
 
-class Tag(enum.IntEnum):
-    DATA = 0
-    HANDLE = 1
-
-
-class TaggedByte(NamedTuple):
-    value: int
-    tag: Tag
-
-
-@dataclass(frozen=True)
-class Handle:
+class Handle(NamedTuple):
     """Fat pointer into segment memory.
 
     No invariant ties offset to bound: out-of-bounds handles are legal
@@ -76,25 +76,17 @@ def pack_handle(h: Handle) -> bytes:
     """16-byte little-endian record; id in bits 0..30 of the last word,
     valid flag in bit 31."""
     word = (h.id & MAX_ID) | ((1 << 31) if h.valid else 0)
-    return struct.pack("<IiII", h.base & _U32, wrap_i32(h.offset),
-                       h.bound & _U32, word)
+    return _HANDLE_LAYOUT.pack(h.base & _U32, wrap_i32(h.offset),
+                               h.bound & _U32, word)
 
 
-def unpack_handle(tagged: list[TaggedByte]) -> Handle:
-    """Decode 16 tagged bytes; corruption shows up as valid=False, never
-    as an error."""
-    if len(tagged) != HANDLE_BYTES:
-        raise ValueError(f"need {HANDLE_BYTES} bytes, got {len(tagged)}")
-    raw = bytes(b.value for b in tagged)
-    base, offset, bound, word = struct.unpack("<IiII", raw)
-    all_handle_tags = all(b.tag is Tag.HANDLE for b in tagged)
-    valid = all_handle_tags and bool(word >> 31)
+def unpack_handle(data, tags, at: int = 0) -> Handle:
+    """Decode the 16-byte record at `at`; it is valid only if all its tag
+    bytes are 1 and its valid bit is set.  Corruption shows up as
+    valid=False, never as an error."""
+    base, offset, bound, word = _HANDLE_LAYOUT.unpack_from(data, at)
+    valid = word >> 31 == 1 and tags[at:at + HANDLE_BYTES] == HANDLE_TAGS
     return Handle(base, offset, bound, valid, word & MAX_ID)
-
-
-def unpack_handle_raw(raw: bytes) -> Handle:
-    base, offset, bound, word = struct.unpack("<IiII", raw)
-    return Handle(base, offset, bound, bool(word >> 31), word & MAX_ID)
 
 
 @dataclass
@@ -153,12 +145,12 @@ class AllocatorState:
 
 
 class SegmentMemory:
-    """Fixed-size array of tagged bytes plus the allocator."""
+    """Fixed-size data and tag bytearrays plus the allocator."""
 
     def __init__(self, size: int):
         self.size = size
         self.data = bytearray(size)
-        self.tags = bytearray(size)  # 0 = DATA, 1 = HANDLE
+        self.tags = bytearray(size)  # 0 = data, 1 = handle byte
         self.alloc_state = AllocatorState.empty(size)
 
     # -- allocation ---------------------------------------------------
@@ -205,16 +197,29 @@ class SegmentMemory:
                           f"offset {h.offset}+{size} outside bound {h.bound}")
         return h.base + h.offset
 
-    def read_bytes(self, h: Handle, size: int) -> list[TaggedByte]:
-        a = self._check_access(h, size)
-        return [TaggedByte(self.data[a + j], Tag(self.tags[a + j]))
-                for j in range(size)]
+    def load(self, h: Handle, layout: struct.Struct):
+        """The number with this layout at h."""
+        a = self._check_access(h, layout.size)
+        return layout.unpack_from(self.data, a)[0]
 
-    def write_bytes(self, h: Handle, payload: list[TaggedByte]) -> None:
-        a = self._check_access(h, len(payload))
-        for j, tb in enumerate(payload):
-            self.data[a + j] = tb.value
-            self.tags[a + j] = int(tb.tag)
+    def store(self, h: Handle, layout: struct.Struct, v) -> None:
+        n = layout.size
+        a = self._check_access(h, n)
+        self.data[a:a + n] = layout.pack(v)
+        self.tags[a:a + n] = bytes(n)
+
+    def load_handle(self, h: Handle) -> Handle:
+        a = self._check_access(h, HANDLE_BYTES)
+        if a % ALIGN != 0:
+            raise MemTrap(TrapKind.INTEGRITY, "misaligned handle load")
+        return unpack_handle(self.data, self.tags, a)
+
+    def store_handle(self, h: Handle, v: Handle) -> None:
+        a = self._check_access(h, HANDLE_BYTES)
+        if a % ALIGN != 0:
+            raise MemTrap(TrapKind.INTEGRITY, "misaligned handle store")
+        self.data[a:a + HANDLE_BYTES] = pack_handle(v)
+        self.tags[a:a + HANDLE_BYTES] = HANDLE_TAGS
 
     def slice_handle(self, h: Handle, o1: int, o2: int) -> Handle:
         """Narrow the window: base grows by o1, bound shrinks by o2."""

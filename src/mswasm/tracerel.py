@@ -1,6 +1,6 @@
 """Builds the abstract-event image of an execution trace.
 
-Each allocation event extends a growing bijection from (segment byte
+Each allocation event binds its bytes in a bijection from (segment byte
 address, segment id) pairs to colored abstract addresses; reads and writes
 then expand to one abstract event per byte, all colored and shaded from
 the handle's base address.  Abstract addresses are the segment addresses
@@ -31,22 +31,39 @@ class Unrelatable:
 @dataclass
 class BijectionDelta:
     """(base address, id) <-> (abstract address, color, shade); grows as
-    allocations are related and is injective in both directions."""
+    allocations are related and is injective in both directions.
+
+    A key stays bound after its segment is freed, so a stale handle still
+    relates to the freed color.  Allocating again at the key rebinds it to
+    the new color: the baggy backend has no ids and names a segment by
+    its slot base, which a later allocation reuses.
+    """
 
     fwd: dict[tuple[int, int], tuple[int, int, int]] = field(default_factory=dict)
     rev: dict[tuple[int, int, int], tuple[int, int]] = field(default_factory=dict)
     next_color: int = 0
+    live: set[int] = field(default_factory=set)  # colors not yet freed
 
-    def fresh_color(self) -> int:
-        c = self.next_color
+    def bind_segment(self, h, shades) -> int | None:
+        """Bind every byte of the new segment h (an empty one: its base) to
+        a fresh color, at the same abstract address (the identity
+        embedding).  Returns the color, or None if one of the bytes still
+        belongs to a live segment."""
+        color = self.next_color
         self.next_color += 1
-        return c
-
-    def extend(self, key: tuple[int, int], val: tuple[int, int, int]) -> None:
-        if key in self.fwd or val in self.rev:
-            raise AssertionError(f"bijection collision at {key} -> {val}")
-        self.fwd[key] = val
-        self.rev[val] = key
+        fwd, rev = self.fwd, self.rev
+        for j in range(h.bound or 1):
+            key = (h.base + j, h.id)
+            if key in fwd:
+                old = fwd[key]
+                if old[1] in self.live:
+                    return None
+                del rev[old]
+            val = (h.base + j, color, shades[j] if h.bound else 0)
+            fwd[key] = val
+            rev[val] = key
+        self.live.add(color)
+        return color
 
 
 def relate_trace(trace, shading=constant_shading):
@@ -64,16 +81,11 @@ def relate_trace(trace, shading=constant_shading):
             continue  # relates to the empty trace
         h = ev.handle
         if isinstance(ev, SAllocEv):
-            n = h.bound
-            color = delta.fresh_color()
-            shades = shading(i, h, n)
-            addr = h.base  # identity embedding
-            for j in range(n):
-                delta.extend((h.base + j, h.id), (addr + j, color, shades[j]))
-            if n == 0:
-                # Keep frees of empty segments relatable.
-                delta.extend((h.base, h.id), (addr, color, 0))
-            abs_events.append(AAlloc(n, addr, color, tuple(shades)))
+            shades = shading(i, h, h.bound)
+            color = delta.bind_segment(h, shades)
+            if color is None:
+                return Unrelatable(i, f"base {h.base} id {h.id} overlaps a live segment")
+            abs_events.append(AAlloc(h.bound, h.base, color, tuple(shades)))
             sources.append(i)
         elif isinstance(ev, (ReadEv, WriteEv)):
             entry = delta.fwd.get((h.base, h.id))
@@ -91,6 +103,7 @@ def relate_trace(trace, shading=constant_shading):
             if entry is None:
                 return Unrelatable(i, f"no image for base {h.base} id {h.id}")
             base_addr, color, _ = entry
+            delta.live.discard(color)
             abs_events.append(AFree(base_addr, color))
             sources.append(i)
         else:

@@ -8,10 +8,11 @@ records instead of a shadow map.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 from mswasm.monitor import AAlloc, AFree, ARead, AWrite, SAFE, Violation
-from mswasm.segmem import Handle, Tag, TaggedByte
+from mswasm.segmem import Handle
 
 
 @dataclass
@@ -46,18 +47,33 @@ class NaiveMemoryOracle:
             return "spatial"
         return None
 
-    def read(self, h: Handle, size: int) -> list[TaggedByte]:
-        seg = self.segments[h.id]
-        start = (h.base - seg.base) + h.offset
-        return [TaggedByte(seg.data[start + j], Tag(seg.tags[start + j]))
-                for j in range(size)]
+    def classify_handle(self, h: Handle) -> str | None:
+        """As classify, for a 16-byte handle access, which must also be
+        16-aligned."""
+        kind = self.classify(h, 16)
+        if kind is None and (h.base + h.offset) % 16 != 0:
+            return "integrity"
+        return kind
 
-    def write(self, h: Handle, payload: list[TaggedByte]) -> None:
+    def _span(self, h: Handle, size: int):
         seg = self.segments[h.id]
         start = (h.base - seg.base) + h.offset
-        for j, tb in enumerate(payload):
-            seg.data[start + j] = tb.value
-            seg.tags[start + j] = int(tb.tag)
+        return seg, start, start + size
+
+    def load(self, h: Handle, fmt: str):
+        seg, lo, hi = self._span(h, struct.calcsize(fmt))
+        return struct.unpack(fmt, bytes(seg.data[lo:hi]))[0]
+
+    def load_handle(self, h: Handle) -> Handle:
+        seg, lo, hi = self._span(h, 16)
+        base, offset, bound, word = struct.unpack("<IiII", bytes(seg.data[lo:hi]))
+        valid = all(t == 1 for t in seg.tags[lo:hi]) and word >= 1 << 31
+        return Handle(base, offset, bound, valid, word % (1 << 31))
+
+    def store(self, h: Handle, raw: bytes, tag: int) -> None:
+        seg, lo, hi = self._span(h, len(raw))
+        seg.data[lo:hi] = list(raw)
+        seg.tags[lo:hi] = [tag] * len(raw)
 
     def classify_free(self, h: Handle) -> str | None:
         if not h.valid:
@@ -157,18 +173,52 @@ def mutate_handle(rng, h: Handle) -> Handle:
     return h
 
 
+def handle_slot(rng, h: Handle) -> Handle:
+    """Where a handle is loaded or stored: mostly a 16-aligned offset of
+    h's window, sometimes mutated further."""
+    h = Handle(h.base, 16 * rng.randrange(h.bound // 16 + 1), h.bound, h.valid, h.id)
+    return mutate_handle(rng, h) if rng.random() < 0.3 else h
+
+
+def _pack_handle(h: Handle) -> bytes:
+    word = h.id % (1 << 31) + ((1 << 31) if h.valid else 0)
+    return struct.pack("<IiII", h.base % (1 << 32), h.offset, h.bound % (1 << 32), word)
+
+
+NUM_FORMATS = ("<B", "<h", "<i", "<q")
+
+
 def run_backend_differential(seg_mem, rng, steps: int) -> None:
     """Drive the real memory and the naive oracle with one random op
-    sequence, asserting identical observables (bytes, trap/no-trap, trap
-    kind) throughout."""
+    sequence through the typed accesses the interpreter uses, asserting
+    identical observables (values, trap/no-trap, trap kind, and after
+    each store the data and tag bytes of the stored-to segment)."""
     from mswasm.segmem import MemTrap, TrapKind
 
     oracle = NaiveMemoryOracle()
     handles: list[Handle] = []
+
+    def attempt(expected, act):
+        """(True, act's result) if it must succeed and does; (False, None)
+        if it traps with the kind the oracle expects."""
+        try:
+            got = act()
+        except MemTrap as e:
+            assert e.kind.value == expected, (expected, e.kind)
+            return False, None
+        assert expected is None, expected
+        return True, got
+
+    def same_bytes(h):
+        seg = oracle.segments[h.id]
+        n = len(seg.data)
+        assert seg_mem.data[seg.base:seg.base + n] == bytes(seg.data)
+        assert seg_mem.tags[seg.base:seg.base + n] == bytes(seg.tags)
+
     for _ in range(steps):
-        op = rng.randrange(5)
+        op = rng.randrange(7)
         if op == 0 or not handles:
-            n = rng.choice((0, 1, 4, 8, 16, 24, 40))
+            n = rng.choice((0, 1, 4, 8, 16, 24, 32, 40, 48))
             try:
                 h = seg_mem.alloc(n)
                 oracle.on_alloc(h, n)
@@ -177,33 +227,37 @@ def run_backend_differential(seg_mem, rng, steps: int) -> None:
                 assert e.kind is TrapKind.OOM
         elif op == 1:
             h = mutate_handle(rng, rng.choice(handles))
-            expected = oracle.classify_free(h)
-            try:
-                seg_mem.free(h)
-                assert expected is None, (h, expected)
+            ok, _ = attempt(oracle.classify_free(h), lambda: seg_mem.free(h))
+            if ok:
                 oracle.free(h)
-            except MemTrap as e:
-                assert e.kind.value == expected, (h, expected, e.kind)
         elif op in (2, 3):
             h = mutate_handle(rng, rng.choice(handles))
-            size = rng.choice((1, 2, 4, 8, 16))
-            expected = oracle.classify(h, size)
-            try:
-                got = seg_mem.read_bytes(h, size)
-                assert expected is None, (h, size, expected)
-                assert got == oracle.read(h, size)
-            except MemTrap as e:
-                assert e.kind.value == expected, (h, size, expected, e.kind)
+            fmt = rng.choice(NUM_FORMATS)
+            ok, got = attempt(oracle.classify(h, struct.calcsize(fmt)),
+                              lambda: seg_mem.load(h, struct.Struct(fmt)))
+            if ok:
+                assert got == oracle.load(h, fmt), (h, fmt, got)
+        elif op == 4:
+            h = handle_slot(rng, rng.choice(handles))
+            ok, got = attempt(oracle.classify_handle(h), lambda: seg_mem.load_handle(h))
+            if ok:
+                assert got == oracle.load_handle(h), (h, got)
+        elif op == 5:
+            h = handle_slot(rng, rng.choice(handles))  # often over a handle
+            h = Handle(h.base, h.offset + rng.randrange(16), h.bound, h.valid, h.id)
+            fmt = rng.choice(NUM_FORMATS)
+            raw = bytes(rng.randrange(256) for _ in range(struct.calcsize(fmt)))
+            v = struct.unpack(fmt, raw)[0]
+            ok, _ = attempt(oracle.classify(h, len(raw)),
+                            lambda: seg_mem.store(h, struct.Struct(fmt), v))
+            if ok:
+                oracle.store(h, raw, 0)
+                same_bytes(h)
         else:
-            h = mutate_handle(rng, rng.choice(handles))
-            size = rng.choice((1, 4, 8))
-            payload = [TaggedByte(rng.randrange(256),
-                                  Tag.HANDLE if rng.random() < 0.2 else Tag.DATA)
-                       for _ in range(size)]
-            expected = oracle.classify(h, size)
-            try:
-                seg_mem.write_bytes(h, payload)
-                assert expected is None
-                oracle.write(h, payload)
-            except MemTrap as e:
-                assert e.kind.value == expected
+            h = handle_slot(rng, rng.choice(handles))
+            inner = mutate_handle(rng, rng.choice(handles))
+            ok, _ = attempt(oracle.classify_handle(h),
+                            lambda: seg_mem.store_handle(h, inner))
+            if ok:
+                oracle.store(h, _pack_handle(inner), 1)
+                same_bytes(h)

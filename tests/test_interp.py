@@ -95,22 +95,28 @@ def test_segload_through_invalid_handle_traps():
 
 
 def test_store_over_handle_bytes_then_reload_traps():
-    # overwrite the first word of a stored handle with i32 data, reload the
-    # handle from memory, then use it: the reloaded handle must be dead
-    body = [
-        bc.const(I32, 32), bc.new_segment(), bc.set_(0),   # outer segment
-        bc.const(I32, 8), bc.new_segment(), bc.set_(1),    # inner segment
-        bc.get(0), bc.get(1), bc.segstore(H),              # store inner at 0
-        bc.get(0), bc.const(I32, 7), bc.segstore(I32),     # corrupt word 0
-        bc.get(0), bc.segload(H), bc.set_(1),              # reload
-        bc.get(1), bc.segload(I32),                        # use: trap
-    ]
-    m = module(body, locals_=(H, H), results=(I32,))
-    typecheck_module(m)
-    res = run(m)
-    assert res.outcome == "trap"
-    kinds = [e.kind for e in res.trace]
-    assert kinds == ["salloc", "salloc", "write", "write", "read", "trap"]
+    # rewrite one word of a stored handle with its own bytes, tagged as
+    # i32 data, reload the handle from memory, then use it: the reloaded
+    # handle must be dead whichever of its four words was rewritten
+    for word in range(4):
+        def at_word():
+            return [bc.get(0), bc.const(I32, 4 * word), bc.handle_add()]
+        body = [
+            bc.const(I32, 32), bc.new_segment(), bc.set_(0),   # outer segment
+            bc.const(I32, 8), bc.new_segment(), bc.set_(1),    # inner segment
+            bc.get(0), bc.get(1), bc.segstore(H),              # store inner at 0
+            *at_word(), *at_word(), bc.segload(I32),           # same bytes,
+            bc.segstore(I32),                                  # as data
+            bc.get(0), bc.segload(H), bc.set_(1),              # reload
+            bc.get(1), bc.segload(I32),                        # use: trap
+        ]
+        m = module(body, locals_=(H, H), results=(I32,))
+        typecheck_module(m)
+        res = run(m)
+        assert res.outcome == "trap", word
+        kinds = [e.kind for e in res.trace]
+        assert kinds == ["salloc", "salloc", "write", "read", "write", "read",
+                         "trap"], word
 
 
 def test_handle_load_at_unaligned_address_traps():
@@ -131,6 +137,26 @@ def test_linear_load_near_end_traps():
     m = module([bc.const(I32, 62), bc.load(I32)], results=(I32,), heap=64)
     typecheck_module(m)
     assert run(m).outcome == "trap"
+
+
+def test_linear_access_at_last_word_succeeds():
+    # Wasm's rule: a 4-byte access at n is in bounds iff n + 4 <= len(heap)
+    body = [bc.const(I32, 60), bc.const(I32, -5), bc.store(I32),
+            bc.const(I32, 60), bc.load(I32)]
+    m = module(body, results=(I32,), heap=64)
+    typecheck_module(m)
+    res = run(m)
+    assert res.outcome == "ok" and res.results == [Value(I32, -5)]
+
+
+def test_linear_access_one_past_last_word_traps():
+    load = module([bc.const(I32, 61), bc.load(I32)], results=(I32,), heap=64)
+    store = module([bc.const(I32, 61), bc.const(I32, 1), bc.store(I32),
+                    bc.const(I32, 0)], results=(I32,), heap=64)
+    for m in (load, store):
+        typecheck_module(m)
+        res = run(m)
+        assert res.outcome == "trap" and res.trace == [TrapEv()]
 
 
 def test_linear_store_and_load():
@@ -301,3 +327,50 @@ def test_linked_typechecks_iff_halves_do():
         (FuncDef((I32,), (), (I32,), (bc.get(0), bc.get(0),)),), (), 0, 0)
     with pytest.raises(TypeError_):
         typecheck_module(link(_victim(), bad_ctx))
+
+
+# -- run is step in a loop ----------------------------------------------
+
+
+def _drive_step(m, backend, budget):
+    """run() written out as a loop over step() and Config.terminal."""
+    config = init_state(m, backend)
+    trace, steps = [], 0
+    while not config.terminal:
+        if steps >= budget:
+            return "budget", trace, config.results, steps
+        ev = step(config)
+        steps += 1
+        if ev is not None:
+            trace.append(ev)
+    return ("trap" if config.trapped else "ok"), trace, config.results, steps
+
+
+def test_run_is_step_in_a_loop():
+    from fixtures import UNSAFE_SUITE, trim_copy_program, user_record_program
+    from mswasm.compiler import compile_module
+    from mswasm.conformance import fuzz_module
+    from mswasm.minic import parse_source, src_typecheck
+
+    sources = [trim_copy_program(8), trim_copy_program(12, dst_cap=8),
+               user_record_program(3), user_record_program(32),
+               *UNSAFE_SUITE.values()]
+    modules = [compile_module(src_typecheck(parse_source(t))) for t in sources]
+    modules += [fuzz_module(seed) for seed in range(40)]
+    for m in modules:
+        for backend in ("tagged", "baggy"):
+            res = run(m, backend, budget=200_000)
+            assert res.steps > 0
+            assert (res.outcome, res.trace, res.results, res.steps) == \
+                _drive_step(m, backend, 200_000)
+
+
+def test_run_counts_steps_up_to_the_budget():
+    src = """
+    (module (segment 0) (heap 0)
+      (func (result i32) call 1)
+      (func (result i32) call 1))
+    """
+    res = run(parse_module(src), budget=500)
+    assert res.outcome == "budget" and res.steps == 500
+    assert run(module([bc.const(I32, 0)])).steps == 2  # const, fall off the end

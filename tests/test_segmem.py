@@ -1,25 +1,21 @@
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mswasm.segmem import (
+    HANDLE_TAGS,
     Handle,
     MemTrap,
     SegmentMemory,
-    Tag,
-    TaggedByte,
     TrapKind,
     pack_handle,
     unpack_handle,
 )
 
-from oracles import NaiveMemoryOracle
-
-
-def data(*bs):
-    return [TaggedByte(b, Tag.DATA) for b in bs]
+U8, I32, I64 = struct.Struct("<B"), struct.Struct("<i"), struct.Struct("<q")
 
 
 def test_first_alloc_from_empty():
@@ -33,7 +29,7 @@ def test_zero_length_alloc_traps_on_use():
     h = mem.alloc(0)
     assert h.bound == 0 and h.valid
     with pytest.raises(MemTrap) as e:
-        mem.read_bytes(h, 1)
+        mem.load(h, U8)
     assert e.value.kind is TrapKind.SPATIAL
 
 
@@ -83,14 +79,15 @@ def test_free_of_corrupted_handle_traps():
 def test_fresh_segment_reads_zero_data_bytes():
     mem = SegmentMemory(64)
     h = mem.alloc(8)
-    assert mem.read_bytes(h, 4) == data(0, 0, 0, 0)
+    assert mem.load(h, I32) == 0
+    assert mem.data[h.base:h.base + 8] == bytes(8) == mem.tags[h.base:h.base + 8]
 
 
 def test_out_of_bounds_read_traps_spatial():
     mem = SegmentMemory(64)
     h = mem.alloc(8)
     with pytest.raises(MemTrap) as e:
-        mem.read_bytes(Handle(h.base, 5, 8, True, h.id), 4)
+        mem.load(Handle(h.base, 5, 8, True, h.id), I32)
     assert e.value.kind is TrapKind.SPATIAL
 
 
@@ -98,7 +95,8 @@ def test_boundary_access_succeeds():
     # offset + size == bound is the last legal access
     mem = SegmentMemory(64)
     h = mem.alloc(8)
-    assert len(mem.read_bytes(Handle(h.base, 4, 8, True, h.id), 4)) == 4
+    mem.store(Handle(h.base, 4, 8, True, h.id), I32, -7)
+    assert mem.load(Handle(h.base, 4, 8, True, h.id), I32) == -7
 
 
 def test_read_after_free_traps_temporal():
@@ -106,17 +104,18 @@ def test_read_after_free_traps_temporal():
     h = mem.alloc(8)
     mem.free(h)
     with pytest.raises(MemTrap) as e:
-        mem.read_bytes(h, 1)
+        mem.load(h, U8)
     assert e.value.kind is TrapKind.TEMPORAL
 
 
 def test_freed_bytes_are_zeroed():
     mem = SegmentMemory(64)
     h = mem.alloc(8)
-    mem.write_bytes(h, data(1, 2, 3, 4, 5, 6, 7, 8))
+    mem.store(h, I64, 0x0807060504030201)
     mem.free(h)
     h2 = mem.alloc(8)
-    assert mem.read_bytes(h2, 8) == data(0, 0, 0, 0, 0, 0, 0, 0)
+    assert mem.load(h2, I64) == 0
+    assert mem.data[h2.base:h2.base + 8] == bytes(8)
 
 
 def test_window_escaping_segment_traps():
@@ -126,7 +125,7 @@ def test_window_escaping_segment_traps():
     sliced = mem.slice_handle(h, 12, 0)  # window [12, 28) of a 16-byte segment
     assert sliced.bound == 16
     with pytest.raises(MemTrap) as e:
-        mem.read_bytes(sliced, 8)
+        mem.load(sliced, I64)
     assert e.value.kind is TrapKind.SPATIAL
 
 
@@ -171,19 +170,20 @@ def test_pack_negative_offset():
        st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 2**31 - 1))
 def test_pack_unpack_roundtrip(base, offset, bound, valid, seg_id):
     h = Handle(base, offset, bound, valid, seg_id)
-    tagged = [TaggedByte(b, Tag.HANDLE) for b in pack_handle(h)]
-    assert unpack_handle(tagged) == h
+    assert unpack_handle(pack_handle(h), HANDLE_TAGS) == h
 
 
 def test_flipped_tag_invalidates():
     h = Handle(0, 0, 8, True, 0)
-    tagged = [TaggedByte(b, Tag.HANDLE) for b in pack_handle(h)]
-    tagged[5] = TaggedByte(tagged[5].value, Tag.DATA)
-    assert unpack_handle(tagged).valid is False
+    for j in range(16):
+        tags = bytearray(HANDLE_TAGS)
+        tags[j] = 0
+        assert unpack_handle(pack_handle(h), tags).valid is False
+    assert unpack_handle(pack_handle(h), HANDLE_TAGS).valid is True
 
 
 def test_all_zero_data_bytes_decode_invalid():
-    assert unpack_handle(data(*([0] * 16))).valid is False
+    assert unpack_handle(bytes(16), bytes(16)).valid is False
 
 
 # -- differential against the naive oracle ----------------------------
@@ -221,21 +221,17 @@ def test_tag_alloc_soundness_invariant():
             inner = rng.choice(live)
             off = rng.randrange(0, h.bound - 15) // 16 * 16
             try:
-                mem.write_bytes(
-                    Handle(h.base, off, h.bound, True, h.id),
-                    [TaggedByte(b, Tag.HANDLE) for b in pack_handle(inner)])
+                mem.store_handle(Handle(h.base, off, h.bound, True, h.id), inner)
             except MemTrap:
                 pass
         else:
             off = rng.randrange(0, h.bound)
             try:
-                mem.write_bytes(Handle(h.base, off, h.bound, True, h.id),
-                                data(rng.randrange(256)))
+                mem.store(Handle(h.base, off, h.bound, True, h.id), U8,
+                          rng.randrange(256))
             except MemTrap:
                 pass
         for base in range(0, mem.size - 15, 16):
-            tagged = [TaggedByte(mem.data[base + j], Tag(mem.tags[base + j]))
-                      for j in range(16)]
-            decoded = unpack_handle(tagged)
+            decoded = unpack_handle(mem.data, mem.tags, base)
             if decoded.valid:
                 assert decoded.id < mem.alloc_state.next_id

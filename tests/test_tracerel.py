@@ -132,3 +132,48 @@ def test_delta_injectivity_on_fuzz_traces(seed):
     if not isinstance(out, Unrelatable):
         _, _, delta = out
         assert len(delta.rev) == len(delta.fwd)
+
+
+# -- baggy traces: slot bases double as ids ------------------------------
+
+
+def _baggy_trace(text):
+    from mswasm.compiler import compile_module
+    from mswasm.minic import parse_source, src_typecheck
+    m = compile_module(src_typecheck(parse_source(text)))
+    return run(m, backend="baggy").trace
+
+
+REALLOC_SAME_SLOT = """
+module {
+  fn main() -> int {
+    var (p: ptr<array int>, q: ptr<array int>);
+    p := malloc<int>(2);
+    free(p);
+    q := malloc<int>(2);
+    free(q);
+    0
+  }
+  heap 0
+}
+"""
+
+
+def test_baggy_slot_reuse_rebinds_freed_key():
+    trace = _baggy_trace(REALLOC_SAME_SLOT)
+    allocs = [e.handle for e in trace if isinstance(e, SAllocEv)]
+    assert len(allocs) == 2 and allocs[0] == allocs[1]  # same (base, id)
+    assert isinstance(check_ms(trace), Safe)
+
+
+def test_baggy_read_after_free_is_temporal():
+    from fixtures import UAF_READ
+    verdict = check_ms(_baggy_trace(UAF_READ))
+    assert isinstance(verdict, TraceViolation)
+    assert verdict.violation.kind == "temporal-freed"
+
+
+def test_allocation_over_live_key_is_unrelatable():
+    h = Handle(0, 0, 8, True, 0)
+    out = check_ms([SAllocEv(h), SAllocEv(h)])
+    assert isinstance(out, Unrelatable) and out.index == 1
