@@ -1,86 +1,80 @@
 """Power-of-two-slot enforcement backend: checks happen when handles are
 modified, not when memory is accessed.
 
-Handles are packed 64-bit values: bits 0-47 hold an absolute byte position
-in one growable backing store, bits 48-53 the log2 of the slot size, and
-bit 63 marks a position that has strayed outside its slot.  Strays of up
-to half a slot are tolerated (marked, usable again once moved back
-inside); farther strays trap.  Accesses through unmarked handles are only
-checked against the backing store as a whole, so reads past a slot's end
-into a neighbouring slot succeed, freed slots remain readable, and stored
-handles are raw bytes: spatial protection is slot-granular and temporal
-safety and handle integrity are deliberately absent.
+While a program runs, a handle is a decoded tuple `(addr, order, marked)`:
+`addr` is an absolute byte position (48 bits) in one growable backing
+store, `order` the log2 of its slot's size, and `marked` says that the
+position has strayed outside its slot.  Only memory holds the packed
+form, 8 bytes through `pack_baggy`/`unpack_baggy`: bits 0-47 the
+position, bits 48-53 the order, bit 63 the mark (bits 54-62 are ignored
+on load and stored back as zero).
+
+Strays of up to half a slot are tolerated (marked, usable again once
+moved back inside); farther strays trap.  Accesses through unmarked
+handles are only checked against the backing store as a whole, so reads
+past a slot's end into a neighbouring slot succeed, freed slots remain
+readable, and stored handles are raw bytes: spatial protection is
+slot-granular and temporal safety and handle integrity are deliberately
+absent.  The null handle (order 0, which no allocation has) traps
+spatial on load, store and free: its stray window is empty, so no
+`handle_add` can move it into a slot.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from bisect import bisect_left, insort
+from typing import NamedTuple
 
 from .segmem import Handle, MemTrap, TrapKind
 
 MIN_ORDER = 4  # smallest slot is 16 bytes
 _ADDR_MASK = (1 << 48) - 1
 _MARK_BIT = 1 << 63
+_PACKED = struct.Struct("<Q")
+
+# _new(BaggyHandle, (addr, order, marked)) skips NamedTuple's Python-level
+# __new__, as interp does for Value.
+_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class BaggyHandle:
-    packed: int
+def _marked_base(addr: int, size: int) -> int:
+    """The owning slot's base for a marked position.
 
-    @property
-    def addr(self) -> int:
-        return self.packed & _ADDR_MASK
+    Marked positions sit within half a slot of one end; which end is
+    encoded by the position's residue: the below-slot stray window is
+    [base - size/2, base) and the above-slot window is
+    [base + size, base + 3*size/2), so residues >= size/2 mean below.
+    """
+    aligned = addr & -size
+    return aligned + size if addr & (size - 1) >= size >> 1 else aligned - size
 
-    @property
-    def order(self) -> int:
-        return (self.packed >> 48) & 0x3F
+
+class BaggyHandle(NamedTuple):
+    addr: int
+    order: int
+    marked: bool
 
     @property
     def slot_size(self) -> int:
         return 1 << self.order
 
     @property
-    def marked(self) -> bool:
-        return bool(self.packed & _MARK_BIT)
-
-    @property
     def slot_base(self) -> int:
-        """Recover the owning slot's base.
-
-        Unmarked positions sit inside their (size-aligned) slot.  Marked
-        positions sit within half a slot of one end; which end is encoded
-        by the position's residue: the below-slot stray window is
-        [base - size/2, base) and the above-slot window is
-        [base + size, base + 3*size/2), so residues >= size/2 mean below.
-        """
-        size = self.slot_size
-        aligned = self.addr & ~(size - 1)
-        if not self.marked:
-            return aligned
-        if self.addr % size >= size // 2:
-            return aligned + size
-        return aligned - size
-
-    def with_addr(self, addr: int, marked: bool) -> "BaggyHandle":
-        packed = (addr & _ADDR_MASK) | (self.order << 48)
-        if marked:
-            packed |= _MARK_BIT
-        return BaggyHandle(packed)
+        """Unmarked positions sit inside their (size-aligned) slot."""
+        size = 1 << self.order
+        return _marked_base(self.addr, size) if self.marked else self.addr & -size
 
 
-NULL_BAGGY = BaggyHandle(0)
-
-
-def _order_for(n: int) -> int:
-    order = MIN_ORDER
-    while (1 << order) < n:
-        order += 1
-    return order
+NULL_BAGGY = BaggyHandle(0, 0, False)
 
 
 class BuddyMemory:
-    """Single growable byte store carved by a binary buddy allocator."""
+    """Single growable byte store carved by a binary buddy allocator.
+
+    `free_lists` maps an order to the sorted bases of its free blocks;
+    an allocation takes the lowest base of the smallest order that fits.
+    """
 
     def __init__(self, size: int = 1 << 16, cap: int = 1 << 26):
         size = max(16, 1 << (size - 1).bit_length())
@@ -98,63 +92,74 @@ class BuddyMemory:
         if old * 2 > self.cap:
             raise MemTrap(TrapKind.OOM, "backing store at cap")
         self.data.extend(bytes(old))
-        # The new upper half is one free block of the old total size.
+        # The new upper half is one free block of the old total size, and
+        # above every other free base.
         self.free_lists.setdefault(old.bit_length() - 1, []).append(old)
 
     def _take_block(self, order: int) -> int:
-        for k in sorted(self.free_lists):
-            if k >= order and self.free_lists[k]:
-                base = min(self.free_lists[k])
-                self.free_lists[k].remove(base)
-                while k > order:
-                    k -= 1
-                    self.free_lists.setdefault(k, []).append(base + (1 << k))
-                return base
-        self._grow()
-        return self._take_block(order)
+        free_lists = self.free_lists
+        while True:
+            for k in range(order, len(self.data).bit_length()):
+                bucket = free_lists.get(k)
+                if bucket:
+                    base = bucket.pop(0)
+                    # No order from `order` to k - 1 has a free block, so
+                    # each upper half becomes its list's only base.
+                    while k > order:
+                        k -= 1
+                        free_lists.setdefault(k, []).append(base + (1 << k))
+                    return base
+            self._grow()
 
     def alloc(self, n: int) -> BaggyHandle:
         if n < 0:
             raise MemTrap(TrapKind.OOM, f"negative size {n}")
-        order = _order_for(n)
+        order = max(MIN_ORDER, (n - 1).bit_length())  # least 2**order >= n
         if (1 << order) > self.cap:
             raise MemTrap(TrapKind.OOM, f"{n} bytes above cap")
         base = self._take_block(order)
         self.allocated[base] = order
         self.data[base:base + (1 << order)] = bytes(1 << order)
-        return BaggyHandle((base & _ADDR_MASK) | (order << 48))
+        return _new(BaggyHandle, (base, order, False))
 
     def free(self, h: BaggyHandle) -> None:
-        if h.marked:
+        base, order, marked = h
+        if marked:
             raise MemTrap(TrapKind.INTEGRITY, "free via marked handle")
-        base = h.slot_base
-        if h.addr != base:
+        if order < MIN_ORDER:
+            raise MemTrap(TrapKind.SPATIAL, "free via null handle")
+        if base & ((1 << order) - 1):
             raise MemTrap(TrapKind.SPATIAL, "free not at slot start")
-        order = self.allocated.get(base)
-        if order is None or order != h.order:
+        if self.allocated.get(base) != order:
             raise MemTrap(TrapKind.TEMPORAL, "slot not allocated")
         del self.allocated[base]
-        while order < self.size.bit_length() - 1:
+        free_lists = self.free_lists
+        top = self.size.bit_length() - 1
+        while order < top:
             buddy = base ^ (1 << order)
-            bucket = self.free_lists.get(order, [])
-            if buddy in bucket:
-                bucket.remove(buddy)
-                base = min(base, buddy)
-                order += 1
-            else:
+            bucket = free_lists.get(order)
+            if not bucket:
                 break
-        self.free_lists.setdefault(order, []).append(base)
+            i = bisect_left(bucket, buddy)
+            if i == len(bucket) or bucket[i] != buddy:
+                break
+            del bucket[i]
+            base &= buddy
+            order += 1
+        insort(free_lists.setdefault(order, []), base)
 
     # -- handle-modifying checks ---------------------------------------
 
     def handle_add(self, h: BaggyHandle, delta: int) -> BaggyHandle:
-        base = h.slot_base
-        size = h.slot_size
-        addr = h.addr + delta
+        addr, order, marked = h
+        size = 1 << order
+        base = _marked_base(addr, size) if marked else addr & -size
+        addr += delta
         if base <= addr < base + size:
-            return h.with_addr(addr, marked=False)
-        if base - size // 2 <= addr < base or base + size <= addr < base + size + size // 2:
-            return h.with_addr(addr, marked=True)
+            return _new(BaggyHandle, (addr & _ADDR_MASK, order, False))
+        half = size >> 1
+        if base - half <= addr < base + size + half:
+            return _new(BaggyHandle, (addr & _ADDR_MASK, order, True))
         raise MemTrap(TrapKind.SPATIAL, "strayed too far from slot")
 
     def slice_handle(self, h: BaggyHandle, o1: int, o2: int) -> BaggyHandle:
@@ -163,31 +168,53 @@ class BuddyMemory:
 
     # -- access: no slot check at all ----------------------------------
 
-    def _check_use(self, h: BaggyHandle, size: int) -> int:
-        if h.marked:
+    def check_use(self, h: BaggyHandle, size: int) -> int:
+        """The address of a `size`-byte access through h, which must be
+        unmarked, not null and inside the store."""
+        addr, order, marked = h
+        if marked:
             raise MemTrap(TrapKind.SPATIAL, "access via marked handle")
-        if h.addr + size > self.size:
+        if order < MIN_ORDER:
+            raise MemTrap(TrapKind.SPATIAL, "access via null handle")
+        if addr + size > len(self.data):
             raise MemTrap(TrapKind.SPATIAL, "outside backing store")
-        return h.addr
+        return addr
 
     def read(self, h: BaggyHandle, size: int) -> bytes:
-        a = self._check_use(h, size)
+        a = self.check_use(h, size)
         return bytes(self.data[a:a + size])
 
     def write(self, h: BaggyHandle, payload: bytes) -> None:
-        a = self._check_use(h, len(payload))
+        a = self.check_use(h, len(payload))
         self.data[a:a + len(payload)] = payload
 
     def view(self, h: BaggyHandle) -> Handle:
         """Present a slot-relative view for trace events; the slot base
         doubles as the id since this backend has no allocation ids."""
-        base = h.slot_base
-        return Handle(base, h.addr - base, h.slot_size, not h.marked, base & 0x7FFFFFFF)
+        addr, order, marked = h
+        size = 1 << order
+        base = _marked_base(addr, size) if marked else addr & -size
+        return _new(Handle, (base, addr - base, size, not marked, base & 0x7FFFFFFF))
+
+
+def load_baggy(data, at: int) -> BaggyHandle:
+    """Decode the packed handle at `at`."""
+    packed = _PACKED.unpack_from(data, at)[0]
+    return _new(BaggyHandle, (packed & _ADDR_MASK, (packed >> 48) & 0x3F,
+                              packed >= _MARK_BIT))
+
+
+def store_baggy(data, at: int, h: BaggyHandle) -> None:
+    """Write h's packed form at `at`."""
+    addr, order, marked = h
+    _PACKED.pack_into(data, at, addr | order << 48 | (_MARK_BIT if marked else 0))
 
 
 def pack_baggy(h: BaggyHandle) -> bytes:
-    return struct.pack("<Q", h.packed)
+    raw = bytearray(8)
+    store_baggy(raw, 0, h)
+    return bytes(raw)
 
 
 def unpack_baggy(raw: bytes) -> BaggyHandle:
-    return BaggyHandle(struct.unpack("<Q", raw)[0])
+    return load_baggy(raw, 0)

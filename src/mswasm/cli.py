@@ -190,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trace", help="write JSON-lines trace here")
     sp.add_argument("--budget", type=int, default=interp.DEFAULT_BUDGET)
     sp.add_argument("--segment-size", type=int, default=None)
-    sp.add_argument("--json", action="store_true",
-                    help="trace to stdout as JSON lines (the default)")
     sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser("compile", help="compile a source program")

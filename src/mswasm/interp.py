@@ -161,16 +161,19 @@ class BaggyBackend:
         return baggy_mod.NULL_BAGGY
 
     def load(self, h, ty: ValueType):
+        mem = self.mem
         if ty is HANDLE:
-            return baggy_mod.unpack_baggy(self.mem.read(h, 8))
+            return baggy_mod.load_baggy(mem.data, mem.check_use(h, 8))
         layout = _NUM[ty._value_]
-        return layout.unpack(self.mem.read(h, layout.size))[0]
+        return layout.unpack_from(mem.data, mem.check_use(h, layout.size))[0]
 
     def store(self, h, ty: ValueType, v) -> None:
+        mem = self.mem
         if ty is HANDLE:
-            self.mem.write(h, baggy_mod.pack_baggy(v))
+            baggy_mod.store_baggy(mem.data, mem.check_use(h, 8), v)
         else:
-            self.mem.write(h, _NUM[ty._value_].pack(v))
+            layout = _NUM[ty._value_]
+            layout.pack_into(mem.data, mem.check_use(h, layout.size), v)
 
 
 BACKENDS = {"tagged": TaggedBackend, "baggy": BaggyBackend}

@@ -167,12 +167,6 @@ def struct_cell_shades(mod: SrcModule, sname: str) -> tuple[int, ...]:
     return tuple(shades)
 
 
-def alloc_cell_shades(mod: SrcModule, w, count: int) -> tuple[int, ...]:
-    if isinstance(w, StructType):
-        return struct_cell_shades(mod, w.name) * count
-    return (0,) * (count * cells_of(mod, w))
-
-
 # ---------------------------------------------------------------------------
 # Untyped AST
 
@@ -893,9 +887,6 @@ class SrcRead:
 class SrcWrite:
     ty: object
     v: SrcValue
-
-
-SrcEvent = object
 
 
 class SrcHostError(Exception):

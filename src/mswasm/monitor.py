@@ -51,9 +51,6 @@ class AFree:
     color: int
 
 
-AbsEvent = object
-
-
 @dataclass(frozen=True)
 class Violation:
     kind: str   # spatial-color | shade | temporal-freed | temporal-unmapped

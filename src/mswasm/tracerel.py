@@ -128,7 +128,3 @@ def check_ms(trace, shading=constant_shading):
     if isinstance(verdict, Safe):
         return SAFE
     return TraceViolation(verdict, sources[verdict.index])
-
-
-def is_safe(trace) -> bool:
-    return isinstance(check_ms(trace), Safe)

@@ -2,8 +2,10 @@
 
 These deliberately use different data structures from the production code:
 the memory oracle keeps one byte-array per allocation id instead of a flat
-store with a free list, and the monitor oracle replays allocation interval
-records instead of a shadow map.
+store with a free list, the monitor oracle replays allocation interval
+records instead of a shadow map, and the baggy reference keeps handles as
+packed 64-bit ints and finds a first fit by sorting instead of decoding
+handles to tuples and keeping sorted per-order free lists.
 """
 
 from __future__ import annotations
@@ -11,8 +13,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
+from mswasm.baggy import NULL_BAGGY, pack_baggy, unpack_baggy
+from mswasm.bytecode import ValueType
 from mswasm.monitor import AAlloc, AFree, ARead, AWrite, SAFE, Violation
-from mswasm.segmem import Handle
+from mswasm.segmem import Handle, MemTrap, TrapKind
 
 
 @dataclass
@@ -186,6 +190,7 @@ def _pack_handle(h: Handle) -> bytes:
 
 
 NUM_FORMATS = ("<B", "<h", "<i", "<q")
+I32 = struct.Struct("<i")
 
 
 def run_backend_differential(seg_mem, rng, steps: int) -> None:
@@ -193,8 +198,6 @@ def run_backend_differential(seg_mem, rng, steps: int) -> None:
     sequence through the typed accesses the interpreter uses, asserting
     identical observables (values, trap/no-trap, trap kind, and after
     each store the data and tag bytes of the stored-to segment)."""
-    from mswasm.segmem import MemTrap, TrapKind
-
     oracle = NaiveMemoryOracle()
     handles: list[Handle] = []
 
@@ -216,7 +219,7 @@ def run_backend_differential(seg_mem, rng, steps: int) -> None:
         assert seg_mem.tags[seg.base:seg.base + n] == bytes(seg.tags)
 
     for _ in range(steps):
-        op = rng.randrange(7)
+        op = rng.randrange(8)
         if op == 0 or not handles:
             n = rng.choice((0, 1, 4, 8, 16, 24, 32, 40, 48))
             try:
@@ -253,7 +256,7 @@ def run_backend_differential(seg_mem, rng, steps: int) -> None:
             if ok:
                 oracle.store(h, raw, 0)
                 same_bytes(h)
-        else:
+        elif op == 6:
             h = handle_slot(rng, rng.choice(handles))
             inner = mutate_handle(rng, rng.choice(handles))
             ok, _ = attempt(oracle.classify_handle(h),
@@ -261,3 +264,249 @@ def run_backend_differential(seg_mem, rng, steps: int) -> None:
             if ok:
                 oracle.store(h, _pack_handle(inner), 1)
                 same_bytes(h)
+        else:
+            # Store a handle, rewrite one of its words with its own bytes
+            # as i32 data, and load the handle back: only the tag bytes
+            # can tell that the reloaded handle is dead.
+            live = [h for h in handles
+                    if h.bound >= 16 and oracle.segments[h.id].live]
+            if not live:
+                try:
+                    live = [seg_mem.alloc(32)]
+                except MemTrap:
+                    continue
+                oracle.on_alloc(live[0], 32)
+                handles += live
+            h = rng.choice(live)
+            h = Handle(h.base, 16 * rng.randrange(h.bound // 16), h.bound, h.valid, h.id)
+            inner = rng.choice(handles)
+            raw = _pack_handle(inner)
+            seg_mem.store_handle(h, inner)
+            oracle.store(h, raw, 1)
+            k = 4 * rng.randrange(4)
+            word = Handle(h.base, h.offset + k, h.bound, h.valid, h.id)
+            seg_mem.store(word, I32, I32.unpack_from(raw, k)[0])
+            oracle.store(word, raw[k:k + 4], 0)
+            same_bytes(h)
+            assert seg_mem.load_handle(h) == oracle.load_handle(h)
+
+
+# -- reference for the baggy backend: packed-int handles -----------------
+
+_BAGGY_ADDR_MASK = (1 << 48) - 1
+_BAGGY_MARK = 1 << 63
+_BAGGY_UNUSED = 0x1FF << 54  # bits 54-62 of a packed handle carry nothing
+_BAGGY_MIN_ORDER = 4
+
+
+def ref_baggy_fields(packed: int) -> tuple[int, int, bool]:
+    """(addr, order, marked) of a packed handle."""
+    return (packed & _BAGGY_ADDR_MASK, (packed >> 48) & 0x3F,
+            bool(packed & _BAGGY_MARK))
+
+
+def ref_slot_base(packed: int) -> int:
+    """Unmarked positions sit inside their slot; a marked one sits in the
+    stray window below the slot ([base - size/2, base)) when its residue
+    is at least size/2, else in the one above it."""
+    addr, order, marked = ref_baggy_fields(packed)
+    size = 1 << order
+    aligned = addr & ~(size - 1)
+    if not marked:
+        return aligned
+    if addr % size >= size // 2:
+        return aligned + size
+    return aligned - size
+
+
+class RefBuddyMemory:
+    """The buddy allocator over 64-bit packed handles, with the plainest
+    formulas: first fit sorts the orders and takes the least base of the
+    first non-empty one, and a buddy is found by list membership."""
+
+    def __init__(self, size: int, cap: int):
+        size = max(16, 1 << (size - 1).bit_length())
+        self.cap = cap
+        self.data = bytearray(size)
+        self.free_lists: dict[int, list[int]] = {size.bit_length() - 1: [0]}
+        self.allocated: dict[int, int] = {}
+
+    def _grow(self) -> None:
+        old = len(self.data)
+        if old * 2 > self.cap:
+            raise MemTrap(TrapKind.OOM)
+        self.data.extend(bytes(old))
+        self.free_lists.setdefault(old.bit_length() - 1, []).append(old)
+
+    def _take_block(self, order: int) -> int:
+        for k in sorted(self.free_lists):
+            if k >= order and self.free_lists[k]:
+                base = min(self.free_lists[k])
+                self.free_lists[k].remove(base)
+                while k > order:
+                    k -= 1
+                    self.free_lists.setdefault(k, []).append(base + (1 << k))
+                return base
+        self._grow()
+        return self._take_block(order)
+
+    def alloc(self, n: int) -> int:
+        if n < 0:
+            raise MemTrap(TrapKind.OOM)
+        order = _BAGGY_MIN_ORDER
+        while (1 << order) < n:
+            order += 1
+        if (1 << order) > self.cap:
+            raise MemTrap(TrapKind.OOM)
+        base = self._take_block(order)
+        self.allocated[base] = order
+        self.data[base:base + (1 << order)] = bytes(1 << order)
+        return base | (order << 48)
+
+    def free(self, packed: int) -> None:
+        addr, order, marked = ref_baggy_fields(packed)
+        if marked:
+            raise MemTrap(TrapKind.INTEGRITY)
+        if order < _BAGGY_MIN_ORDER:
+            raise MemTrap(TrapKind.SPATIAL)  # the null handle
+        base = ref_slot_base(packed)
+        if addr != base:
+            raise MemTrap(TrapKind.SPATIAL)
+        if self.allocated.get(base) != order:
+            raise MemTrap(TrapKind.TEMPORAL)
+        del self.allocated[base]
+        while order < len(self.data).bit_length() - 1:
+            buddy = base ^ (1 << order)
+            bucket = self.free_lists.get(order, [])
+            if buddy not in bucket:
+                break
+            bucket.remove(buddy)
+            base = min(base, buddy)
+            order += 1
+        self.free_lists.setdefault(order, []).append(base)
+
+    def handle_add(self, packed: int, delta: int) -> int:
+        addr, order, _ = ref_baggy_fields(packed)
+        base, size = ref_slot_base(packed), 1 << order
+        addr += delta
+        if base <= addr < base + size:
+            marked = False
+        elif (base - size // 2 <= addr < base
+              or base + size <= addr < base + size + size // 2):
+            marked = True
+        else:
+            raise MemTrap(TrapKind.SPATIAL)
+        return (addr & _BAGGY_ADDR_MASK) | (order << 48) | (_BAGGY_MARK if marked else 0)
+
+    def _check_use(self, packed: int, size: int) -> int:
+        addr, order, marked = ref_baggy_fields(packed)
+        if marked or order < _BAGGY_MIN_ORDER or addr + size > len(self.data):
+            raise MemTrap(TrapKind.SPATIAL)
+        return addr
+
+    def load(self, packed: int, fmt: str):
+        a = self._check_use(packed, struct.calcsize(fmt))
+        return struct.unpack(fmt, bytes(self.data[a:a + struct.calcsize(fmt)]))[0]
+
+    def store(self, packed: int, fmt: str, v) -> None:
+        a = self._check_use(packed, struct.calcsize(fmt))
+        self.data[a:a + struct.calcsize(fmt)] = struct.pack(fmt, v)
+
+    def load_handle(self, packed: int) -> int:
+        a = self._check_use(packed, 8)
+        return int.from_bytes(self.data[a:a + 8], "little") & ~_BAGGY_UNUSED
+
+    def store_handle(self, packed: int, v: int) -> None:
+        a = self._check_use(packed, 8)
+        self.data[a:a + 8] = v.to_bytes(8, "little")
+
+    def view(self, packed: int) -> Handle:
+        addr, order, marked = ref_baggy_fields(packed)
+        base = ref_slot_base(packed)
+        return Handle(base, addr - base, 1 << order, not marked, base & 0x7FFFFFFF)
+
+    def free_blocks(self) -> set[tuple[int, int]]:
+        return {(k, b) for k, bases in self.free_lists.items() for b in bases}
+
+
+BAGGY_NUM_FORMATS = {"i32": "<i", "i64": "<q", "f32": "<f", "f64": "<d"}
+
+
+def run_baggy_differential(backend, rng, steps: int) -> None:
+    """Drive a baggy backend and RefBuddyMemory with one random sequence of
+    allocs, frees, handle adds, slices, number and handle loads and
+    stores, and decodes of random packed bytes, asserting after each op
+    the same handle fields, views, loaded values, trap kinds, memory
+    bytes, free blocks and allocated slots."""
+    mem = backend.mem
+    ref = RefBuddyMemory(len(mem.data), mem.cap)
+    pool: list = []  # (handle, the reference's packed int)
+
+    def keep(out):
+        """Check a handle both sides made, (handle, packed), and pool it."""
+        if out:
+            h, packed = out
+            assert (h.addr, h.order, h.marked) == ref_baggy_fields(packed), out
+            assert backend.view(h) == ref.view(packed), out
+            pool.append(out)
+
+    def attempt(act, reference):
+        """(act's result, reference's) if neither traps, else None once
+        both trapped with the same kind."""
+        try:
+            want, want_kind = reference(), None
+        except MemTrap as e:
+            want, want_kind = None, e.kind
+        try:
+            got = act()
+        except MemTrap as e:
+            assert e.kind is want_kind, (want_kind, e.kind)
+            return None
+        assert want_kind is None, want_kind
+        return got, want
+
+    keep((NULL_BAGGY, 0))
+    for _ in range(steps):
+        op = rng.randrange(9)
+        h, p = rng.choice(pool)
+        reach = 1 << min(h.order, 10)  # deltas reaching past the stray windows
+        if op == 0:
+            n = rng.choice((0, 1, 15, 16, 17, 32, 48, 64, 100, 200, 500, 3000))
+            keep(attempt(lambda: backend.alloc(n), lambda: ref.alloc(n)))
+        elif op == 1:
+            attempt(lambda: backend.free(h), lambda: ref.free(p))
+        elif op == 2:
+            d = rng.randint(-2 * reach, 2 * reach)
+            keep(attempt(lambda: backend.handle_add(h, d), lambda: ref.handle_add(p, d)))
+        elif op == 3:
+            o1, o2 = rng.randint(-reach, 2 * reach), rng.randint(0, reach)
+            keep(attempt(lambda: backend.slice(h, o1, o2), lambda: ref.handle_add(p, o1)))
+        elif op == 4:
+            ty = rng.choice((ValueType.I32, ValueType.I64, ValueType.F32, ValueType.F64))
+            out = attempt(lambda: backend.load(h, ty),
+                          lambda: ref.load(p, BAGGY_NUM_FORMATS[ty.value]))
+            if out:
+                got, want = out
+                assert got == want or (got != got and want != want), (got, want)
+        elif op == 5:
+            ty = rng.choice((ValueType.I32, ValueType.I64, ValueType.F32, ValueType.F64))
+            fmt = BAGGY_NUM_FORMATS[ty.value]
+            v = struct.unpack(fmt, rng.randbytes(struct.calcsize(fmt)))[0]
+            attempt(lambda: backend.store(h, ty, v), lambda: ref.store(p, fmt, v))
+        elif op == 6:
+            keep(attempt(lambda: backend.load(h, ValueType.HANDLE),
+                         lambda: ref.load_handle(p)))
+        elif op == 7:
+            inner, inner_p = rng.choice(pool)
+            attempt(lambda: backend.store(h, ValueType.HANDLE, inner),
+                    lambda: ref.store_handle(p, inner_p))
+        else:
+            raw = rng.randbytes(8)
+            packed = int.from_bytes(raw, "little") & ~_BAGGY_UNUSED
+            got = unpack_baggy(raw)
+            assert pack_baggy(got) == packed.to_bytes(8, "little")
+            keep((got, packed))
+        assert mem.data == ref.data
+        assert mem.allocated == ref.allocated
+        assert {(k, b) for k, bases in mem.free_lists.items() for b in bases} \
+            == ref.free_blocks()

@@ -374,3 +374,43 @@ def test_run_counts_steps_up_to_the_budget():
     res = run(parse_module(src), budget=500)
     assert res.outcome == "budget" and res.steps == 500
     assert run(module([bc.const(I32, 0)])).steps == 2  # const, fall off the end
+
+
+NULL_READ = """
+(module (segment 64) (heap 0)
+  (func (local handle handle) (result i32)
+    i32.const 8 new_segment set 1
+    get 1 i32.const 1234 i32.segstore
+    get 0 i32.segload))
+"""
+
+
+@pytest.mark.parametrize("backend", ["tagged", "baggy"])
+def test_null_handle_read_traps(backend):
+    """A read through a handle local that was never set traps before it
+    reaches memory.  On baggy, null's view (base 0, id 0) names the first
+    slot, so a trace that showed the read would relate to that segment
+    and be judged safe."""
+    m = parse_module(NULL_READ)
+    typecheck_module(m)
+    res = run(m, backend)
+    assert res.outcome == "trap" and res.results == []
+    assert [type(e) for e in res.trace] == [SAllocEv, WriteEv, TrapEv]
+
+
+@pytest.mark.parametrize("backend", ["tagged", "baggy"])
+@pytest.mark.parametrize("use", ["get 0 i32.const 7 i32.segstore",
+                                 "get 0 i64.segload set 2",
+                                 "get 0 handle.segload set 1",
+                                 "get 0 segfree"])
+def test_null_handle_store_load_and_free_trap(backend, use):
+    m = parse_module(f"""
+    (module (segment 64) (heap 0)
+      (func (local handle handle i64)
+        i32.const 16 new_segment set 1
+        {use}))
+    """)
+    typecheck_module(m)
+    res = run(m, backend)
+    assert res.outcome == "trap"
+    assert [type(e) for e in res.trace] == [SAllocEv, TrapEv]
