@@ -180,14 +180,6 @@ class BuddyMemory:
             raise MemTrap(TrapKind.SPATIAL, "outside backing store")
         return addr
 
-    def read(self, h: BaggyHandle, size: int) -> bytes:
-        a = self.check_use(h, size)
-        return bytes(self.data[a:a + size])
-
-    def write(self, h: BaggyHandle, payload: bytes) -> None:
-        a = self.check_use(h, len(payload))
-        self.data[a:a + len(payload)] = payload
-
     def view(self, h: BaggyHandle) -> Handle:
         """Present a slot-relative view for trace events; the slot base
         doubles as the id since this backend has no allocation ids."""

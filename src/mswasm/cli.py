@@ -230,7 +230,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (bytecode.ParseError, bytecode.ValidationError, SrcParseError) as e:
+    except (bytecode.ParseError, bytecode.ValidationError, SrcParseError,
+            monitor.AbsTraceError, UnicodeDecodeError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (TypeError_, SrcTypeError) as e:

@@ -38,7 +38,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .monitor import AAlloc, AFree, ARead, AWrite, SAFE, Safe, check_trace, monitor_step, ShadowMemory
+from .monitor import AAlloc, AFree, ARead, AWrite, SAFE, Safe, Violation, check_trace
+from .tracerel import BijectionDelta
 
 
 # ---------------------------------------------------------------------------
@@ -1206,77 +1207,55 @@ def _alloc_footprint(mod: SrcModule, ptr: SPtr) -> tuple[int, tuple[int, ...]]:
 
 
 def src_relate(mod: SrcModule, trace: list):
-    """Abstract image of a source trace: (abs_events, sources, delta) or
-    SrcUnsafe at the first forged or out-of-provenance event."""
-    delta: dict[tuple[int, int], tuple[int, int, int]] = {}
-    next_color = 0
+    """Abstract image of a source trace: (abs_events, sources, unsafe).
+    unsafe is None, or SrcUnsafe at the first forged or out-of-provenance
+    event, and then abs_events is the image of the events before it.
+
+    abs_events[i] came from trace[sources[i]].  Pointers resolve through
+    one record per allocation id, as handles do in tracerel."""
+    delta = BijectionDelta()
     abs_events: list = []
     sources: list[int] = []
     for i, ev in enumerate(trace):
         if isinstance(ev, SrcAlloc):
             ptr = ev.ptr
             if ptr.length < 0:
-                return SrcUnsafe(i, "allocation with negative length")
+                return abs_events, sources, SrcUnsafe(i, "allocation with negative length")
             ncells, shades = _alloc_footprint(mod, ptr)
-            color = next_color
-            next_color += 1
-            for j in range(ncells):
-                delta[(ptr.base + j, ptr.id)] = (ptr.base + j, color, shades[j])
-            if ncells == 0:
-                delta[(ptr.base, ptr.id)] = (ptr.base, color, 0)
+            color = delta.bind_segment(ptr.id, ptr.base, ncells, shades)
             abs_events.append(AAlloc(ncells, ptr.base, color, shades))
             sources.append(i)
         elif isinstance(ev, (SrcRead, SrcWrite)):
             if isinstance(ev.v, SInt):
-                return SrcUnsafe(i, "access through a raw integer")
+                return abs_events, sources, SrcUnsafe(i, "access through a raw integer")
             ptr = ev.v
-            entry = delta.get((ptr.base, ptr.id))
-            if entry is None:
-                return SrcUnsafe(i, "pointer with unknown provenance")
-            base_addr, color, shade = entry
-            addr = base_addr + (ptr.addr - ptr.base)
+            image = delta.resolve(ptr.id, ptr.base)
+            if image is None:
+                return abs_events, sources, SrcUnsafe(i, "pointer with unknown provenance")
             cls = ARead if isinstance(ev, SrcRead) else AWrite
-            abs_events.append(cls(addr, color, shade))
+            abs_events.append(cls(ptr.addr, *image))
             sources.append(i)
         elif isinstance(ev, SrcFree):
             if isinstance(ev.v, SInt):
-                return SrcUnsafe(i, "free of a raw integer")
+                return abs_events, sources, SrcUnsafe(i, "free of a raw integer")
             ptr = ev.v
             if ptr.addr != ptr.base:
-                return SrcUnsafe(i, "free not at allocation start")
-            entry = delta.get((ptr.base, ptr.id))
-            if entry is None:
-                return SrcUnsafe(i, "free with unknown provenance")
-            base_addr, color, _ = entry
-            abs_events.append(AFree(base_addr, color))
+                return abs_events, sources, SrcUnsafe(i, "free not at allocation start")
+            image = delta.resolve(ptr.id, ptr.base)
+            if image is None:
+                return abs_events, sources, SrcUnsafe(i, "free with unknown provenance")
+            abs_events.append(AFree(ptr.base, image[0]))
             sources.append(i)
         else:
             raise TypeError(f"not a source event: {ev!r}")
-    return abs_events, sources, delta
+    return abs_events, sources, None
 
 
 def src_ms(mod: SrcModule, trace: list):
     """SAFE, or SrcUnsafe carrying the index of the first memory violation
     (a forged event, or the first event the monitor rejects)."""
-    shadow = ShadowMemory.empty()
-    history: list = []
-    related = src_relate(mod, trace)
-    if isinstance(related, SrcUnsafe):
-        bad_index = related.index
-        safe_prefix = trace[:bad_index]
-        prefix_rel = src_relate(mod, safe_prefix)
-        assert not isinstance(prefix_rel, SrcUnsafe)
-        abs_events, sources, _ = prefix_rel
-        for k, ev in enumerate(abs_events):
-            kind = monitor_step(shadow, history, ev)
-            if kind is not None:
-                return SrcUnsafe(sources[k], kind)
-            history.append(ev)
-        return related
-    abs_events, sources, _ = related
-    for k, ev in enumerate(abs_events):
-        kind = monitor_step(shadow, history, ev)
-        if kind is not None:
-            return SrcUnsafe(sources[k], kind)
-        history.append(ev)
-    return SAFE
+    abs_events, sources, unsafe = src_relate(mod, trace)
+    verdict = check_trace(abs_events)
+    if isinstance(verdict, Violation):
+        return SrcUnsafe(sources[verdict.index], verdict.kind)
+    return unsafe or SAFE

@@ -1,54 +1,60 @@
 """Language-independent memory-safety monitor over abstract event traces.
 
-State is a colored shadow memory: a partial map from addresses to cells
-that are allocated or freed, each carrying the color (provenance) of the
-allocation that created them and a shade naming the sub-region within it.
-The monitor consumes events one at a time and reports the first one that
-cannot be consumed.
+The state is a coloured shadow memory in two maps.  `cells` maps each
+address ever allocated to the colour (provenance) of the last allocation
+that covered it and the shade naming its sub-region within that
+allocation.  `blocks` maps each colour issued so far to the base address
+of its allocation and whether it is still live.  Colours are never
+reused, so a cell is freed exactly when its colour is: a free flips one
+flag instead of sweeping the cells, and a read, write, free, double-free
+or unmatched-free check is O(1) and an allocation O(size).  The monitor
+consumes events one at a time and reports the first one that cannot be
+consumed.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-
-ALLOCATED = "A"
-FREED = "F"
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class ShadowCell:
-    state: str  # ALLOCATED | FREED
-    color: int
-    shade: int
+# Events are tuples built cheaply, but two events are equal only when they
+# also have the same type, as dataclasses are: ARead(1, 0, 0) != AWrite(1, 0, 0).
+def _same_event(self, other) -> bool:
+    return type(self) is type(other) and tuple.__eq__(self, other)
 
 
-@dataclass(frozen=True)
-class ARead:
+def _other_event(self, other) -> bool:
+    return not _same_event(self, other)
+
+
+class ARead(NamedTuple):
     addr: int
     color: int
     shade: int
+    __eq__, __ne__, __hash__ = _same_event, _other_event, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class AWrite:
+class AWrite(NamedTuple):
     addr: int
     color: int
     shade: int
+    __eq__, __ne__, __hash__ = _same_event, _other_event, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class AAlloc:
+class AAlloc(NamedTuple):
     size: int
     addr: int
     color: int
     shades: tuple[int, ...]  # one per byte/cell of the region
+    __eq__, __ne__, __hash__ = _same_event, _other_event, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class AFree:
+class AFree(NamedTuple):
     addr: int
     color: int
+    __eq__, __ne__, __hash__ = _same_event, _other_event, tuple.__hash__
 
 
 @dataclass(frozen=True)
@@ -61,57 +67,47 @@ class Violation:
 
 @dataclass
 class ShadowMemory:
-    cells: dict[int, ShadowCell]
-    issued: set[int]
-
-    @classmethod
-    def empty(cls) -> "ShadowMemory":
-        return cls({}, set())
+    cells: dict[int, tuple[int, int]] = field(default_factory=dict)   # addr -> (color, shade)
+    blocks: dict[int, tuple[int, bool]] = field(default_factory=dict)  # color -> (base, live)
 
 
-def monitor_step(shadow: ShadowMemory, history: list, ev) -> str | None:
+def monitor_step(shadow: ShadowMemory, ev) -> str | None:
     """Consume one event, mutating shadow.  Returns a violation kind, or
-    None on success.  History is the list of previously consumed events
-    (needed to validate frees)."""
-    if isinstance(ev, (ARead, AWrite)):
-        cell = shadow.cells.get(ev.addr)
+    None on success."""
+    cls, cells, blocks = type(ev), shadow.cells, shadow.blocks
+    if cls is ARead or cls is AWrite:
+        cell = cells.get(ev.addr)
         if cell is None:
             return "temporal-unmapped"
-        if cell.state == FREED:
+        color, shade = cell
+        if not blocks[color][1]:
             return "temporal-freed"
-        if cell.color != ev.color:
+        if color != ev.color:
             return "spatial-color"
-        if cell.shade != ev.shade:
+        if shade != ev.shade:
             return "shade"
         return None
 
-    if isinstance(ev, AAlloc):
-        if ev.color in shadow.issued:
+    if cls is AAlloc:
+        addr, color, shades = ev.addr, ev.color, ev.shades
+        if color in blocks:
             return "color-reuse"
-        for j in range(ev.size):
-            cell = shadow.cells.get(ev.addr + j)
-            if cell is not None and cell.state == ALLOCATED:
+        for a in range(addr, addr + ev.size):
+            cell = cells.get(a)
+            if cell is not None and blocks[cell[0]][1]:
                 return "alloc-overlap"
-        shadow.issued.add(ev.color)
+        blocks[color] = (addr, True)
         for j in range(ev.size):
-            shadow.cells[ev.addr + j] = ShadowCell(ALLOCATED, ev.color, ev.shades[j])
+            cells[addr + j] = (color, shades[j])
         return None
 
-    if isinstance(ev, AFree):
-        matched = False
-        for past in history:
-            if isinstance(past, AAlloc) and past.addr == ev.addr and past.color == ev.color:
-                matched = True
-            elif matched and isinstance(past, AFree) \
-                    and past.addr == ev.addr and past.color == ev.color:
-                return "double-free"
-        if not matched:
+    if cls is AFree:
+        block = blocks.get(ev.color)
+        if block is None or block[0] != ev.addr:
             return "free-unmatched"
-        # Flip everything of this color; colors are allocation-unique, so
-        # this sweeps exactly the allocated range.
-        for a, cell in list(shadow.cells.items()):
-            if cell.color == ev.color and cell.state == ALLOCATED:
-                shadow.cells[a] = ShadowCell(FREED, cell.color, cell.shade)
+        if not block[1]:
+            return "double-free"
+        blocks[ev.color] = (ev.addr, False)
         return None
 
     raise TypeError(f"not an abstract event: {ev!r}")
@@ -128,17 +124,23 @@ SAFE = Safe()
 def check_trace(events: list):
     """Fold the monitor over a trace from the empty shadow memory.
     Returns SAFE or the first Violation."""
-    shadow = ShadowMemory.empty()
-    history: list = []
+    shadow = ShadowMemory()
     for i, ev in enumerate(events):
-        kind = monitor_step(shadow, history, ev)
+        kind = monitor_step(shadow, ev)
         if kind is not None:
             return Violation(kind, i)
-        history.append(ev)
     return SAFE
 
 
 # -- JSON-lines form ---------------------------------------------------
+
+
+class AbsTraceError(ValueError):
+    """A line of an abstract trace that is not an abstract event."""
+
+
+_JSON_FIELDS = {"read": ("a", "c", "s"), "write": ("a", "c", "s"),
+                "alloc": ("n", "a", "c"), "free": ("a", "c")}
 
 
 def abs_event_to_json(ev) -> str:
@@ -157,17 +159,28 @@ def abs_event_to_json(ev) -> str:
 
 
 def abs_event_from_json(line: str):
-    obj = json.loads(line)
-    tag = obj["ev"]
+    """The event on one JSON line; AbsTraceError if the line is not one."""
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as e:
+        raise AbsTraceError(f"not JSON: {line[:40]!r}") from e
+    tag = obj.get("ev") if isinstance(obj, dict) else None
+    if not isinstance(tag, str) or tag not in _JSON_FIELDS:
+        raise AbsTraceError(f"unknown abstract event {tag!r}")
+    values = [obj.get(k) for k in _JSON_FIELDS[tag]]
+    if not all(type(v) is int for v in values):  # bool is not int here
+        raise AbsTraceError(f"{tag} needs integer fields {_JSON_FIELDS[tag]}")
     if tag == "read":
-        return ARead(obj["a"], obj["c"], obj["s"])
+        return ARead(*values)
     if tag == "write":
-        return AWrite(obj["a"], obj["c"], obj["s"])
-    if tag == "alloc":
-        return AAlloc(obj["n"], obj["a"], obj["c"], tuple(obj["phi"]))
+        return AWrite(*values)
     if tag == "free":
-        return AFree(obj["a"], obj["c"])
-    raise ValueError(f"unknown abstract event {tag!r}")
+        return AFree(*values)
+    phi = obj.get("phi")
+    if values[0] < 0 or not isinstance(phi, list) or len(phi) != values[0] \
+            or not all(type(s) is int for s in phi):
+        raise AbsTraceError("alloc needs n >= 0 and n integer shades in phi")
+    return AAlloc(*values, tuple(phi))
 
 
 def parse_abs_trace(text: str) -> list:

@@ -1,20 +1,27 @@
 """Builds the abstract-event image of an execution trace.
 
-Each allocation event binds its bytes in a bijection from (segment byte
-address, segment id) pairs to colored abstract addresses; reads and writes
-then expand to one abstract event per byte, all colored and shaded from
-the handle's base address.  Abstract addresses are the segment addresses
-themselves: colors already disambiguate reuse, so the identity embedding
-is the simplest witness.
+The relation keeps one record per segment id: the segment's base, size,
+colour and per-byte shades, and whether it is live.  An allocation event
+binds its id to a fresh colour; reads and writes then expand to one
+abstract event per byte.  A handle, sliced or not, resolves through its
+id: it must be based inside its segment (at the base itself for an empty
+segment), its bytes sit at `h.base + h.offset`, and they take the colour
+of the segment and the shade of the byte at `h.base`.  Abstract addresses
+are the segment addresses themselves: colours already disambiguate reuse,
+so the identity embedding is the simplest witness.  The source relation
+(`minic.src_relate`) resolves pointers through the same records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bytecode import SIZEOF
 from .interp import ReadEv, SAllocEv, SFreeEv, TrapEv, WriteEv
 from .monitor import AAlloc, AFree, ARead, AWrite, SAFE, Safe, Violation, check_trace
+
+_new = tuple.__new__
+_WIDTH = {t._value_: n for t, n in SIZEOF.items()}
 
 
 def constant_shading(index: int, handle, size: int) -> tuple[int, ...]:
@@ -28,42 +35,45 @@ class Unrelatable:
     reason: str
 
 
-@dataclass
 class BijectionDelta:
-    """(base address, id) <-> (abstract address, color, shade); grows as
-    allocations are related and is injective in both directions.
+    """Segment id -> (base, size, colour, shades), one record per segment,
+    plus the ids whose segment is live.  Colours are fresh per allocation,
+    so the image is injective.
 
-    A key stays bound after its segment is freed, so a stale handle still
-    relates to the freed color.  Allocating again at the key rebinds it to
-    the new color: the baggy backend has no ids and names a segment by
+    An id names one segment at a time.  A freed segment's record stays, so
+    a stale handle still relates to the freed colour, until the id is
+    allocated again: the baggy backend has no ids and names a segment by
     its slot base, which a later allocation reuses.
     """
 
-    fwd: dict[tuple[int, int], tuple[int, int, int]] = field(default_factory=dict)
-    rev: dict[tuple[int, int, int], tuple[int, int]] = field(default_factory=dict)
-    next_color: int = 0
-    live: set[int] = field(default_factory=set)  # colors not yet freed
+    def __init__(self):
+        self.segments: dict[int, tuple[int, int, int, tuple[int, ...]]] = {}
+        self.live: set[int] = set()
+        self.next_color = 0
 
-    def bind_segment(self, h, shades) -> int | None:
-        """Bind every byte of the new segment h (an empty one: its base) to
-        a fresh color, at the same abstract address (the identity
-        embedding).  Returns the color, or None if one of the bytes still
-        belongs to a live segment."""
+    def bind_segment(self, seg_id: int, base: int, size: int,
+                     shades: tuple[int, ...]) -> int:
+        """Bind seg_id to a new live segment with a fresh colour, and
+        return the colour."""
         color = self.next_color
         self.next_color += 1
-        fwd, rev = self.fwd, self.rev
-        for j in range(h.bound or 1):
-            key = (h.base + j, h.id)
-            if key in fwd:
-                old = fwd[key]
-                if old[1] in self.live:
-                    return None
-                del rev[old]
-            val = (h.base + j, color, shades[j] if h.bound else 0)
-            fwd[key] = val
-            rev[val] = key
-        self.live.add(color)
+        self.segments[seg_id] = (base, size, color, shades)
+        self.live.add(seg_id)
         return color
+
+    def resolve(self, seg_id: int, base: int) -> tuple[int, int] | None:
+        """(colour, shade) of a handle or pointer based at `base` in
+        segment seg_id, or None if it is not based inside that segment."""
+        seg = self.segments.get(seg_id)
+        if seg is None:
+            return None
+        seg_base, size, color, shades = seg
+        j = base - seg_base
+        if 0 <= j < size:
+            return color, shades[j]
+        if j == 0:  # an empty segment: its base only
+            return color, 0
+        return None
 
 
 def relate_trace(trace, shading=constant_shading):
@@ -77,34 +87,32 @@ def relate_trace(trace, shading=constant_shading):
     abs_events: list = []
     sources: list[int] = []
     for i, ev in enumerate(trace):
-        if isinstance(ev, TrapEv):
+        cls = type(ev)
+        if cls is TrapEv:
             continue  # relates to the empty trace
         h = ev.handle
-        if isinstance(ev, SAllocEv):
-            shades = shading(i, h, h.bound)
-            color = delta.bind_segment(h, shades)
-            if color is None:
+        if cls is SAllocEv:
+            if h.id in delta.live:
                 return Unrelatable(i, f"base {h.base} id {h.id} overlaps a live segment")
-            abs_events.append(AAlloc(h.bound, h.base, color, tuple(shades)))
+            shades = tuple(shading(i, h, h.bound))
+            color = delta.bind_segment(h.id, h.base, h.bound, shades)
+            abs_events.append(AAlloc(h.bound, h.base, color, shades))
             sources.append(i)
-        elif isinstance(ev, (ReadEv, WriteEv)):
-            entry = delta.fwd.get((h.base, h.id))
-            if entry is None:
-                return Unrelatable(i, f"no image for base {h.base} id {h.id}")
-            base_addr, color, shade = entry
-            addr = base_addr + h.offset
-            width = SIZEOF[ev.ty]
-            cls = ARead if isinstance(ev, ReadEv) else AWrite
-            for j in range(width):
-                abs_events.append(cls(addr + j, color, shade))
-                sources.append(i)
-        elif isinstance(ev, SFreeEv):
-            entry = delta.fwd.get((h.base, h.id))
-            if entry is None:
-                return Unrelatable(i, f"no image for base {h.base} id {h.id}")
-            base_addr, color, _ = entry
-            delta.live.discard(color)
-            abs_events.append(AFree(base_addr, color))
+            continue
+        image = delta.resolve(h.id, h.base)
+        if image is None:
+            return Unrelatable(i, f"no image for base {h.base} id {h.id}")
+        color, shade = image
+        if cls is ReadEv or cls is WriteEv:
+            addr = h.base + h.offset
+            width = _WIDTH[ev.ty._value_]
+            acls = ARead if cls is ReadEv else AWrite
+            abs_events.extend([_new(acls, (a, color, shade))
+                               for a in range(addr, addr + width)])
+            sources.extend([i] * width)
+        elif cls is SFreeEv:
+            delta.live.discard(h.id)
+            abs_events.append(AFree(h.base, color))
             sources.append(i)
         else:
             raise TypeError(f"not a trace event: {ev!r}")

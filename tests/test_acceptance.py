@@ -19,7 +19,17 @@ from mswasm.conformance import (
 )
 from mswasm.interp import TrapEv, link, run, trace_to_jsonl
 from mswasm.minic import Safe, parse_source, src_ms, src_run, src_typecheck
-from mswasm.monitor import AAlloc, AFree, ARead, AWrite, ShadowMemory, monitor_step
+from mswasm.monitor import (
+    SAFE,
+    AAlloc,
+    AFree,
+    ARead,
+    AWrite,
+    ShadowMemory,
+    Violation,
+    check_trace,
+    monitor_step,
+)
 from mswasm.segmem import SegmentMemory
 from mswasm.tracerel import check_ms
 from mswasm.typecheck import typecheck_module
@@ -30,7 +40,7 @@ from oracles import BruteMonitor, _AllocRecord, run_backend_differential
 
 def report(criterion: str, elapsed: float, budget: float, detail: str = ""):
     assert elapsed < budget, f"{criterion}: {elapsed:.2f}s exceeds {budget}s"
-    line = f"PASS {criterion} [{elapsed:.2f}s < {budget:.0f}s]"
+    line = f"PASS {criterion} [{elapsed:.2f}s < {budget:g}s]"
     if detail:
         line += f" {detail}"
     print(line)
@@ -202,29 +212,44 @@ def test_criterion_8_monitor_vs_bruteforce_exhaustive():
                        for r in bm.records]
         return out
 
-    def dfs(cells, issued, hist, bm, depth):
+    def dfs(shadow, bm, depth):
         nonlocal transitions
-        key = (frozenset(cells.items()), frozenset(issued), hist, bm.state_key())
+        key = (frozenset(shadow.cells.items()), frozenset(shadow.blocks.items()),
+               bm.state_key())
         if seen.get(key, -1) >= depth:
             return
         seen[key] = depth
         if depth == 0:
             return
         for ev in alphabet:
-            shadow = ShadowMemory(dict(cells), set(issued))
-            kind_m = monitor_step(shadow, list(hist), ev)
+            shadow2 = ShadowMemory(dict(shadow.cells), dict(shadow.blocks))
+            kind_m = monitor_step(shadow2, ev)
             bm2 = clone_records(bm)
             kind_b = bm2.step_kind(ev)
             transitions += 1
-            assert kind_m == kind_b, (hist, ev, kind_m, kind_b)
+            assert kind_m == kind_b, (shadow, bm.state_key(), ev, kind_m, kind_b)
             if kind_m is None:
-                hist2 = hist + (ev,) if isinstance(ev, (AAlloc, AFree)) else hist
-                dfs(shadow.cells, shadow.issued, hist2, bm2, depth - 1)
+                dfs(shadow2, bm2, depth - 1)
 
-    dfs({}, set(), (), BruteMonitor(), 5)
+    dfs(ShadowMemory(), BruteMonitor(), 5)
     report("criterion-8 monitor oracle (exhaustive depth 5)",
            time.perf_counter() - t0, 60.0,
            detail=f"({transitions} transitions checked)")
+
+
+def test_monitor_scales_linearly_with_frees():
+    """2,000 rounds of alloc(16), write, free at distinct addresses: a
+    free must not sweep the history or the shadow cells."""
+    trace = []
+    for r in range(2000):
+        a = 16 * r
+        trace += [AAlloc(16, a, r, (0,) * 16), AWrite(a, r, 0), AFree(a, r)]
+    t0 = time.perf_counter()
+    verdict = check_trace(trace)
+    elapsed = time.perf_counter() - t0
+    assert verdict == SAFE
+    assert check_trace(trace + [ARead(0, 0, 0)]) == Violation("temporal-freed", 6000)
+    report("monitor scaling (6000 events)", elapsed, 0.25)
 
 
 def test_criterion_9_backend_vs_naive_oracle():

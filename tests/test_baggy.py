@@ -56,7 +56,7 @@ def test_marked_handle_traps_on_use():
     h = mem.handle_add(mem.alloc(32), 32)
     assert h.marked
     with pytest.raises(MemTrap):
-        mem.read(h, 4)
+        mem.check_use(h, 4)
 
 
 def test_read_into_neighbour_slot_succeeds():
@@ -65,18 +65,22 @@ def test_read_into_neighbour_slot_succeeds():
     mem = BuddyMemory(256)
     a = mem.alloc(16)
     b = mem.alloc(16)
-    mem.write(b, bytes([7] * 16))
+    at = mem.check_use(b, 16)
+    mem.data[at:at + 16] = bytes([7] * 16)
     inside = mem.handle_add(a, 8)
-    got = mem.read(inside, 16)  # 8 bytes of a, 8 bytes of b
+    at = mem.check_use(inside, 16)
+    got = bytes(mem.data[at:at + 16])  # 8 bytes of a, 8 bytes of b
     assert got[8:] == bytes([7] * 8)
 
 
 def test_no_temporal_safety():
     mem = BuddyMemory(256)
     h = mem.alloc(16)
-    mem.write(h, bytes(16))
+    at = mem.check_use(h, 16)
+    mem.data[at:at + 16] = bytes(16)
     mem.free(h)
-    assert mem.read(h, 4) == bytes(4)  # stale read succeeds by design
+    at = mem.check_use(h, 4)  # stale access succeeds by design
+    assert bytes(mem.data[at:at + 4]) == bytes(4)
 
 
 def test_double_free_traps():

@@ -116,6 +116,36 @@ def test_monitor_safe_and_violation(tmp_path):
     assert main(["monitor", str(bad)]) == 13
 
 
+MALFORMED_ABS_LINES = {
+    "not-json": "not json",
+    "not-an-object": "[1, 2]",
+    "nested-past-recursion-limit": "[" * 100_000,
+    "unknown-ev": '{"ev":"peek","a":0,"c":0,"s":0}',
+    "missing-field": '{"ev":"read"}',
+    "string-field": '{"ev":"write","a":"0","c":0,"s":0}',
+    "boolean-field": '{"ev":"free","a":0,"c":true}',
+    "negative-n": '{"ev":"alloc","n":-1,"a":0,"c":0,"phi":[]}',
+    "phi-shorter-than-n": '{"ev":"alloc","n":4,"a":0,"c":0,"phi":[0]}',
+    "float-shade": '{"ev":"alloc","n":1,"a":0,"c":0,"phi":[0.5]}',
+}
+
+
+@pytest.mark.parametrize("form", sorted(MALFORMED_ABS_LINES))
+def test_monitor_malformed_trace_is_parse_error(tmp_path, capsys, form):
+    f = tmp_path / "bad.jsonl"
+    f.write_text('{"ev":"alloc","n":2,"a":0,"c":0,"phi":[0,0]}\n'
+                 + MALFORMED_ABS_LINES[form] + "\n")
+    assert main(["monitor", str(f)]) == 12
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_undecodable_input_is_parse_error(tmp_path):
+    f = tmp_path / "bad.bin"
+    f.write_bytes(b"\xff\xfe{}\n")
+    for cmd in ("monitor", "parse", "compile"):
+        assert main([cmd, str(f)]) == 12
+
+
 def test_compile_and_run(tmp_path):
     src = tmp_path / "p.uc"
     src.write_text(SAFE_SOURCE)

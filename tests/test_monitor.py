@@ -8,10 +8,12 @@ from mswasm.monitor import (
     AWrite,
     SAFE,
     Safe,
+    ShadowMemory,
     Violation,
     abs_event_from_json,
     abs_event_to_json,
     check_trace,
+    monitor_step,
     parse_abs_trace,
 )
 
@@ -72,17 +74,17 @@ def test_empty_trace_safe():
 
 
 def test_free_sweeps_by_color_equals_range_sweep():
-    """Freeing flips all cells of the color; since colors are unique per
-    allocation this matches flipping exactly the allocated range."""
+    """Freeing frees all cells of the color; since colors are unique per
+    allocation this matches freeing exactly the allocated range."""
     t = [alloc(4, 0, 0), alloc(4, 8, 1), AFree(0, 0)]
-    from mswasm.monitor import ShadowMemory, monitor_step
-    shadow = ShadowMemory.empty()
-    hist = []
+    shadow = ShadowMemory()
     for ev in t:
-        assert monitor_step(shadow, hist, ev) is None
-        hist.append(ev)
-    freed = {a for a, cell in shadow.cells.items() if cell.state == "F"}
-    assert freed == {0, 1, 2, 3}
+        assert monitor_step(shadow, ev) is None
+    for a in range(4):
+        assert monitor_step(shadow, ARead(a, 0, 0)) == "temporal-freed"
+    for a in range(8, 12):
+        assert monitor_step(shadow, ARead(a, 1, 0)) is None
+        assert monitor_step(shadow, AWrite(a, 1, 0)) is None
 
 
 # -- properties --------------------------------------------------------
@@ -143,3 +145,109 @@ def test_json_forms():
     ev = abs_event_from_json('{"ev":"alloc","n":2,"a":0,"c":0,"phi":[0,1]}')
     assert ev == AAlloc(2, 0, 0, (0, 1))
     assert abs_event_from_json('{"ev":"read","a":5,"c":0,"s":1}') == ARead(5, 0, 1)
+
+
+def test_events_compare_by_type_and_hash():
+    assert ARead(1, 0, 0) != AWrite(1, 0, 0)
+    assert not ARead(1, 0, 0) == AWrite(1, 0, 0)
+    assert ARead(1, 0, 0) == ARead(1, 0, 0)
+    assert ARead(1, 0, 0) != (1, 0, 0) and (1, 0, 0) != ARead(1, 0, 0)
+    events = {ARead(1, 0, 0), AWrite(1, 0, 0), AFree(1, 0), alloc(1, 1, 0),
+              ARead(1, 0, 0), alloc(1, 1, 0)}
+    assert len(events) == 4
+    assert hash(alloc(2, 0, 3, [0, 1])) == hash(AAlloc(2, 0, 3, (0, 1)))
+
+
+# -- long traces against the oracle ------------------------------------
+
+
+def _long_valid_trace(rng, length):
+    """Consumable events only: allocations at random free places of a
+    small address space (so later ones overlap freed ones), frees, and
+    reads and writes of live cells.  Returns the trace and, per prefix,
+    (live blocks, freed blocks, next color) to build a bad event from."""
+    live, freed, trace, states = {}, [], [], []
+    used = {}  # addr -> color of the live block covering it
+    color = 0
+    while len(trace) < length:
+        if len(states) == len(trace):  # the state before trace[len(trace)]
+            states.append((dict(live), list(freed), color))
+        r = rng.random()
+        if r < 0.3 or not live:
+            n = rng.randrange(0, 9)
+            a = rng.randrange(0, 96)
+            if any(a + j in used for j in range(n)):
+                continue
+            shades = tuple(rng.randrange(2) for _ in range(n))
+            trace.append(AAlloc(n, a, color, shades))
+            live[color] = (a, shades)
+            for j in range(n):
+                used[a + j] = color
+            color += 1
+        elif r < 0.5:
+            c = rng.choice(sorted(live))
+            a, shades = live.pop(c)
+            for j in range(len(shades)):
+                del used[a + j]
+            freed.append((c, a, shades))
+            trace.append(AFree(a, c))
+        else:
+            c = rng.choice(sorted(live))
+            a, shades = live[c]
+            if not shades:
+                continue
+            j = rng.randrange(len(shades))
+            cls = ARead if rng.random() < 0.5 else AWrite
+            trace.append(cls(a + j, c, shades[j]))
+    return trace, states
+
+
+def _bad_event(rng, state):
+    """An event likely to be rejected: double free, stale read, wrong
+    color or shade, overlapping or color-reusing allocation, unmatched
+    free, or an unmapped read."""
+    live, freed, color = state
+    pick = rng.randrange(8)
+    if pick == 0 and freed:
+        c, a, _ = rng.choice(freed)
+        return AFree(a, c)
+    if pick == 1 and freed:
+        c, a, shades = rng.choice(freed)
+        return ARead(a + rng.randrange(max(len(shades), 1)), c, 0)
+    if pick == 2 and live:
+        c, (a, shades) = rng.choice(sorted(live.items()))
+        return AWrite(a, c + 1, shades[0] if shades else 0)
+    if pick == 3 and live:
+        c, (a, shades) = rng.choice(sorted(live.items()))
+        return ARead(a, c, 1 - shades[0] if shades else 0)
+    if pick == 4 and live:
+        c, (a, shades) = rng.choice(sorted(live.items()))
+        return AAlloc(4, a, color, (0,) * 4)
+    if pick == 5 and color:
+        return AAlloc(1, 200, rng.randrange(color), (0,))
+    if pick == 6:
+        return AFree(rng.randrange(0, 96), rng.randrange(color + 1))
+    return ARead(rng.randrange(0, 128), rng.randrange(color + 1), 0)
+
+
+def test_long_traces_match_oracle():
+    """Seeded traces of 300-2,000 events, far past the exhaustive depth:
+    the whole valid trace, and its prefixes cut at random points and
+    ended by a bad event, are judged as the oracle judges them."""
+    import random
+    kinds = set()
+    for seed in range(12):
+        rng = random.Random(seed)
+        trace, states = _long_valid_trace(rng, rng.randrange(300, 2001))
+        assert any(isinstance(e, AFree) for e in trace)
+        assert check_trace(trace) == brute_check_trace(trace) == SAFE
+        for _ in range(6):
+            k = rng.randrange(len(trace) // 2, len(trace))
+            cut = trace[:k] + [_bad_event(rng, states[k])]
+            verdict = check_trace(cut)
+            assert verdict == brute_check_trace(cut), (seed, k, cut[-1])
+            if verdict != SAFE:
+                kinds.add(verdict.kind)
+    assert kinds == {"double-free", "temporal-freed", "spatial-color", "shade",
+                     "alloc-overlap", "color-reuse", "free-unmatched",
+                     "temporal-unmapped"}

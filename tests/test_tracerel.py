@@ -58,12 +58,35 @@ def test_zero_length_segment_free_is_relatable():
     assert abs_events == [AAlloc(0, 16, 0, ()), AFree(16, 0)]
 
 
+def _live_segments_disjoint(delta):
+    spans = sorted((base, base + size) for seg_id, (base, size, _, _)
+                   in delta.segments.items() if seg_id in delta.live)
+    return all(hi <= lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+
+
 def test_delta_keys_cover_segment_and_are_bijective():
+    """Every byte of every segment resolves through a handle sliced to
+    start there: to that byte's address, the segment's color and the
+    byte's shade."""
     h1 = Handle(0, 0, 8, True, 0)
     h2 = Handle(16, 0, 4, True, 1)
-    _, _, delta = relate_trace([SAllocEv(h1), SAllocEv(h2)])
-    assert set(delta.fwd) == {(i, 0) for i in range(8)} | {(16 + i, 1) for i in range(4)}
-    assert len(delta.rev) == len(delta.fwd)
+
+    def by_byte(index, handle, size):
+        return tuple(range(size))
+
+    for color, h in enumerate((h1, h2)):
+        for j in range(h.bound):
+            sliced = Handle(h.base + j, 0, h.bound - j, True, h.id)
+            trace = [SAllocEv(h1), SAllocEv(h2), ReadEv(I32, sliced)]
+            abs_events, _, delta = relate_trace(trace, shading=by_byte)
+            assert abs_events[2:] == [ARead(h.base + j + k, color, j) for k in range(4)]
+    assert abs_events[:2] == [AAlloc(8, 0, 0, tuple(range(8))),
+                              AAlloc(4, 16, 1, tuple(range(4)))]
+    assert _live_segments_disjoint(delta)
+    for base, seg_id in ((8, 0), (20, 1), (15, 1), (16, 0)):  # past or before
+        out = relate_trace([SAllocEv(h1), SAllocEv(h2),
+                            ReadEv(I32, Handle(base, 0, 4, True, seg_id))])
+        assert isinstance(out, Unrelatable) and out.index == 2
 
 
 def test_reuse_same_base_extends_delta_monotonically():
@@ -72,9 +95,12 @@ def test_reuse_same_base_extends_delta_monotonically():
     trace = [SAllocEv(h1), SFreeEv(h1), SAllocEv(h2), WriteEv(I32, h2)]
     abs_events, _, delta = relate_trace(trace)
     assert isinstance(check_ms(trace), Safe)
-    assert (0, 0) in delta.fwd and (0, 1) in delta.fwd
-    colors = {delta.fwd[(0, 0)][1], delta.fwd[(0, 1)][1]}
-    assert len(colors) == 2  # never reused
+    old, new = delta.resolve(0, 0), delta.resolve(1, 0)
+    assert old is not None and new is not None
+    assert old[0] != new[0]  # never reused
+    stale = check_ms(trace + [ReadEv(I32, h1)])
+    assert isinstance(stale, TraceViolation)
+    assert stale.violation.kind == "spatial-color" and stale.trace_index == 4
 
 
 def test_well_typed_fuzz_traces_are_safe():
@@ -127,11 +153,15 @@ def test_refined_shading_catches_cross_field_access():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 5000))
 def test_delta_injectivity_on_fuzz_traces(seed):
+    """A fresh color per allocation, and no two live segments share an
+    address."""
     from mswasm.conformance import fuzz_module
     out = relate_trace(run(fuzz_module(seed)).trace)
     if not isinstance(out, Unrelatable):
-        _, _, delta = out
-        assert len(delta.rev) == len(delta.fwd)
+        abs_events, _, delta = out
+        colors = [e.color for e in abs_events if isinstance(e, AAlloc)]
+        assert colors == list(range(len(colors)))
+        assert _live_segments_disjoint(delta)
 
 
 # -- baggy traces: slot bases double as ids ------------------------------
