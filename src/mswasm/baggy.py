@@ -59,12 +59,6 @@ class BaggyHandle(NamedTuple):
     def slot_size(self) -> int:
         return 1 << self.order
 
-    @property
-    def slot_base(self) -> int:
-        """Unmarked positions sit inside their (size-aligned) slot."""
-        size = 1 << self.order
-        return _marked_base(self.addr, size) if self.marked else self.addr & -size
-
 
 NULL_BAGGY = BaggyHandle(0, 0, False)
 

@@ -3,13 +3,20 @@
 A module is a list of functions plus import signatures and declared sizes
 for the two memories (flat heap and segment memory).  The text format is
 s-expression based and round-trips: parse(print(m)) == m.
+
+`if` bodies nest at most MAX_NESTING deep: parse_module raises ParseError
+past it, and typecheck_module TypeError_ for modules built through the
+API, so later walks of a body recurse a bounded number of times.  Source
+programs (minic) have the same bound, so their compiled code is within it.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
+import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class ValueType(enum.Enum):
@@ -36,6 +43,10 @@ INT_OPS = ("add", "sub", "mul", "div_s", "and", "or", "xor", "eq", "lt_s")
 FLOAT_OPS = ("add", "sub", "mul", "div", "eq", "lt")
 # Operators whose result is an i32 truth value regardless of operand type.
 COMPARISON_OPS = ("eq", "lt_s", "lt")
+
+# How deep `if` bodies may nest here, and how deep a source program may
+# nest (minic); each level costs a handful of Python frames per walk.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -192,243 +203,201 @@ class ValidationError(Exception):
 
 _TYPE_NAMES = {t.value: t for t in ValueType}
 
-# Zero-operand instruction spellings.
-_PLAIN = {
-    "nop": nop,
-    "trap": trap,
-    "return": return_,
-    "slice": slice_,
-    "new_segment": new_segment,
-    "handle.add": handle_add,
-    "segfree": segfree,
+_MEMORY_OPS = ("load", "store", "segload", "segstore")
+
+# Every word that takes no immediate, and the one Instr it spells.
+_WORDS = {
+    "nop": nop(), "trap": trap(), "return": return_(), "slice": slice_(),
+    "new_segment": new_segment(), "handle.add": handle_add(), "segfree": segfree(),
+    **{f"{t.value}.{op}": Instr(op, ty=t) for t in ValueType for op in _MEMORY_OPS},
+    **{f"{t.value}.{op}": binop(t, op) for t in ValueType if t is not ValueType.HANDLE
+       for op in (FLOAT_OPS if t in (ValueType.F32, ValueType.F64) else INT_OPS)},
 }
 
+# Words that take one immediate: an index, or a literal.
+_IMMEDIATE = frozenset(["get", "set", "call"] + [f"{t.value}.const" for t in ValueType])
 
-@dataclass
-class _Tok:
-    kind: str  # "(", ")", "atom"
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    toks = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c == ";":  # comment to end of line
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            toks.append(_Tok(c, c, line, col))
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            toks.append(_Tok("atom", text[start:i], line, start_col))
-    return toks
+# One match per token: whitespace and `;` comments are skipped in front of
+# it, and the last match (or two) is the empty string at the end.
+_TOKEN_RE = re.compile(r"(?:[ \t\r\n]+|;[^\n]*)*([()]|[^ \t\r\n();]+|\Z)")
 
 
-class _Reader:
-    def __init__(self, toks: list[_Tok]):
-        self.toks = toks
+def _parse_literal(ty: ValueType, text: str) -> int | float:
+    """Raises ValueError on a malformed literal, OverflowError on an f32
+    one out of range."""
+    if ty is ValueType.F32:
+        return struct.unpack("<f", struct.pack("<f", float(text)))[0]
+    if ty is ValueType.F64:
+        return float(text)
+    return int(text)
+
+
+class _Parser:
+    """Recursive descent over the token strings of one text.
+
+    `instrs` maps each (word, immediate text) to the one Instr it spells,
+    so a module shares its repeated instructions, as it shares those of
+    _WORDS.  It lives as long as one parse_module call."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = _TOKEN_RE.findall(text)
         self.pos = 0
+        self.instrs: dict = {}
 
-    def peek(self) -> _Tok | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    def error(self, msg: str, i: int | None = None) -> ParseError:
+        """A ParseError at token i (default: the current one).  Line and
+        column are counted from the token's offset here, and only here."""
+        i = self.pos if i is None else i
+        if self.toks[i] == "":  # the end: blame the last token
+            msg, i = "unexpected end of input", i - 1
+        if i < 0:
+            return ParseError(msg, 1, 1)
+        off = next(itertools.islice(_TOKEN_RE.finditer(self.text), i, None)).start(1)
+        return ParseError(msg, self.text.count("\n", 0, off) + 1,
+                          off - self.text.rfind("\n", 0, off))
 
-    def next(self) -> _Tok:
-        t = self.peek()
-        if t is None:
-            last = self.toks[-1] if self.toks else _Tok("atom", "", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.col)
+    def expect(self, want: str) -> None:
+        t = self.toks[self.pos]
+        if t != want:
+            raise self.error(f"expected {want!r}, got {t!r}")
+        self.pos += 1
+
+    def atom(self) -> str:
+        t = self.toks[self.pos]
+        if t in ("(", ")", ""):
+            raise self.error(f"expected 'atom', got {t!r}")
         self.pos += 1
         return t
 
-    def expect(self, kind: str, text: str | None = None) -> _Tok:
-        t = self.next()
-        if t.kind != kind or (text is not None and t.text != text):
-            want = text or kind
-            raise ParseError(f"expected {want!r}, got {t.text!r}", t.line, t.col)
-        return t
-
     def at_open(self, head: str) -> bool:
-        t = self.peek()
-        if t is None or t.kind != "(":
-            return False
-        t2 = self.toks[self.pos + 1] if self.pos + 1 < len(self.toks) else None
-        return t2 is not None and t2.kind == "atom" and t2.text == head
+        return self.toks[self.pos] == "(" and self.toks[self.pos + 1] == head
 
-
-def _parse_int(tok: _Tok) -> int:
-    try:
-        return int(tok.text)
-    except ValueError:
-        raise ParseError(f"expected integer, got {tok.text!r}", tok.line, tok.col)
-
-
-def _parse_type(tok: _Tok) -> ValueType:
-    ty = _TYPE_NAMES.get(tok.text)
-    if ty is None:
-        raise ParseError(f"unknown value type {tok.text!r}", tok.line, tok.col)
-    return ty
-
-
-def _parse_literal(ty: ValueType, tok: _Tok) -> int | float:
-    if ty in (ValueType.F32, ValueType.F64):
+    def integer(self) -> int:
+        text = self.atom()
         try:
-            v = float(tok.text)
+            return int(text)
         except ValueError:
-            raise ParseError(f"bad float literal {tok.text!r}", tok.line, tok.col)
-        if ty is ValueType.F32:
-            v = struct.unpack("<f", struct.pack("<f", v))[0]
-        return v
-    try:
-        return int(tok.text)
-    except ValueError:
-        raise ParseError(f"bad integer literal {tok.text!r}", tok.line, tok.col)
+            raise self.error(f"expected integer, got {text!r}", self.pos - 1)
 
+    def sized(self, head: str) -> int:
+        """An optional (head N); 0 when absent."""
+        if not self.at_open(head):
+            return 0
+        self.pos += 2
+        n = self.integer()
+        self.expect(")")
+        return n
 
-def _parse_instr(r: _Reader) -> Instr:
-    t = r.peek()
-    if t is None:
-        raise ParseError("expected instruction", 1, 1)
-    if t.kind == "(":  # structured: (if (then ...) (else ...))
-        r.next()
-        head = r.expect("atom")
-        if head.text != "if":
-            raise ParseError(f"unknown form {head.text!r}", head.line, head.col)
-        r.expect("(")
-        r.expect("atom", "then")
-        then_body = _parse_instr_list(r)
-        r.expect(")")
+    def types(self, head: str) -> tuple[ValueType, ...]:
+        """Zero or more (head ty*) groups, concatenated."""
+        out: list[ValueType] = []
+        while self.at_open(head):
+            self.pos += 2
+            while self.toks[self.pos] not in ("(", ")", ""):
+                ty = _TYPE_NAMES.get(self.toks[self.pos])
+                if ty is None:
+                    raise self.error(f"unknown value type {self.toks[self.pos]!r}")
+                out.append(ty)
+                self.pos += 1
+            self.expect(")")
+        return tuple(out)
+
+    def body(self, depth: int) -> tuple[Instr, ...]:
+        """Instructions up to a `)`, the end, or a form other than `(if`;
+        depth counts the enclosing ifs."""
+        toks, instrs = self.toks, self.instrs
+        out = []
+        while True:
+            t = toks[self.pos]
+            ins = _WORDS.get(t)
+            if ins is None:
+                ins = instrs.get((t, toks[self.pos + 1])) if t in _IMMEDIATE else None
+                if ins is not None:
+                    self.pos += 2
+                elif t == "(":
+                    if toks[self.pos + 1] != "if":
+                        break
+                    ins = self.if_form(depth)
+                elif t == ")" or t == "":
+                    break
+                else:
+                    ins = self.instr(t)
+            else:
+                self.pos += 1
+            out.append(ins)
+        return tuple(out)
+
+    def if_form(self, depth: int) -> Instr:
+        if depth >= MAX_NESTING:
+            raise self.error(f"if nested deeper than {MAX_NESTING}")
+        self.pos += 2
+        self.expect("(")
+        self.expect("then")
+        then_body = self.body(depth + 1)
+        self.expect(")")
         else_body: tuple[Instr, ...] = ()
-        if r.at_open("else"):
-            r.next()
-            r.next()
-            else_body = _parse_instr_list(r)
-            r.expect(")")
-        r.expect(")")
-        return if_(then_body, else_body)
+        if self.at_open("else"):
+            self.pos += 2
+            else_body = self.body(depth + 1)
+            self.expect(")")
+        self.expect(")")
+        return Instr("if", then_body=then_body, else_body=else_body)
 
-    tok = r.next()
-    word = tok.text
-    if word in _PLAIN:
-        return _PLAIN[word]()
-    if word == "get":
-        return get(_parse_int(r.expect("atom")))
-    if word == "set":
-        return set_(_parse_int(r.expect("atom")))
-    if word == "call":
-        return call(_parse_int(r.expect("atom")))
-    if "." in word:
+    def instr(self, word: str) -> Instr:
+        """The instruction with an immediate spelled from the current
+        token on, remembered in `instrs`; any other word is an error."""
+        at = self.pos
+        self.pos += 1
+        if word in ("get", "set", "call"):
+            key = (word, self.toks[self.pos])
+            ins = self.instrs[key] = Instr(word, idx=self.integer())
+            return ins
         ty_name, _, op = word.partition(".")
         ty = _TYPE_NAMES.get(ty_name)
-        if ty is None:
-            raise ParseError(f"unknown instruction {word!r}", tok.line, tok.col)
-        if op == "const":
+        if op == "const" and ty is not None:
             if ty is ValueType.HANDLE:
-                raise ParseError("no handle literals", tok.line, tok.col)
-            return const(ty, _parse_literal(ty, r.expect("atom")))
-        if op == "load":
-            return load(ty)
-        if op == "store":
-            return store(ty)
-        if op == "segload":
-            return segload(ty)
-        if op == "segstore":
-            return segstore(ty)
-        valid_ops = FLOAT_OPS if ty in (ValueType.F32, ValueType.F64) else INT_OPS
-        if ty is not ValueType.HANDLE and op in valid_ops:
-            return binop(ty, op)
-        raise ParseError(f"unknown instruction {word!r}", tok.line, tok.col)
-    raise ParseError(f"unknown instruction {word!r}", tok.line, tok.col)
+                raise self.error("no handle literals", at)
+            text = self.atom()
+            try:
+                ins = self.instrs[word, text] = const(ty, _parse_literal(ty, text))
+            except (ValueError, OverflowError):
+                kind = "float" if ty in (ValueType.F32, ValueType.F64) else "integer"
+                raise self.error(f"bad {kind} literal {text!r}", self.pos - 1)
+            return ins
+        raise self.error(f"unknown instruction {word!r}", at)
 
-
-def _parse_instr_list(r: _Reader) -> tuple[Instr, ...]:
-    out = []
-    while True:
-        t = r.peek()
-        if t is None or t.kind == ")":
-            return tuple(out)
-        if t.kind == "(" and not r.at_open("if"):
-            return tuple(out)
-        out.append(_parse_instr(r))
-
-
-def _parse_type_list(r: _Reader, head: str) -> tuple[ValueType, ...]:
-    """Parse zero or more (head ty*) groups, concatenated."""
-    out: list[ValueType] = []
-    while r.at_open(head):
-        r.next()
-        r.next()
-        while r.peek() is not None and r.peek().kind == "atom":
-            out.append(_parse_type(r.next()))
-        r.expect(")")
-    return tuple(out)
-
-
-def _parse_func(r: _Reader) -> FuncDef:
-    r.expect("(")
-    r.expect("atom", "func")
-    params = _parse_type_list(r, "param")
-    locals_ = _parse_type_list(r, "local")
-    results = _parse_type_list(r, "result")
-    body = _parse_instr_list(r)
-    r.expect(")")
-    return FuncDef(params, locals_, results, body)
-
-
-def _parse_import(r: _Reader) -> FuncType:
-    r.expect("(")
-    r.expect("atom", "import")
-    params = _parse_type_list(r, "param")
-    results = _parse_type_list(r, "result")
-    r.expect(")")
-    return FuncType(params, results)
+    def func(self, head: str) -> FuncDef | FuncType:
+        """(func ...) or, with no locals and body, (import ...)."""
+        self.expect("(")
+        self.expect(head)
+        params = self.types("param")
+        locals_ = self.types("local") if head == "func" else ()
+        results = self.types("result")
+        body = self.body(0) if head == "func" else ()
+        self.expect(")")
+        if head == "import":
+            return FuncType(params, results)
+        return FuncDef(params, locals_, results, body)
 
 
 def parse_module(text: str) -> ModuleDef:
     """Parse the text format; raises ParseError / ValidationError."""
-    r = _Reader(_tokenize(text))
-    r.expect("(")
-    r.expect("atom", "module")
-    segment_size = 0
-    heap_size = 0
-    if r.at_open("segment"):
-        r.next()
-        r.next()
-        segment_size = _parse_int(r.expect("atom"))
-        r.expect(")")
-    if r.at_open("heap"):
-        r.next()
-        r.next()
-        heap_size = _parse_int(r.expect("atom"))
-        r.expect(")")
+    p = _Parser(text)
+    p.expect("(")
+    p.expect("module")
+    segment_size = p.sized("segment")
+    heap_size = p.sized("heap")
     imports = []
-    while r.at_open("import"):
-        imports.append(_parse_import(r))
+    while p.at_open("import"):
+        imports.append(p.func("import"))
     funcs = []
-    while r.at_open("func"):
-        funcs.append(_parse_func(r))
-    r.expect(")")
-    extra = r.peek()
-    if extra is not None:
-        raise ParseError(f"trailing input {extra.text!r}", extra.line, extra.col)
+    while p.at_open("func"):
+        funcs.append(p.func("func"))
+    p.expect(")")
+    extra = p.toks[p.pos]
+    if extra != "":
+        raise p.error(f"trailing input {extra!r}")
     m = ModuleDef(tuple(funcs), tuple(imports), heap_size, segment_size)
     validate_indices(m)
     return m
@@ -463,58 +432,57 @@ def _format_literal(ty: ValueType, lit) -> str:
     return str(int(lit))
 
 
-def _print_instr(ins: Instr, indent: int, out: list[str]) -> None:
+def _instr_text(ins: Instr) -> str:
+    op = ins.op
+    if op == "get" or op == "set" or op == "call":
+        return f"{op} {ins.idx}"
+    if op == "const":
+        return f"{ins.ty.value}.const {_format_literal(ins.ty, ins.literal)}"
+    if op == "binop":
+        return f"{ins.ty.value}.{ins.operator}"
+    if op in _MEMORY_OPS:
+        return f"{ins.ty.value}.{op}"
+    return "handle.add" if op == "handle_add" else op
+
+
+def _print_body(body: tuple[Instr, ...], indent: int, out: list[str],
+                texts: dict[int, str]) -> None:
+    """texts maps id(instr) to its line, for instructions a body shares."""
     pad = "  " * indent
-    if ins.op == "if":
-        out.append(f"{pad}(if")
-        out.append(f"{pad}  (then")
-        for i in ins.then_body:
-            _print_instr(i, indent + 2, out)
-        out.append(f"{pad}  )")
-        out.append(f"{pad}  (else")
-        for i in ins.else_body:
-            _print_instr(i, indent + 2, out)
-        out.append(f"{pad}  )")
-        out.append(f"{pad})")
-        return
-    if ins.op == "const":
-        text = f"{ins.ty}.const {_format_literal(ins.ty, ins.literal)}"
-    elif ins.op == "binop":
-        text = f"{ins.ty}.{ins.operator}"
-    elif ins.op in ("load", "store", "segload", "segstore"):
-        text = f"{ins.ty}.{ins.op}"
-    elif ins.op in ("get", "set", "call"):
-        text = f"{ins.op} {ins.idx}"
-    elif ins.op == "handle_add":
-        text = "handle.add"
-    else:
-        text = ins.op
-    out.append(pad + text)
+    for ins in body:
+        if ins.op == "if":
+            out.append(f"{pad}(if")
+            out.append(f"{pad}  (then")
+            _print_body(ins.then_body, indent + 2, out, texts)
+            out.append(f"{pad}  )")
+            out.append(f"{pad}  (else")
+            _print_body(ins.else_body, indent + 2, out, texts)
+            out.append(f"{pad}  )")
+            out.append(f"{pad})")
+            continue
+        text = texts.get(id(ins))
+        if text is None:
+            text = texts[id(ins)] = _instr_text(ins)
+        out.append(pad + text)
+
+
+def _types(head: str, types: tuple[ValueType, ...]) -> list[str]:
+    return [f"({head} {' '.join(t.value for t in types)})"] if types else []
 
 
 def print_module(m: ModuleDef) -> str:
     """Canonical text form; parse_module(print_module(m)) == m."""
+    texts: dict[int, str] = {}
     out = ["(module"]
     out.append(f"  (segment {m.segment_size})")
     out.append(f"  (heap {m.heap_size})")
     for imp in m.imports:
-        parts = ["  (import"]
-        if imp.params:
-            parts.append(f"(param {' '.join(map(str, imp.params))})")
-        if imp.results:
-            parts.append(f"(result {' '.join(map(str, imp.results))})")
+        parts = ["  (import", *_types("param", imp.params), *_types("result", imp.results)]
         out.append(" ".join(parts) + ")")
     for f in m.funcs:
-        parts = ["  (func"]
-        if f.params:
-            parts.append(f"(param {' '.join(map(str, f.params))})")
-        if f.locals:
-            parts.append(f"(local {' '.join(map(str, f.locals))})")
-        if f.results:
-            parts.append(f"(result {' '.join(map(str, f.results))})")
-        out.append(" ".join(parts))
-        for ins in f.body:
-            _print_instr(ins, 2, out)
+        out.append(" ".join(["  (func", *_types("param", f.params),
+                             *_types("local", f.locals), *_types("result", f.results)]))
+        _print_body(f.body, 2, out, texts)
         out.append("  )")
     out.append(")")
     return "\n".join(out) + "\n"

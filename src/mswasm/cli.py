@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 ok, 2 usage, 10 trap, 11 type error, 12 parse error,
-13 monitor violation, 14 step budget exhausted, 15 differential divergence.
+Exit codes: 0 ok, 2 usage (also `run` or `check` on a module with imports,
+and `diff` on a source with imports), 10 trap, 11 type error, 12 parse
+error (also text nested past bytecode.MAX_NESTING), 13 monitor violation,
+14 step budget exhausted, 15 differential divergence.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from pathlib import Path
 
 from . import bytecode, conformance, interp, minic, monitor, tracerel
 from .compiler import compile_module
-from .minic import Safe, SrcParseError, SrcTypeError
+from .minic import Safe, SrcHostError, SrcParseError, SrcTypeError
 from .typecheck import TypeError_, typecheck_module
 
 EXIT_OK = 0
+EXIT_USAGE = 2
 EXIT_TRAP = 10
 EXIT_TYPE = 11
 EXIT_PARSE = 12
@@ -237,9 +240,12 @@ def main(argv=None) -> int:
     except (TypeError_, SrcTypeError) as e:
         print(f"type error: {e}", file=sys.stderr)
         return EXIT_TYPE
+    except (interp.InitError, interp.LinkError, SrcHostError) as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as e:
         print(str(e), file=sys.stderr)
-        return 2
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -10,11 +10,17 @@ every compiled function carries three scratch locals: one to discard
 i32s, one to discard handles, and one handle local that is never
 written, whose zero-initialized (invalid) value stands in for integers
 used at pointer type.
+
+A function compiles in one walk into flat instruction lists: a block's
+items one after another, each let's slot allocated as the walk reaches
+it.  The walk recurses once per nesting level of the source, which the
+parser bounds by MAX_NESTING.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 from . import bytecode as bc
 from .bytecode import FuncDef, FuncType, ModuleDef, ValueType
@@ -40,12 +46,17 @@ from .minic import (
     TVar,
     TypedFn,
     TypedModule,
+    cells_of,
 )
 
 DEFAULT_SEGMENT_SIZE = 1 << 16
 
-_SRC_BINOPS = {"+": "add", "-": "sub", "*": "mul", "/": "div_s",
-               "==": "eq", "<": "lt_s"}
+_SRC_BINOPS = {op: bc.binop(ValueType.I32, name) for op, name in
+               {"+": "add", "-": "sub", "*": "mul", "/": "div_s",
+                "==": "eq", "<": "lt_s"}.items()}
+_MUL = _SRC_BINOPS["*"]
+_ZERO = bc.const(ValueType.I32, 0)
+_i32 = partial(bc.const, ValueType.I32)
 
 
 def compile_type(ty) -> ValueType:
@@ -67,6 +78,7 @@ class Layout:
     """
 
     mod: SrcModule
+    _structs: dict = field(default_factory=dict, repr=False, compare=False)
 
     def sizeof(self, w) -> int:
         if isinstance(w, IntType):
@@ -94,6 +106,9 @@ class Layout:
         raise ValueError(f"no alignment for {w}")
 
     def _struct_layout(self, sname: str) -> tuple[int, dict[str, tuple[int, int]]]:
+        """(size, field name -> (offset, size)), computed once per struct."""
+        if sname in self._structs:
+            return self._structs[sname]
         offsets: dict[str, tuple[int, int]] = {}
         off = 0
         for fname, ft in self.mod.struct_fields(sname):
@@ -103,6 +118,7 @@ class Layout:
             off += self.sizeof(ft)
         total_align = self.alignof(StructType(sname))
         size = (off + total_align - 1) // total_align * total_align
+        self._structs[sname] = size, offsets
         return size, offsets
 
     def field_offsets(self, sname: str, fname: str) -> tuple[int, int]:
@@ -119,14 +135,14 @@ class Layout:
             size, offsets = self._struct_layout(w.name)
             off = 0
             for fname, ft in self.mod.struct_fields(w.name):
-                n = _cells(self.mod, ft)
+                n = cells_of(self.mod, ft)
                 if cell < off + n:
                     base, _ = offsets[fname]
                     return base + self.byte_of_cell(ft, cell - off)
                 off += n
             raise ValueError(f"cell {cell} outside struct {w.name}")
         if isinstance(w, ArrayType):
-            per = _cells(self.mod, w.elem)
+            per = cells_of(self.mod, w.elem)
             return (cell // per) * self.sizeof(w.elem) \
                 + self.byte_of_cell(w.elem, cell % per)
         if cell != 0:
@@ -134,83 +150,97 @@ class Layout:
         return 0
 
 
-def _cells(mod: SrcModule, w) -> int:
-    from .minic import cells_of
-    return cells_of(mod, w)
-
-
 @dataclass
 class _FnCompiler:
+    """One function's walk.  Each let gets a fresh slot, so shadowing and
+    type changes are safe; `locals_` collects the slots' types."""
+
     layout: Layout
-    let_slots: dict[int, int]  # id(TLetCall node) -> local slot
+    instrs: dict  # (constructor, argument) -> the Instr, for one module
+    locals_: list[ValueType]
+    next_let: int
     drop_i32: int
     drop_handle: int
     null_handle: int
 
-    def drop(self, ty) -> list:
-        if isinstance(ty, PtrType):
-            return [bc.set_(self.drop_handle)]
-        return [bc.set_(self.drop_i32)]
+    def ins(self, make, arg) -> bc.Instr:
+        """make(arg), built once per module."""
+        ins = self.instrs.get((make, arg))
+        if ins is None:
+            ins = self.instrs[make, arg] = make(arg)
+        return ins
 
-    def compile(self, node, env: dict[str, int]) -> list:
-        if isinstance(node, TNum):
-            return [bc.const(ValueType.I32, node.n)]
-        if isinstance(node, TVar):
-            return [bc.get(env[node.name])]
-        if isinstance(node, TIntAsPtr):
+    def emit(self, node, env: dict[str, int], out: list) -> None:
+        t = type(node)
+        if t is TVar:
+            out.append(self.ins(bc.get, env[node.name]))
+        elif t is TNum:
+            out.append(self.ins(_i32, node.n))
+        elif t is TBinOp:
+            self.emit(node.a, env, out)
+            self.emit(node.b, env, out)
+            if node.elem is not None:
+                out += (self.ins(_i32, self.layout.sizeof(node.elem)), _MUL,
+                        bc.handle_add())
+            else:
+                out.append(_SRC_BINOPS[node.op])
+        elif t is TAssignVar:
+            self.emit(node.e, env, out)
+            out += (self.ins(bc.set_, env[node.name]), _ZERO)
+        elif t is TSeq:
+            items = node.items
+            for item in items[:-1]:
+                self.emit(item, env, out)
+                # drop the value: there is no drop instruction
+                drop = self.drop_handle if isinstance(item.ty, PtrType) else self.drop_i32
+                out.append(self.ins(bc.set_, drop))
+            self.emit(items[-1], env, out)
+        elif t is TDeref:
+            self.emit(node.e, env, out)
+            out.append(self.ins(bc.segload, compile_type(node.ty)))
+        elif t is TAssignPtr:
+            self.emit(node.target, env, out)
+            self.emit(node.e, env, out)
+            out += (self.ins(bc.segstore, compile_type(node.value_ty)), _ZERO)
+        elif t is TField:
+            self.emit(node.e, env, out)
+            o1, o2 = self.layout.field_offsets(node.sname, node.fname)
+            out += (self.ins(_i32, o1), self.ins(_i32, o2), bc.slice_())
+        elif t is TIf:
+            self.emit(node.c, env, out)
+            then_code: list = []
+            else_code: list = []
+            self.emit(node.t, env, then_code)
+            self.emit(node.f, env, else_code)
+            out.append(bc.if_(then_code, else_code))
+        elif t is TLetCall:
+            if node.arg is not None:
+                self.emit(node.arg, env, out)
+            slot = self.next_let
+            self.next_let += 1
+            self.locals_.append(compile_type(node.x_ty))
+            out += (self.ins(bc.call, node.fn_index), self.ins(bc.set_, slot))
+            self.emit(node.body, {**env, node.x: slot}, out)
+        elif t is TIntAsPtr:
             # Discard the i32 and put the never-written (invalid) handle
             # local in its place.
-            return self.compile(node.e, env) + [bc.set_(self.drop_i32),
-                                                bc.get(self.null_handle)]
-        if isinstance(node, TSeq):
-            return (self.compile(node.a, env) + self.drop(node.a.ty)
-                    + self.compile(node.b, env))
-        if isinstance(node, TBinOp):
-            code = self.compile(node.a, env) + self.compile(node.b, env)
-            if node.elem is not None:
-                return code + [bc.const(ValueType.I32, self.layout.sizeof(node.elem)),
-                               bc.binop(ValueType.I32, "mul"),
-                               bc.handle_add()]
-            return code + [bc.binop(ValueType.I32, _SRC_BINOPS[node.op])]
-        if isinstance(node, TAssignVar):
-            return self.compile(node.e, env) + [bc.set_(env[node.name]),
-                                                bc.const(ValueType.I32, 0)]
-        if isinstance(node, TAssignPtr):
-            return (self.compile(node.target, env) + self.compile(node.e, env)
-                    + [bc.segstore(compile_type(node.value_ty)),
-                       bc.const(ValueType.I32, 0)])
-        if isinstance(node, TDeref):
-            return self.compile(node.e, env) + [bc.segload(compile_type(node.ty))]
-        if isinstance(node, TField):
-            o1, o2 = self.layout.field_offsets(node.sname, node.fname)
-            return self.compile(node.e, env) + [bc.const(ValueType.I32, o1),
-                                                bc.const(ValueType.I32, o2),
-                                                bc.slice_()]
-        if isinstance(node, TIf):
-            return self.compile(node.c, env) + [bc.if_(self.compile(node.t, env),
-                                                       self.compile(node.f, env))]
-        if isinstance(node, TMallocArray):
-            return (self.compile(node.count, env)
-                    + [bc.const(ValueType.I32, self.layout.sizeof(node.elem)),
-                       bc.binop(ValueType.I32, "mul"),
-                       bc.new_segment()])
-        if isinstance(node, TMallocSingle):
-            return [bc.const(ValueType.I32, self.layout.sizeof(node.wtype)),
-                    bc.new_segment()]
-        if isinstance(node, TFree):
-            return self.compile(node.e, env) + [bc.segfree(),
-                                                bc.const(ValueType.I32, 0)]
-        if isinstance(node, TLetCall):
-            code = self.compile(node.arg, env) if node.arg is not None else []
-            slot = self.let_slots[id(node)]
-            inner = dict(env)
-            inner[node.x] = slot
-            return code + [bc.call(node.fn_index),
-                           bc.set_(slot)] + self.compile(node.body, inner)
-        raise ValueError(f"cannot compile {node!r}")
+            self.emit(node.e, env, out)
+            out += (self.ins(bc.set_, self.drop_i32), self.ins(bc.get, self.null_handle))
+        elif t is TMallocArray:
+            self.emit(node.count, env, out)
+            out += (self.ins(_i32, self.layout.sizeof(node.elem)), _MUL, bc.new_segment())
+        elif t is TMallocSingle:
+            out += (self.ins(_i32, self.layout.sizeof(node.wtype)), bc.new_segment())
+        elif t is TFree:
+            self.emit(node.e, env, out)
+            out += (bc.segfree(), _ZERO)
+        else:
+            raise ValueError(f"cannot compile {node!r}")
 
 
-def compile_fn(layout: Layout, fn: TypedFn) -> FuncDef:
+def compile_fn(layout: Layout, fn: TypedFn, instrs: dict) -> FuncDef:
+    """Locals: the declared ones, one slot per let (in walk order), then
+    the three scratch locals."""
     params = []
     env: dict[str, int] = {}
     if fn.param is not None:
@@ -220,28 +250,14 @@ def compile_fn(layout: Layout, fn: TypedFn) -> FuncDef:
     for name, ty in fn.locals:
         env[name] = len(params) + len(locals_)
         locals_.append(compile_type(ty))
-    # One slot per let occurrence so shadowing and type changes are safe.
-    let_slots: dict[int, int] = {}
-    for node in _collect_lets(fn.body):
-        let_slots[id(node)] = len(params) + len(locals_)
-        locals_.append(compile_type(node.x_ty))
-    base = len(params) + len(locals_)
-    fc = _FnCompiler(layout, let_slots, base, base + 1, base + 2)
+    first_let = len(params) + len(locals_)
+    base = first_let + fn.n_lets
+    fc = _FnCompiler(layout, instrs, locals_, first_let, base, base + 1, base + 2)
+    body: list = []
+    fc.emit(fn.body, env, body)
     locals_ += [ValueType.I32, ValueType.HANDLE, ValueType.HANDLE]
-    body = fc.compile(fn.body, env)
     return FuncDef(tuple(params), tuple(locals_), (compile_type(fn.result),),
                    tuple(body))
-
-
-def _collect_lets(node) -> list:
-    out = []
-    for attr in ("a", "b", "c", "t", "f", "e", "target", "count", "arg", "body"):
-        child = getattr(node, attr, None)
-        if child is not None and hasattr(child, "ty"):
-            out.extend(_collect_lets(child))
-    if isinstance(node, TLetCall):
-        out.append(node)
-    return out
 
 
 def compile_module(tm: TypedModule,
@@ -253,5 +269,6 @@ def compile_module(tm: TypedModule,
     for imp in tm.mod.imports:
         ps = (compile_type(imp.param),) if imp.param is not None else ()
         imports.append(FuncType(ps, (compile_type(imp.result),)))
-    funcs = [compile_fn(layout, f) for f in tm.fns]
+    instrs: dict = {}
+    funcs = [compile_fn(layout, f, instrs) for f in tm.fns]
     return ModuleDef(tuple(funcs), tuple(imports), tm.mod.heap_size, segment_size)

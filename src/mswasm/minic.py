@@ -16,18 +16,21 @@ Grammar (see parse_source):
                 "{" "var" "(" [NAME ":" ty ("," NAME ":" ty)*] ")" ";" expr "}"
     ty       := "int" | "ptr" "<" wtype ">"
     wtype    := ty | "struct" NAME | "array" [NUM] ty
-    expr     := assign (";" assign)*
-    assign   := cmp [":=" assign]           (lhs must be a variable or deref)
-    cmp      := add (("==" | "<") add)*
-    add      := mul (("+" | "-") mul)*
-    mul      := prefix (("*" | "/") prefix)*
-    prefix   := "*" prefix | postfix
-    postfix  := atom ("." NAME)*
+    expr     := assign (";" assign)*         (one flat block, a Seq)
+    assign   := binary [":=" assign]        (lhs must be a variable or deref)
+    binary   := unary (binop unary)*        (left-associative, by precedence:
+                                             "*" "/" over "+" "-" over "==" "<")
+    unary    := "*" unary | atom ("." NAME)*
     atom     := NUM | NAME | "(" expr ")"
               | "malloc" "<" ty ">" "(" expr ")" | "malloc" "(" wtype ")"
               | "free" "(" expr ")"
               | "let" NAME "=" NAME "(" [expr] ")" "in" expr
               | "if" expr "{" expr "}" "else" "{" expr "}"
+
+A block is one flat Seq, so statement count adds no depth; a let's body
+is the rest of its block.  A program nested past MAX_NESTING levels (see
+_SrcParser) is a SrcParseError, so every later tree walk recurses a
+bounded number of times; src_run keeps its own work stack.
 
 The first function must be called main and take no parameter; it is the
 entry point.
@@ -36,8 +39,10 @@ entry point.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 
+from .bytecode import MAX_NESTING
 from .monitor import AAlloc, AFree, ARead, AWrite, SAFE, Safe, Violation, check_trace
 from .tracerel import BijectionDelta
 
@@ -184,8 +189,7 @@ class Var:
 
 @dataclass
 class Seq:
-    a: object
-    b: object
+    items: list  # two or more, evaluated in order; the last gives the value
 
 
 @dataclass
@@ -252,64 +256,89 @@ class LetCall:
 # ---------------------------------------------------------------------------
 # Parser
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+|//[^\n]*)
-  | (?P<num>\d+)
-  | (?P<name>[A-Za-z_]\w*)
-  | (?P<op>:=|->|==|[-+*/<>(){},;:.=])
-""", re.VERBOSE)
+# One match per token, after any whitespace and // comments; a character
+# that starts no token matches up to the end; the end matches as "".
+_TOKEN_RE = re.compile(r"(?:\s+|//[^\n]*)*"
+                       r"(\d+|[A-Za-z_]\w*|:=|->|==|[-+*/<>(){},;:.=]|[\s\S]+|\Z)")
+
+_NAME_START = frozenset(string.ascii_letters + "_")
+_OP_START = frozenset("-+*/<>(){},;:.=")
 
 _KEYWORDS = {"module", "struct", "fn", "var", "heap", "int", "ptr", "array",
              "malloc", "free", "let", "in", "if", "else", "import"}
 
+# Binary operators by precedence; all are left-associative.
+_BINARY = {"==": 1, "<": 1, "+": 2, "-": 2, "*": 3, "/": 3}
 
-def _tokenize_src(text: str) -> list[tuple[str, str]]:
-    toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise SrcParseError(f"bad character {text[pos]!r} at offset {pos}")
-        pos = m.end()
-        if m.lastgroup == "ws":
-            continue
-        toks.append((m.lastgroup, m.group()))
-    toks.append(("eof", ""))
+
+def _tokenize_src(text: str) -> list[str]:
+    """Token strings, ending in "" for the end of the input.  A token's
+    kind is its first character's: a digit, a name start, or an operator."""
+    toks = _TOKEN_RE.findall(text)
+    last = toks[-2] if len(toks) > 1 else ""  # a bad character's match is this
+    if last:
+        c = last[0]
+        if c not in _NAME_START and c not in _OP_START and not c.isdecimal():
+            raise SrcParseError(f"bad character {c!r} at offset {len(text) - len(last)}")
     return toks
 
 
+_TOO_DEEP = f"nesting deeper than {MAX_NESTING}"
+
+
 class _SrcParser:
+    """Recursive descent over the token strings.  An expression comes
+    with its depth: each parenthesis, if, let, malloc/free argument, `*`,
+    `.` field, `:=` and binary operator adds one level; a block adds none.
+    `level` counts the levels open around the parse position, so the
+    descent stops at MAX_NESTING too, and so do nested types."""
+
     def __init__(self, text: str):
         self.toks = _tokenize_src(text)
         self.pos = 0
+        self.level = 0
 
-    def peek(self):
-        return self.toks[self.pos]
-
-    def next(self):
+    def next(self) -> str:
         t = self.toks[self.pos]
         self.pos += 1
         return t
 
-    def eat(self, text: str):
-        kind, got = self.next()
-        if got != text:
-            raise SrcParseError(f"expected {text!r}, got {got!r}")
+    def eat(self, *texts: str):
+        for text in texts:
+            got = self.next()
+            if got != text:
+                raise SrcParseError(f"expected {text!r}, got {got!r}")
 
     def at(self, text: str) -> bool:
-        return self.peek()[1] == text
+        return self.toks[self.pos] == text
 
     def name(self) -> str:
-        kind, got = self.next()
-        if kind != "name" or got in _KEYWORDS:
+        got = self.next()
+        if not got or got[0] not in _NAME_START or got in _KEYWORDS:
             raise SrcParseError(f"expected name, got {got!r}")
         return got
 
     def num(self) -> int:
-        kind, got = self.next()
-        if kind != "num":
+        got = self.next()
+        if not got.isdecimal():
             raise SrcParseError(f"expected number, got {got!r}")
         return int(got)
+
+    def inner(self, parse, *args):
+        """parse(*args) one nesting level further in."""
+        self.level += 1
+        if self.level > MAX_NESTING:
+            raise SrcParseError(_TOO_DEEP)
+        out = parse(*args)
+        self.level -= 1
+        return out
+
+    @staticmethod
+    def above(depth: int) -> int:
+        """The depth of a construct around one of the given depth."""
+        if depth >= MAX_NESTING:
+            raise SrcParseError(_TOO_DEEP)
+        return depth + 1
 
     # -- types --
 
@@ -320,10 +349,10 @@ class _SrcParser:
         if self.at("ptr"):
             self.next()
             self.eat("<")
-            w = self.wtype()
+            w = self.inner(self.wtype)
             self.eat(">")
             return PtrType(w)
-        raise SrcParseError(f"expected type, got {self.peek()[1]!r}")
+        raise SrcParseError(f"expected type, got {self.toks[self.pos]!r}")
 
     def wtype(self):
         if self.at("struct"):
@@ -332,16 +361,15 @@ class _SrcParser:
         if self.at("array"):
             self.next()
             count = None
-            if self.peek()[0] == "num":
+            if self.toks[self.pos].isdecimal():
                 count = self.num()
-            return ArrayType(count, self.ty())
+            return ArrayType(count, self.inner(self.ty))
         return self.ty()
 
     # -- module --
 
     def module(self) -> SrcModule:
-        self.eat("module")
-        self.eat("{")
+        self.eat("module", "{")
         structs: dict[str, StructDef] = {}
         imports: list[ImportDef] = []
         fns: list[FnDef] = []
@@ -350,38 +378,54 @@ class _SrcParser:
                 self.next()
                 sname = self.name()
                 self.eat("{")
-                fields = [self.field_decl()]
-                while self.at(","):
-                    self.next()
-                    fields.append(self.field_decl())
+                fields = self.listed(self.field_decl)
                 self.eat("}")
                 if sname in structs:
                     raise SrcParseError(f"duplicate struct {sname}")
                 structs[sname] = StructDef(sname, fields)
             elif self.at("import"):
                 self.next()
-                iname = self.name()
-                self.eat("(")
-                pty = None
-                if not self.at(")"):
-                    self.name()
-                    self.eat(":")
-                    pty = self.ty()
-                self.eat(")")
-                self.eat("->")
-                rty = self.ty()
+                iname, param, rty = self.signature()
                 self.eat(";")
-                imports.append(ImportDef(iname, pty, rty))
+                imports.append(ImportDef(iname, param and param[1], rty))
             elif self.at("fn"):
-                fns.append(self.fn())
+                self.next()
+                fname, param, result = self.signature()
+                self.eat("{", "var", "(")
+                locals_ = [] if self.at(")") else self.listed(self.var_decl)
+                self.eat(")", ";")
+                body, _ = self.block()
+                self.eat("}")
+                fns.append(FnDef(fname, param, result, locals_, body))
             else:
-                raise SrcParseError(f"expected item, got {self.peek()[1]!r}")
+                raise SrcParseError(f"expected item, got {self.toks[self.pos]!r}")
         self.eat("heap")
         n_hs = self.num()
         self.eat("}")
-        if self.peek()[0] != "eof":
-            raise SrcParseError(f"trailing input {self.peek()[1]!r}")
+        if self.toks[self.pos] != "":
+            raise SrcParseError(f"trailing input {self.toks[self.pos]!r}")
         return SrcModule(structs, imports, fns, n_hs)
+
+    def listed(self, item) -> list:
+        """item ("," item)*"""
+        out = [item()]
+        while self.at(","):
+            self.next()
+            out.append(item())
+        return out
+
+    def signature(self):
+        """NAME "(" [NAME ":" ty] ")" "->" ty, as (name, param, result)."""
+        name = self.name()
+        self.eat("(")
+        param = None if self.at(")") else self.var_decl()
+        self.eat(")", "->")
+        return name, param, self.ty()
+
+    def var_decl(self):
+        name = self.name()
+        self.eat(":")
+        return name, self.ty()
 
     def field_decl(self):
         fname = self.name()
@@ -393,150 +437,116 @@ class _SrcParser:
             raise SrcParseError("array fields need a length")
         return (fname, w)
 
-    def fn(self) -> FnDef:
-        self.eat("fn")
-        fname = self.name()
-        self.eat("(")
-        param = None
-        if not self.at(")"):
-            pname = self.name()
-            self.eat(":")
-            param = (pname, self.ty())
-        self.eat(")")
-        self.eat("->")
-        result = self.ty()
-        self.eat("{")
-        self.eat("var")
-        self.eat("(")
-        locals_: list[tuple[str, object]] = []
-        if not self.at(")"):
-            locals_.append((self.name(), self._colon_ty()))
-            while self.at(","):
-                self.next()
-                locals_.append((self.name(), self._colon_ty()))
-        self.eat(")")
-        self.eat(";")
-        body = self.expr()
-        self.eat("}")
-        return FnDef(fname, param, result, locals_, body)
+    # -- expressions: each returns (node, depth) --
 
-    def _colon_ty(self):
-        self.eat(":")
-        return self.ty()
-
-    # -- expressions --
-
-    def expr(self):
-        e = self.assign()
-        while self.at(";"):
-            self.next()
-            e = Seq(e, self.assign())
-        return e
+    def block(self):
+        """assign (";" assign)*: one Seq of the items, or the one item."""
+        e, depth = self.assign()
+        if self.toks[self.pos] != ";":
+            return e, depth
+        items = [e]
+        while self.toks[self.pos] == ";":
+            self.pos += 1
+            e, d = self.assign()
+            items.append(e)
+            depth = max(depth, d)
+        return Seq(items), depth
 
     def assign(self):
-        lhs = self.cmp()
-        if self.at(":="):
-            self.next()
-            rhs = self.assign()
-            if isinstance(lhs, Var):
-                return AssignVar(lhs.name, rhs)
-            if isinstance(lhs, Deref):
-                return AssignPtr(lhs.e, rhs)
-            raise SrcParseError("assignment needs a variable or deref target")
-        return lhs
+        lhs, depth = self.climb(*self.unary(), 1)
+        if self.toks[self.pos] != ":=":
+            return lhs, depth
+        self.pos += 1
+        rhs, d = self.inner(self.assign)
+        depth = self.above(max(depth, d))
+        if isinstance(lhs, Var):
+            return AssignVar(lhs.name, rhs), depth
+        if isinstance(lhs, Deref):
+            return AssignPtr(lhs.e, rhs), depth
+        raise SrcParseError("assignment needs a variable or deref target")
 
-    def cmp(self):
-        e = self.add()
-        while self.peek()[1] in ("==", "<"):
-            op = self.next()[1]
-            e = BinOp(op, e, self.add())
-        return e
+    def climb(self, e, depth: int, min_prec: int):
+        """Precedence climbing: fold the operators binding at least
+        min_prec into the operand e of the given depth."""
+        toks = self.toks
+        while True:
+            op = toks[self.pos]
+            prec = _BINARY.get(op)
+            if prec is None or prec < min_prec:
+                return e, depth
+            self.pos += 1
+            b, d = self.inner(self.unary)
+            tighter = _BINARY.get(toks[self.pos])
+            if tighter is not None and tighter > prec:
+                b, d = self.inner(self.climb, b, d, prec + 1)
+            e, depth = BinOp(op, e, b), self.above(max(depth, d))
 
-    def add(self):
-        e = self.mul()
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            e = BinOp(op, e, self.mul())
-        return e
+    def unary(self):
+        if self.toks[self.pos] == "*":
+            self.pos += 1
+            e, depth = self.inner(self.unary)
+            return Deref(e), self.above(depth)
+        e, depth = self.atom()
+        while self.toks[self.pos] == ".":
+            self.pos += 1
+            e, depth = FieldAcc(e, self.name()), self.above(depth)
+        return e, depth
 
-    def mul(self):
-        e = self.prefix()
-        while self.peek()[1] in ("*", "/"):
-            op = self.next()[1]
-            e = BinOp(op, e, self.prefix())
-        return e
-
-    def prefix(self):
-        if self.at("*"):
-            self.next()
-            return Deref(self.prefix())
-        return self.postfix()
-
-    def postfix(self):
-        e = self.atom()
-        while self.at("."):
-            self.next()
-            e = FieldAcc(e, self.name())
-        return e
+    def enclosed(self, open_: str, close: str):
+        """open_ block close, the block one level in: (node, its depth + 1)."""
+        self.eat(open_)
+        e, depth = self.inner(self.block)
+        self.eat(close)
+        return e, self.above(depth)
 
     def atom(self):
-        kind, text = self.peek()
-        if kind == "num":
-            return Num(self.num())
-        if text == "(":
-            self.next()
-            e = self.expr()
-            self.eat(")")
-            return e
-        if text == "malloc":
+        t = self.toks[self.pos]
+        if t[:1] in _NAME_START and t not in _KEYWORDS:
+            self.pos += 1
+            return Var(t), 0
+        if t.isdecimal():
+            self.pos += 1
+            return Num(int(t)), 0
+        if t == "(":
+            return self.enclosed("(", ")")
+        if t == "malloc":
             self.next()
             if self.at("<"):
                 self.next()
                 elem = self.ty()
                 self.eat(">")
-                self.eat("(")
-                count = self.expr()
-                self.eat(")")
-                return MallocArray(elem, count)
+                count, depth = self.enclosed("(", ")")
+                return MallocArray(elem, count), depth
             self.eat("(")
             w = self.wtype()
             self.eat(")")
             if isinstance(w, ArrayType):
                 raise SrcParseError("single malloc cannot take an array type")
-            return MallocSingle(w)
-        if text == "free":
+            return MallocSingle(w), 0
+        if t == "free":
             self.next()
-            self.eat("(")
-            e = self.expr()
-            self.eat(")")
-            return Free(e)
-        if text == "let":
+            e, depth = self.enclosed("(", ")")
+            return Free(e), depth
+        if t == "let":
             self.next()
             x = self.name()
             self.eat("=")
             fname = self.name()
             self.eat("(")
-            arg = None
+            arg, depth = None, 0
             if not self.at(")"):
-                arg = self.expr()
-            self.eat(")")
-            self.eat("in")
-            body = self.expr()
-            return LetCall(x, fname, arg, body)
-        if text == "if":
+                arg, depth = self.inner(self.block)
+            self.eat(")", "in")
+            body, d = self.inner(self.block)
+            return LetCall(x, fname, arg, body), self.above(max(depth, d))
+        if t == "if":
             self.next()
-            c = self.expr()
-            self.eat("{")
-            t = self.expr()
-            self.eat("}")
+            c, depth = self.inner(self.block)
+            then, dt = self.enclosed("{", "}")
             self.eat("else")
-            self.eat("{")
-            f = self.expr()
-            self.eat("}")
-            return If(c, t, f)
-        if kind == "name" and text not in _KEYWORDS:
-            return Var(self.name())
-        raise SrcParseError(f"expected expression, got {text!r}")
+            else_, de = self.enclosed("{", "}")
+            return If(c, then, else_), max(self.above(depth), dt, de)
+        raise SrcParseError(f"expected expression, got {t!r}")
 
 
 def parse_source(text: str) -> SrcModule:
@@ -562,8 +572,7 @@ class TVar:
 
 @dataclass
 class TSeq:
-    a: object
-    b: object
+    items: list
     ty: object
 
 
@@ -659,6 +668,7 @@ class TypedFn:
     locals: list[tuple[str, object]]
     body: object
     index: int  # callable index: imports first, then main, then the rest
+    n_lets: int  # TLetCall nodes in body, each of which binds a fresh local
 
 
 @dataclass
@@ -725,24 +735,28 @@ class _Checker:
                 if name in env:
                     raise SrcTypeError(f"duplicate variable {name}")
                 env[name] = ty
+            self.n_lets = 0
             body, bty = self.check(f.body, env)
             body = _coerce(body, bty, f.result)
             typed.append(TypedFn(f.name, f.param, f.result, f.locals, body,
-                                 self.indices[f.name]))
+                                 self.indices[f.name], self.n_lets))
         return TypedModule(self.mod, typed, self.indices)
 
     def check(self, e, env) -> tuple[object, object]:
-        if isinstance(e, Num):
+        t = type(e)
+        if t is Num:
             return TNum(e.n, INT), INT
-        if isinstance(e, Var):
+        if t is Var:
             if e.name not in env:
                 raise SrcTypeError(f"unbound variable {e.name}")
             return TVar(e.name, env[e.name]), env[e.name]
-        if isinstance(e, Seq):
-            a, _ = self.check(e.a, env)
-            b, bty = self.check(e.b, env)
-            return TSeq(a, b, bty), bty
-        if isinstance(e, BinOp):
+        if t is Seq:
+            items = []
+            for item in e.items:
+                t, ty = self.check(item, env)
+                items.append(t)
+            return TSeq(items, ty), ty
+        if t is BinOp:
             a, aty = self.check(e.a, env)
             b, bty = self.check(e.b, env)
             if e.op == "+" and isinstance(aty, PtrType) \
@@ -754,13 +768,13 @@ class _Checker:
             if not isinstance(aty, IntType) or not isinstance(bty, IntType):
                 raise SrcTypeError(f"binop {e.op} needs ints, got {aty}, {bty}")
             return TBinOp(e.op, a, b, INT), INT
-        if isinstance(e, AssignVar):
+        if t is AssignVar:
             if e.name not in env:
                 raise SrcTypeError(f"unbound variable {e.name}")
             rhs, rty = self.check(e.e, env)
             rhs = _coerce(rhs, rty, env[e.name])
             return TAssignVar(e.name, rhs, INT), INT
-        if isinstance(e, AssignPtr):
+        if t is AssignPtr:
             tgt, tty = self.check(e.target, env)
             if isinstance(tty, IntType):
                 # Int used as pointer: an int-typed forged access.
@@ -769,7 +783,7 @@ class _Checker:
             rhs, rty = self.check(e.e, env)
             rhs = _coerce(rhs, rty, elem)
             return TAssignPtr(tgt, rhs, elem, INT), INT
-        if isinstance(e, Deref):
+        if t is Deref:
             inner, ity = self.check(e.e, env)
             if isinstance(ity, IntType):
                 inner, ity = _coerce(inner, ity, PtrType(INT)), PtrType(INT)
@@ -777,7 +791,7 @@ class _Checker:
             if not is_expr_type(elem):
                 raise SrcTypeError(f"cannot load a whole {elem}")
             return TDeref(inner, elem), elem
-        if isinstance(e, FieldAcc):
+        if t is FieldAcc:
             inner, ity = self.check(e.e, env)
             if not (isinstance(ity, PtrType) and isinstance(ity.wtype, StructType)):
                 raise SrcTypeError(f"field access needs a struct pointer, got {ity}")
@@ -786,7 +800,7 @@ class _Checker:
                 raise SrcTypeError(f"unknown struct {sname}")
             off, fty = field_cell_offset(self.mod, sname, e.fname)
             return TField(inner, e.fname, sname, off, fty, PtrType(fty)), PtrType(fty)
-        if isinstance(e, If):
+        if t is If:
             c, cty = self.check(e.c, env)
             if not isinstance(cty, IntType):
                 raise SrcTypeError("condition must be an int")
@@ -801,27 +815,27 @@ class _Checker:
             else:
                 raise SrcTypeError(f"branch types differ: {tty} vs {fty}")
             return TIf(c, t, f, ty), ty
-        if isinstance(e, MallocArray):
+        if t is MallocArray:
             count, cty = self.check(e.count, env)
             if not isinstance(cty, IntType):
                 raise SrcTypeError("array length must be an int")
             ty = PtrType(ArrayType(None, e.elem))
             return TMallocArray(e.elem, count, ty), ty
-        if isinstance(e, MallocSingle):
+        if t is MallocSingle:
             w = e.wtype
             if isinstance(w, StructType) and w.name not in self.mod.structs:
                 raise SrcTypeError(f"unknown struct {w.name}")
             cells_of(self.mod, w)  # must be sized
             ty = PtrType(w)
             return TMallocSingle(w, ty), ty
-        if isinstance(e, Free):
+        if t is Free:
             inner, ity = self.check(e.e, env)
             if not isinstance(ity, (PtrType, IntType)):
                 raise SrcTypeError(f"free needs a pointer, got {ity}")
             if isinstance(ity, IntType):
                 inner = _coerce(inner, ity, PtrType(INT))
             return TFree(inner, INT), INT
-        if isinstance(e, LetCall):
+        if t is LetCall:
             if e.fname not in self.sigs:
                 raise SrcTypeError(f"unknown function {e.fname}")
             pty, rty = self.sigs[e.fname]
@@ -833,6 +847,7 @@ class _Checker:
                 arg = _coerce(arg, aty, pty)
             env2 = dict(env)
             env2[e.x] = rty
+            self.n_lets += 1
             body, bty = self.check(e.body, env2)
             return TLetCall(e.x, e.fname, self.indices[e.fname], arg, body,
                             rty, bty), bty
@@ -1030,47 +1045,48 @@ def src_run(tm: TypedModule, budget: int = 1_000_000,
             tag = item[0]
             if tag == "eval":
                 node = item[1]
-                if isinstance(node, TNum):
+                t = type(node)
+                if t is TNum:
                     vals.append(SInt(node.n))
-                elif isinstance(node, TVar):
+                elif t is TVar:
                     vals.append(env_stack[-1][node.name])
-                elif isinstance(node, TIntAsPtr):
+                elif t is TIntAsPtr:
                     eval_node(node.e)
-                elif isinstance(node, TSeq):
-                    work.append(("seq", node.b))
-                    eval_node(node.a)
-                elif isinstance(node, TBinOp):
+                elif t is TSeq:
+                    work.append(("seq", node.items, 1))
+                    eval_node(node.items[0])
+                elif t is TBinOp:
                     work.append(("bin", node))
                     eval_node(node.b)
                     eval_node(node.a)
-                elif isinstance(node, TAssignVar):
+                elif t is TAssignVar:
                     work.append(("setvar", node.name))
                     eval_node(node.e)
-                elif isinstance(node, TAssignPtr):
+                elif t is TAssignPtr:
                     work.append(("write", node))
                     eval_node(node.e)
                     eval_node(node.target)
-                elif isinstance(node, TDeref):
+                elif t is TDeref:
                     work.append(("read", node))
                     eval_node(node.e)
-                elif isinstance(node, TField):
+                elif t is TField:
                     work.append(("field", node))
                     eval_node(node.e)
-                elif isinstance(node, TIf):
+                elif t is TIf:
                     work.append(("branch", node))
                     eval_node(node.c)
-                elif isinstance(node, TMallocArray):
+                elif t is TMallocArray:
                     work.append(("alloca", node))
                     eval_node(node.count)
-                elif isinstance(node, TMallocSingle):
+                elif t is TMallocSingle:
                     n = cells_of(mod, node.wtype)
                     ptr = do_alloc(n, 1, node.wtype)
                     trace.append(SrcAlloc(ptr))
                     vals.append(ptr)
-                elif isinstance(node, TFree):
+                elif t is TFree:
                     work.append(("free",))
                     eval_node(node.e)
-                elif isinstance(node, TLetCall):
+                elif t is TLetCall:
                     if node.arg is None:
                         work.append(("enter", node, None))
                     else:
@@ -1079,8 +1095,11 @@ def src_run(tm: TypedModule, budget: int = 1_000_000,
                 else:
                     raise AssertionError(f"cannot evaluate {node!r}")
             elif tag == "seq":
+                _, items, i = item  # drop item i - 1's value, then item i
                 vals.pop()
-                eval_node(item[1])
+                if i + 1 < len(items):
+                    work.append(("seq", items, i + 1))
+                eval_node(items[i])
             elif tag == "bin":
                 node = item[1]
                 b = vals.pop()

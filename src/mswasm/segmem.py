@@ -228,7 +228,3 @@ class SegmentMemory:
         if not (0 <= o2 <= h.bound):
             raise MemTrap(TrapKind.SPATIAL, f"slice bound cut {o2}")
         return Handle(h.base + o1, h.offset, h.bound - o2, h.valid, h.id)
-
-    def dump(self, base: int, size: int) -> bytes:
-        """Raw bytes, no checks; post-mortem inspection only."""
-        return bytes(self.data[base:base + size])

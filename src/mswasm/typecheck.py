@@ -4,6 +4,8 @@ Stack types are lists of ValueType with the top of stack LAST.  Code after
 an unconditional `trap` or `return` is unreachable and accepted without
 checking.  The one non-standard restriction: flat-heap load/store may not
 move handle-typed values, so handles can never be forged from raw bytes.
+Reachable `if` bodies may nest at most MAX_NESTING deep, as in the text
+format, so a module built through the API is held to the same bound.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from .bytecode import (
     COMPARISON_OPS,
     FLOAT_OPS,
     INT_OPS,
+    MAX_NESTING,
     FuncDef,
     FuncType,
     Instr,
@@ -119,8 +122,9 @@ def _apply(stack: StackType, consumes: StackType, produces: StackType) -> StackT
     return stack + produces
 
 
-def type_body(ctx: TypingContext, body, stack: StackType):
-    """Thread a stack type through an instruction sequence.
+def type_body(ctx: TypingContext, body, stack: StackType, depth: int = 0):
+    """Thread a stack type through an instruction sequence that sits
+    inside `depth` ifs.
 
     Returns the final stack, or UNREACHABLE when the sequence ended in
     trap/return (in which case trailing instructions were not checked).
@@ -133,9 +137,11 @@ def type_body(ctx: TypingContext, body, stack: StackType):
             _apply(stack, list(ctx.results), [])
             return UNREACHABLE
         if ins.op == "if":
+            if depth >= MAX_NESTING:
+                raise TypeError_("nesting", f"if nested deeper than {MAX_NESTING}")
             stack = _apply(stack, [ValueType.I32], [])
-            then_out = type_body(ctx, ins.then_body, stack)
-            else_out = type_body(ctx, ins.else_body, stack)
+            then_out = type_body(ctx, ins.then_body, stack, depth + 1)
+            else_out = type_body(ctx, ins.else_body, stack, depth + 1)
             if then_out is UNREACHABLE:
                 stack = else_out if else_out is not UNREACHABLE else UNREACHABLE
             elif else_out is UNREACHABLE:
@@ -185,10 +191,3 @@ def typecheck_module(m: ModuleDef, library: bool = False) -> WellTyped:
             raise TypeError_("entry-params", "entry function must take no parameters")
     return WellTyped(m)
 
-
-def is_well_typed(m: ModuleDef) -> bool:
-    try:
-        typecheck_module(m)
-        return True
-    except TypeError_:
-        return False

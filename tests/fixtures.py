@@ -202,3 +202,50 @@ module {
 }
 """,
 }
+
+
+# -- nesting: programs that nest one construct n levels deep ---------------
+
+NESTED_CONSTRUCTS = ("parens", "ifs", "lets", "derefs", "assigns", "operators", "types")
+
+
+def nested_source(construct: str, n: int) -> str:
+    """A main whose body nests `construct` n levels deep (for "types", a
+    local whose pointer type does)."""
+    decls, extra = "x: int", ""
+    body = {
+        "parens": "(" * n + "1" + ")" * n,
+        "ifs": "if 1 { " * n + "7" + " } else { 0 }" * n,
+        "lets": "let y = f() in " * n + "y",
+        "derefs": "*" * n + "x",
+        "assigns": "x := " * n + "0",
+        "operators": " + ".join(["1"] * (n + 1)),
+        "types": "x := 5; x",
+    }[construct]
+    if construct == "lets":
+        extra = "  fn f() -> int { var (); 3 }\n"
+    if construct == "types":
+        decls += ", p: " + "ptr<" * n + "int" + ">" * n
+    return (f"module {{\n  fn main() -> int {{\n    var ({decls});\n    {body}\n  }}\n"
+            f"{extra}  heap 0\n}}\n")
+
+
+def straight_line_source(n: int) -> str:
+    """A main of n statements `x := x + k`; the same text as the deep
+    program of the frontend benchmark when n is 1,500."""
+    body = ";\n    ".join(f"x := x + {i % 7}" for i in range(n))
+    return (f"module {{\n  fn main() -> int {{\n    var (x: int);\n    {body};\n"
+            f"    x\n  }}\n  heap 0\n}}\n")
+
+
+def nested_ifs_module(n: int) -> str:
+    """Module text whose entry nests n bytecode ifs and returns 7."""
+    body = "i32.const 7"
+    for _ in range(n):
+        body = f"i32.const 1 (if (then {body}) (else i32.const 0))"
+    return f"(module (segment 0) (heap 0) (func (result i32) {body}))\n"
+
+
+def with_frames(n: int, fn, *args):
+    """fn(*args) called n Python frames deeper than here."""
+    return fn(*args) if n == 0 else with_frames(n - 1, fn, *args)

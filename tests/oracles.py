@@ -3,9 +3,12 @@
 These deliberately use different data structures from the production code:
 the memory oracle keeps one byte-array per allocation id instead of a flat
 store with a free list, the monitor oracle replays allocation interval
-records instead of a shadow map, and the baggy reference keeps handles as
+records instead of a shadow map, the baggy reference keeps handles as
 packed 64-bit ints and finds a first fit by sorting instead of decoding
-handles to tuples and keeping sorted per-order free lists.
+handles to tuples and keeping sorted per-order free lists, and the
+bytecode tokenizer walks the text a character at a time, counting lines
+and columns as it goes, instead of matching one regular expression and
+counting positions only for an error.
 """
 
 from __future__ import annotations
@@ -510,3 +513,65 @@ def run_baggy_differential(backend, rng, steps: int) -> None:
         assert mem.allocated == ref.allocated
         assert {(k, b) for k, bases in mem.free_lists.items() for b in bases} \
             == ref.free_blocks()
+
+
+# -- bytecode text: a character-loop tokenizer --------------------------
+
+
+@dataclass
+class RefToken:
+    text: str  # "(", ")" or an atom
+    line: int
+    col: int
+
+
+def ref_tokenize(text: str) -> list[RefToken]:
+    """Tokens of the module text format with their 1-based line and
+    column: space, tab, CR and LF separate, `;` starts a comment that runs
+    to the end of the line, and parentheses are tokens of their own."""
+    toks = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line, col = line + 1, 1
+            i += 1
+        elif c in " \t\r":
+            col += 1
+            i += 1
+        elif c == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif c in "()":
+            toks.append(RefToken(c, line, col))
+            col += 1
+            i += 1
+        else:
+            start, start_col = i, col
+            while i < n and text[i] not in " \t\r\n();":
+                i += 1
+                col += 1
+            toks.append(RefToken(text[start:i], line, start_col))
+    return toks
+
+
+def mutate_text(rng, text: str) -> str:
+    """One to four byte-level edits (replace, insert, delete, truncate) of
+    the UTF-8 bytes of text, read back as Latin-1 so that every byte
+    value, separators and Unicode spaces included, reaches the tokenizer."""
+    data = bytearray(text.encode())
+    alphabet = b"() ;\n\t\r\x0b\x0c\x85\xa0.-0123456789aeifst"
+    for _ in range(rng.randint(1, 4)):
+        op = rng.randrange(4)
+        at = rng.randrange(len(data) + 1)
+        byte = rng.choice(alphabet) if rng.random() < 0.7 else rng.randrange(256)
+        if op == 0 and at < len(data):
+            data[at] = byte
+        elif op == 1:
+            data.insert(at, byte)
+        elif op == 2 and at < len(data):
+            del data[at]
+        elif op == 3:
+            del data[at:]
+    return data.decode("latin-1")

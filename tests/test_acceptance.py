@@ -4,10 +4,12 @@ line with its measured time (run with -s to watch).
 Run:  pytest tests/test_acceptance.py -v -s
 """
 
+import gc
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+from mswasm.bytecode import parse_module, print_module
 from mswasm.compiler import Layout, compile_module
 from mswasm.conformance import (
     diff_run,
@@ -34,7 +36,13 @@ from mswasm.segmem import SegmentMemory
 from mswasm.tracerel import check_ms
 from mswasm.typecheck import typecheck_module
 
-from fixtures import UAF_READ, UNSAFE_SUITE, trim_copy_program, user_record_program
+from fixtures import (
+    UAF_READ,
+    UNSAFE_SUITE,
+    straight_line_source,
+    trim_copy_program,
+    user_record_program,
+)
 from oracles import BruteMonitor, _AllocRecord, run_backend_differential
 
 
@@ -84,7 +92,8 @@ def test_criterion_2_intra_object_fixture():
     # post-mortem: the id cell still holds 77, the overflow never landed
     seg = res.config.backend.mem
     alloc_ev = res.trace[0]
-    id_bytes = seg.dump(alloc_ev.handle.base + id_off, 4)
+    at = alloc_ev.handle.base + id_off
+    id_bytes = bytes(seg.data[at:at + 4])
     assert id_bytes == (77).to_bytes(4, "little")
     report("criterion-2 intra-object fixture", time.perf_counter() - t0, 1.0)
 
@@ -250,6 +259,36 @@ def test_monitor_scales_linearly_with_frees():
     assert verdict == SAFE
     assert check_trace(trace + [ARead(0, 0, 0)]) == Violation("temporal-freed", 6000)
     report("monitor scaling (6000 events)", elapsed, 0.25)
+
+
+def _compile_chain_s(text: str) -> float:
+    """Seconds for text through the chain of `mswasm compile` and the
+    parse of `mswasm run`, with the garbage collector paused as timeit
+    does."""
+    gc.collect()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        _, m = _compile_text(text)
+        parse_module(print_module(m))
+        return time.perf_counter() - t0
+    finally:
+        gc.enable()
+
+
+def test_compile_chain_grows_linearly():
+    """1,600 statements in one block compile within 12x the time of 200
+    (8x is linear).  Best of 3 each, interleaved; a sample of the small
+    program averages 8 back-to-back runs, so both sides of a sample span
+    about the same wall time on a host whose speed flips."""
+    small, large = straight_line_source(200), straight_line_source(1600)
+    t_small, t_large = [], []
+    for _ in range(3):
+        t_small.append(sum(_compile_chain_s(small) for _ in range(8)) / 8)
+        t_large.append(_compile_chain_s(large))
+    ratio = min(t_large) / min(t_small)
+    report("linear compile chain (200 vs 1600 statements)", min(t_large),
+           12 * min(t_small), detail=f"({ratio:.1f}x for 8x the statements)")
 
 
 def test_criterion_9_backend_vs_naive_oracle():

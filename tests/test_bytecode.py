@@ -1,9 +1,22 @@
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mswasm import bytecode as bc
+from fixtures import (
+    UAF_READ,
+    UNSAFE_SUITE,
+    nested_ifs_module,
+    trim_copy_program,
+    user_record_program,
+    with_frames,
+)
 from mswasm.bytecode import (
+    MAX_NESTING,
+    _TOKEN_RE,
     FuncDef,
     FuncType,
     ModuleDef,
@@ -11,9 +24,11 @@ from mswasm.bytecode import (
     ParseError,
     ValidationError,
     ValueType,
+    _Parser,
     parse_module,
     print_module,
 )
+from oracles import mutate_text, ref_tokenize
 
 MINIMAL = "(module (segment 64) (heap 0) (func (result i32) i32.const 7 return))"
 
@@ -154,3 +169,115 @@ def test_roundtrip_fuzzed_modules(seed):
 
     m = fuzz_module(seed)
     assert parse_module(print_module(m)) == m
+
+
+# -- shared instructions, the nesting cap, and the tokenizer ----------------
+
+
+def test_float_zero_literals_keep_their_signs():
+    m = parse_module("(module (segment 0) (heap 0) (func (result f64)"
+                     " f64.const -0.0 f64.const 0.0 f64.add f64.const -0.0 f64.add))")
+    a, b, _, c, _ = m.funcs[0].body
+    assert math.copysign(1, a.literal) == -1 and math.copysign(1, b.literal) == 1
+    assert a is c and a is not b
+    assert "f64.const -0.0\n    f64.const 0.0\n" in print_module(m)
+    assert parse_module(print_module(m)) == m
+
+
+def test_one_instr_per_word_and_immediate_within_a_parse():
+    text = "(module (segment 0) (heap 0) (func (local i32) (result i32) get 0 get 0 set 0 get 0))"
+    first, second = parse_module(text), parse_module(text)
+    body = first.funcs[0].body
+    assert body[0] is body[1] is body[3] and body[2] is not body[0]
+    assert second.funcs[0].body[0] is not body[0]  # the cache lives one call
+    assert first == second
+
+
+def test_if_nesting_at_the_cap_parses_typechecks_and_runs():
+    from mswasm.interp import run
+    from mswasm.typecheck import typecheck_module
+
+    def chain(text):
+        m = parse_module(text)
+        typecheck_module(m)
+        assert parse_module(print_module(m)) == m
+        return run(m).results
+
+    assert with_frames(100, chain, nested_ifs_module(MAX_NESTING))[0].v == 7
+
+
+def test_if_nesting_past_the_cap_is_a_parse_error():
+    text = nested_ifs_module(MAX_NESTING + 1)
+    with pytest.raises(ParseError, match=f"if nested deeper than {MAX_NESTING}") as exc:
+        parse_module(text)
+    # blamed at the opening parenthesis of the innermost if
+    innermost = [i for i in range(len(text)) if text.startswith("(if", i)][MAX_NESTING]
+    assert (exc.value.line, exc.value.col) == (1, innermost + 1)
+    with pytest.raises(ParseError):
+        parse_module(nested_ifs_module(600))
+
+
+def test_api_built_if_nesting_past_the_cap_is_a_type_error():
+    from mswasm.typecheck import TypeError_, typecheck_module
+
+    def nest(n):
+        body = (bc.const(ValueType.I32, 7),)
+        for _ in range(n):
+            body = (bc.const(ValueType.I32, 1), bc.if_(body, (bc.const(ValueType.I32, 0),)))
+        return ModuleDef((FuncDef((), (), (ValueType.I32,), body),), (), 0, 0)
+
+    typecheck_module(nest(MAX_NESTING))
+    for n in (MAX_NESTING + 1, 600):
+        with pytest.raises(TypeError_, match="nesting: if nested deeper"):
+            typecheck_module(nest(n))
+
+
+def _printed_corpus() -> list[str]:
+    from mswasm.compiler import compile_module
+    from mswasm.conformance import fuzz_module
+    from mswasm.minic import parse_source, src_typecheck
+
+    sources = [trim_copy_program(8), user_record_program(32), UAF_READ,
+               *UNSAFE_SUITE.values()]
+    return ([print_module(compile_module(src_typecheck(parse_source(s)))) for s in sources]
+            + [print_module(fuzz_module(seed)) for seed in range(40)])
+
+
+def _check_against_char_loop(text: str) -> None:
+    """Same tokens as the reference, and a ParseError at the reference's
+    line and column of the token it names."""
+    ref = ref_tokenize(text)
+    assert [t for t in _TOKEN_RE.findall(text) if t] == [t.text for t in ref]
+    try:
+        parse_module(text)
+    except ParseError as e:
+        at = {(t.line, t.col): t.text for t in ref}
+        if str(e).endswith("unexpected end of input"):
+            assert (e.line, e.col) == ((ref[-1].line, ref[-1].col) if ref else (1, 1))
+        elif str(e).endswith("no handle literals"):
+            assert at[e.line, e.col] == "handle.const"
+        else:
+            assert repr(at[e.line, e.col]) in str(e)
+    except ValidationError:
+        pass
+
+
+def test_tokenizer_matches_the_char_loop_reference():
+    corpus = _printed_corpus()
+    rng = random.Random(2208)
+    for text in corpus:
+        _check_against_char_loop(text)
+        # the offset-to-position count agrees on sampled tokens too
+        ref = ref_tokenize(text)
+        for i in rng.sample(range(len(ref)), min(len(ref), 10)):
+            e = _Parser(text).error("", i)
+            assert (e.line, e.col) == (ref[i].line, ref[i].col)
+    errors = 0
+    for _ in range(200):
+        mutant = mutate_text(rng, rng.choice(corpus))
+        _check_against_char_loop(mutant)
+        try:
+            parse_module(mutant)
+        except (ParseError, ValidationError):
+            errors += 1
+    assert errors > 100  # the mutants exercise the error paths

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fixtures import nested_ifs_module, straight_line_source
 from mswasm.cli import main
 
 OK_MODULE = """
@@ -195,3 +196,70 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])
     assert e.value.code == 2
+
+
+IMPORT_MODULE = """
+(module (segment 0) (heap 0)
+  (import (result i32))
+  (func (result i32) call 0))
+"""
+
+IMPORT_SOURCE = """
+module {
+  import g() -> int;
+  fn main() -> int { var (); let y = g() in y }
+  heap 0
+}
+"""
+
+
+@pytest.mark.parametrize("cmd", ["run", "check"])
+def test_module_with_imports_is_a_usage_error(tmp_path, capsys, cmd):
+    f = tmp_path / "imp.mswat"
+    f.write_text(IMPORT_MODULE)
+    assert main([cmd, str(f)]) == 2
+    assert "imports" in capsys.readouterr().err
+
+
+def test_diff_of_source_with_imports_is_a_usage_error(tmp_path, capsys):
+    f = tmp_path / "imp.uc"
+    f.write_text(IMPORT_SOURCE)
+    assert main(["diff", str(f)]) == 2
+    assert "imports" in capsys.readouterr().err
+
+
+def _shell(body: str) -> str:
+    return f"module {{ fn main() -> int {{ var (x: int); {body} }} heap 0 }}"
+
+
+TOO_DEEP_SOURCES = {
+    "130-parentheses": _shell("(" * 130 + "1" + ")" * 130),
+    "300-ifs": _shell("if 1 { " * 300 + "7" + " } else { 0 }" * 300),
+    "1500-term-sum": _shell(" + ".join(["1"] * 1500)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOO_DEEP_SOURCES))
+@pytest.mark.parametrize("cmd", ["compile", "diff"])
+def test_source_nested_past_the_cap_is_a_parse_error(tmp_path, capsys, name, cmd):
+    f = tmp_path / "deep.uc"
+    f.write_text(TOO_DEEP_SOURCES[name])
+    assert main([cmd, str(f)]) == 12
+    assert "nesting deeper than" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["parse", "typecheck"])
+def test_600_nested_bytecode_ifs_are_a_parse_error(tmp_path, capsys, cmd):
+    f = tmp_path / "deep.mswat"
+    f.write_text(nested_ifs_module(600))
+    assert main([cmd, str(f)]) == 12
+    assert "if nested deeper than" in capsys.readouterr().err
+
+
+def test_deep_straight_line_program_compiles_and_diffs(tmp_path, capsys):
+    src = tmp_path / "deep.uc"
+    src.write_text(straight_line_source(1500))
+    out = tmp_path / "deep.mswat"
+    assert main(["compile", str(src), "-o", str(out)]) == 0
+    assert main(["diff", str(src), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["related"] is True

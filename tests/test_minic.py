@@ -1,7 +1,11 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixtures import NESTED_CONSTRUCTS, nested_source, straight_line_source, with_frames
+from mswasm.bytecode import MAX_NESTING
 from mswasm.minic import (
     INT,
     ArrayType,
@@ -12,6 +16,7 @@ from mswasm.minic import (
     SPtr,
     SrcAlloc,
     SrcFree,
+    SrcParseError,
     SrcRead,
     SrcTypeError,
     SrcUnsafe,
@@ -345,3 +350,93 @@ def test_annotations_are_inert(seed, violations):
     assert [_project(v) for v in full.heap] == [_project(v) for v in bare.heap]
     if full.outcome == "ok":
         assert _project(full.result) == _project(bare.result)
+
+
+# -- flat blocks and the nesting cap ------------------------------------
+
+
+def test_a_block_is_one_flat_seq_and_a_let_body_is_the_rest_of_it():
+    from mswasm.minic import LetCall, Seq, TLetCall, TSeq
+
+    text = """
+    module {
+      fn main() -> int { var (x: int); x := 1; x := 2; let y = f() in x := y; x }
+      fn f() -> int { var (); 3 }
+      heap 0
+    }"""
+    body = parse_source(text).fns[0].body
+    assert isinstance(body, Seq) and len(body.items) == 3
+    let = body.items[2]
+    assert isinstance(let, LetCall) and isinstance(let.body, Seq) and len(let.body.items) == 2
+    tm = load(text)
+    assert isinstance(tm.fns[0].body, TSeq) and len(tm.fns[0].body.items) == 3
+    assert isinstance(tm.fns[0].body.items[2], TLetCall) and tm.fns[0].n_lets == 1
+    assert src_run(tm).result == SInt(3)
+
+
+@pytest.mark.parametrize("construct", NESTED_CONSTRUCTS)
+def test_nesting_at_the_cap_passes_every_layer(construct):
+    """Under the default recursion limit and 100 frames below the test:
+    parse, both typechecks, src_run, compile, the text round trip and the
+    differential run."""
+    from mswasm.bytecode import parse_module, print_module
+    from mswasm.compiler import compile_module
+    from mswasm.conformance import diff_run
+    from mswasm.typecheck import typecheck_module
+
+    def chain(text):
+        tm = load(text)
+        src_run(tm)
+        m = compile_module(tm)
+        typecheck_module(m)
+        assert parse_module(print_module(m)) == m
+        return diff_run(tm)
+
+    assert sys.getrecursionlimit() == 1000
+    report = with_frames(100, chain, nested_source(construct, MAX_NESTING))
+    assert report.related, report.reason
+
+
+@pytest.mark.parametrize("construct", NESTED_CONSTRUCTS)
+def test_nesting_past_the_cap_is_a_parse_error(construct):
+    for n in (MAX_NESTING + 1, 20 * MAX_NESTING):
+        with pytest.raises(SrcParseError, match=f"nesting deeper than {MAX_NESTING}"):
+            parse_source(nested_source(construct, n))
+
+
+def test_depth_counts_every_construct_on_the_longest_path():
+    # 50 operators below 50 parentheses, and an operator chain whose
+    # first operand is 99 derefs deep: each is 100 deep, one more is 101
+    ok = ["(" * 50 + " + ".join(["1"] * 51) + ")" * 50,
+          " + ".join(["*" * 99 + "x", "1"])]
+    bad = ["(" * 51 + " + ".join(["1"] * 51) + ")" * 51,
+           " + ".join(["*" * 99 + "x", "1", "1"])]
+    shell = "module {{ fn main() -> int {{ var (x: int); {} }} heap 0 }}"
+    for body in ok:
+        parse_source(shell.format(body))
+    for body in bad:
+        with pytest.raises(SrcParseError, match="nesting deeper"):
+            parse_source(shell.format(body))
+
+
+def test_deep_straight_line_program_compiles_and_relates():
+    """1,500 statements in one block: the frontend benchmark's deep
+    program, which the tree walks could not handle when blocks nested."""
+    from mswasm.compiler import compile_module
+    from mswasm.conformance import diff_run
+    from mswasm.typecheck import typecheck_module
+
+    tm = load(straight_line_source(1500))
+    typecheck_module(compile_module(tm))
+    assert src_run(tm).result == SInt(sum(i % 7 for i in range(1500)))
+    report = diff_run(tm)
+    assert report.related and isinstance(report.src_verdict, Safe)
+
+
+def test_bad_character_reports_its_offset():
+    with pytest.raises(SrcParseError, match=r"bad character '!' at offset 9"):
+        parse_source("module { ! heap 0 }")
+    with pytest.raises(SrcParseError, match="bad character 'é' at offset 14"):
+        parse_source("module { heap é }   \n")
+    # inside a comment any character goes
+    parse_source("module { // ! é\n fn main() -> int { var (); 0 } heap 0 }")
