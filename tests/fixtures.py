@@ -1,5 +1,7 @@
 """Source-program fixtures shared by the unit and acceptance tests."""
 
+import sys
+
 
 def trim_copy_program(n_in: int, dst_cap: int = 1024) -> str:
     """Copy n_in ints into a dst_cap-element buffer through a recursive
@@ -247,5 +249,14 @@ def nested_ifs_module(n: int) -> str:
 
 
 def with_frames(n: int, fn, *args):
-    """fn(*args) called n Python frames deeper than here."""
-    return fn(*args) if n == 0 else with_frames(n - 1, fn, *args)
+    """fn(*args) under the default recursion limit of 1000, called n
+    Python frames deeper than here."""
+    def descend(k: int):
+        return fn(*args) if k == 0 else descend(k - 1)
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        return descend(n)
+    finally:
+        sys.setrecursionlimit(limit)

@@ -155,6 +155,8 @@ def test_float_literals():
                      " (func (result f64) f64.const -2.5e3))")
     assert m.funcs[0].body[0].literal == -2500.0
     assert parse_module(print_module(m)) == m
+    with pytest.raises(ParseError, match="bad float literal '1e40'"):
+        parse_module("(module (segment 0) (heap 0) (func (result f32) f32.const 1e40))")
 
 
 def test_handle_const_is_not_parseable():

@@ -1,5 +1,3 @@
-import sys
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -392,7 +390,6 @@ def test_nesting_at_the_cap_passes_every_layer(construct):
         assert parse_module(print_module(m)) == m
         return diff_run(tm)
 
-    assert sys.getrecursionlimit() == 1000
     report = with_frames(100, chain, nested_source(construct, MAX_NESTING))
     assert report.related, report.reason
 
@@ -405,12 +402,15 @@ def test_nesting_past_the_cap_is_a_parse_error(construct):
 
 
 def test_depth_counts_every_construct_on_the_longest_path():
-    # 50 operators below 50 parentheses, and an operator chain whose
-    # first operand is 99 derefs deep: each is 100 deep, one more is 101
+    # 50 operators below 50 parentheses, an operator chain whose first
+    # operand is 99 derefs deep, and a parenthesis around a block whose
+    # deepest item is its last: each is 100 deep, one more is 101
     ok = ["(" * 50 + " + ".join(["1"] * 51) + ")" * 50,
-          " + ".join(["*" * 99 + "x", "1"])]
+          " + ".join(["*" * 99 + "x", "1"]),
+          "(x; " + " + ".join(["1"] * 100) + ")"]
     bad = ["(" * 51 + " + ".join(["1"] * 51) + ")" * 51,
-           " + ".join(["*" * 99 + "x", "1", "1"])]
+           " + ".join(["*" * 99 + "x", "1", "1"]),
+           "(x; " + " + ".join(["1"] * 101) + ")"]
     shell = "module {{ fn main() -> int {{ var (x: int); {} }} heap 0 }}"
     for body in ok:
         parse_source(shell.format(body))
