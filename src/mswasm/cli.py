@@ -3,7 +3,8 @@
 Exit codes: 0 ok, 2 usage (also `run` or `check` on a module with imports,
 and `diff` on a source with imports), 10 trap, 11 type error, 12 parse
 error (also text nested past bytecode.MAX_NESTING), 13 monitor violation,
-14 step budget exhausted, 15 differential divergence.
+14 step budget exhausted, 15 differential divergence, 16 internal error
+(an interpreter bug, interp.InterpBug, or memory exhausted, MemoryError).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ EXIT_PARSE = 12
 EXIT_VIOLATION = 13
 EXIT_BUDGET = 14
 EXIT_DIVERGED = 15
+EXIT_INTERNAL = 16
 
 
 def _load_module(path: str) -> bytecode.ModuleDef:
@@ -246,6 +248,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(str(e), file=sys.stderr)
         return EXIT_USAGE
+    except (interp.InterpBug, MemoryError) as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -18,41 +18,22 @@ from dataclasses import dataclass, field
 from . import bytecode as bc
 from .bytecode import FuncDef, FuncType, ModuleDef, ValueType
 from .compiler import Layout, compile_module, compile_type
-from .interp import (
-    Handle,
-    ReadEv,
-    RunResult,
-    SAllocEv,
-    SFreeEv,
-    TrapEv,
-    WriteEv,
-    link,
-    run,
-)
+from .interp import Handle, ReadEv, SAllocEv, SFreeEv, TrapEv, WriteEv, run
 from .minic import (
-    ArrayType,
-    IntType,
-    PtrType,
-    SAFE,
     Safe,
     SInt,
-    SPtr,
     SrcAlloc,
     SrcFree,
-    SrcModule,
     SrcRead,
-    SrcUnsafe,
     SrcWrite,
-    StructType,
     TypedModule,
+    cells_of,
     parse_source,
     src_ms,
     src_run,
     src_typecheck,
-    struct_cell_shades,
-    cells_of,
 )
-from .tracerel import check_ms, constant_shading
+from .tracerel import check_ms
 from .typecheck import typecheck_module
 
 
@@ -62,11 +43,18 @@ from .typecheck import typecheck_module
 
 @dataclass
 class _AllocRec:
+    """A related allocation pair, with its element's layout at hand so that
+    a related access is one divmod and one index."""
+
     src_base: int
-    region: object     # word type covering the whole allocation
     total_cells: int
     tgt_base: int
     tgt_id: int
+    wtype: object         # element word type
+    elem_cells: int
+    elem_bytes: int
+    cell_bytes: tuple     # byte offset of each cell of one element
+    total_bytes: int
 
 
 @dataclass
@@ -76,10 +64,6 @@ class CrossBijection:
 
     allocs: dict[int, _AllocRec] = field(default_factory=dict)   # src id ->
     used_tgt_ids: set[int] = field(default_factory=set)
-
-
-def _region_of(ptr: SPtr):
-    return ArrayType(ptr.length, ptr.wtype)
 
 
 def relate_value(layout: Layout, delta: CrossBijection, sv, tv) -> bool:
@@ -94,21 +78,20 @@ def relate_value(layout: Layout, delta: CrossBijection, sv, tv) -> bool:
     rec = delta.allocs.get(sv.id)
     if rec is None:
         return False
-    cell_delta = sv.addr - sv.base  # element steps from the pointer's base
-    width = layout.sizeof(sv.wtype)
     base_cells = sv.base - rec.src_base
-    if not (0 <= base_cells <= rec.total_cells):
+    if 0 <= base_cells < rec.total_cells:
+        elem, cell = divmod(base_cells, rec.elem_cells)
+        byte_base = rec.tgt_base + elem * rec.elem_bytes + rec.cell_bytes[cell]
+    elif base_cells == rec.total_cells:
+        byte_base = rec.tgt_base + rec.total_bytes
+    else:
         return False
-    try:
-        byte_base = rec.tgt_base + layout.byte_of_cell(rec.region, base_cells) \
-            if base_cells < rec.total_cells else rec.tgt_base \
-            + layout.sizeof(rec.region)
-    except ValueError:
-        return False
+    wtype = sv.wtype
+    width = rec.elem_bytes if wtype is rec.wtype else layout.sizeof(wtype)
     return (tv.id == rec.tgt_id
             and tv.base == byte_base
             and tv.bound == sv.length * width
-            and tv.offset == cell_delta * width)
+            and tv.offset == (sv.addr - sv.base) * width)
 
 
 def relate_events(layout: Layout, delta: CrossBijection, sev, tev) -> bool:
@@ -121,13 +104,14 @@ def relate_events(layout: Layout, delta: CrossBijection, sev, tev) -> bool:
             return False
         if ptr.id in delta.allocs or h.id in delta.used_tgt_ids:
             return False
-        region = _region_of(ptr)
-        if h.bound != ptr.length * layout.sizeof(ptr.wtype):
+        w = ptr.wtype
+        elem_bytes = layout.sizeof(w)
+        if h.bound != ptr.length * elem_bytes:
             return False
-        delta.allocs[ptr.id] = _AllocRec(ptr.base, region,
-                                         cells_of(layout.mod, region)
-                                         if ptr.length >= 0 else 0,
-                                         h.base, h.id)
+        elem_cells = cells_of(layout.mod, w)
+        delta.allocs[ptr.id] = _AllocRec(
+            ptr.base, ptr.length * elem_cells, h.base, h.id, w, elem_cells, elem_bytes,
+            tuple(layout.byte_of_cell(w, c) for c in range(elem_cells)), h.bound)
         delta.used_tgt_ids.add(h.id)
         return True
     if isinstance(sev, (SrcRead, SrcWrite)):

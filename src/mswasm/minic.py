@@ -30,7 +30,9 @@ Grammar (see parse_source):
 A block is one flat Seq, so statement count adds no depth; a let's body
 is the rest of its block.  A program nested past MAX_NESTING levels (see
 _SrcParser) is a SrcParseError, so every later tree walk recurses a
-bounded number of times; src_run keeps its own work stack.
+bounded number of times.  src_run recurses not at all: it turns each
+function into flat code in one walk with a work stack, and runs the code
+with an explicit frame stack.
 
 The first function must be called main and take no parameter; it is the
 entry point.
@@ -41,6 +43,7 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bytecode import MAX_NESTING
 from .monitor import AAlloc, AFree, ARead, AWrite, SAFE, Safe, Violation, check_trace
@@ -862,13 +865,11 @@ def src_typecheck(mod: SrcModule) -> TypedModule:
 # Runtime values and events
 
 
-@dataclass(frozen=True)
-class SInt:
+class SInt(NamedTuple):
     n: int
 
 
-@dataclass(frozen=True)
-class SPtr:
+class SPtr(NamedTuple):
     addr: int
     base: int
     length: int       # element count of the region the pointer refers to
@@ -876,11 +877,12 @@ class SPtr:
     id: int
 
 
-SrcValue = object
+SrcValue = object  # SInt or SPtr; field 0 is the int or the address
 
-
-def value_addr(v) -> int:
-    return v.n if isinstance(v, SInt) else v.addr
+# _new(SInt, (n,)) is SInt(n) without NamedTuple's Python-level __new__;
+# the interpreter builds a value on most ops.
+_new = tuple.__new__
+_ZERO = SInt(0)
 
 
 @dataclass(frozen=True)
@@ -910,18 +912,26 @@ class SrcHostError(Exception):
     verdict."""
 
 
-_MISSING = object()
-
-
 # ---------------------------------------------------------------------------
-# Interpreter: an explicit-continuation machine, so source recursion depth
-# is not limited by the Python stack.
+# Interpreter: each function's typed body becomes flat code at its first
+# call, and one loop runs the code with an explicit frame stack, so source
+# recursion depth is not limited by the Python stack.
+
+# The most cells the heap may hold, declared or grown by malloc.  The
+# compiled program's default 64 KiB of segment memory holds 16,384 ints,
+# so the cap changes no verdict of a program that fits there; past it a
+# run ends in "hosterror" before anything is allocated.
+MAX_HEAP_CELLS = 1 << 20
 
 
 @dataclass
 class SrcAllocator:
+    """First fit over the free blocks; the heap grows at its end when none
+    fits.  by_base lists the cell counts of the live allocations at each
+    base, oldest first: allocations of zero cells can share a base."""
+
     free: list[tuple[int, int]] = field(default_factory=list)  # (start, cells)
-    allocated: dict[int, tuple[int, int]] = field(default_factory=dict)
+    by_base: dict[int, list[int]] = field(default_factory=dict)
     next_id: int = 0
 
     def find_base(self, n: int, heap_len: int) -> int:
@@ -964,9 +974,117 @@ class SrcRunResult:
     heap: list
 
 
+# Flat code is one list of ops in postfix order, each a tuple with its
+# opcode first.  A value-less item of a block still pushes a zero, which
+# the _DROP after it pops.  Jumps only go forward, so a call runs each op
+# of its function's code at most once.  The opcodes are numbered in the
+# order src_run tests them, the most frequent first: the binary operators
+# are _ADD to _LT.
+(_VAR, _LIT, _ADD, _SUB, _MUL, _DIV, _EQ, _LT, _DROP, _FIELD, _READ, _WRITE,
+ _SET, _JZ, _JMP, _CALL, _RET, _FREE, _NEW, _NEWARR) = range(20)
+_BIN_OPS = {"+": (_ADD,), "-": (_SUB,), "*": (_MUL,), "/": (_DIV,),
+            "==": (_EQ,), "<": (_LT,)}
+
+# Work items of the code walk that are not nodes: tuples with a negative
+# first element.  (_HOLE, fix) leaves room for a jump and appends its
+# position to fix; (_LABEL, fix, i, opcode) fills hole fix[i] with a jump
+# to here; (_LET, node) emits a let's call and opens its scope, which
+# (_UNSCOPE, name, slot) closes again.
+_HOLE, _LABEL, _LET, _UNSCOPE = -1, -2, -3, -4
+
+
+def _flat_code(mod: SrcModule, fn: TypedFn) -> tuple[list, int]:
+    """fn's body as flat code ending in _RET, and its frame size: a slot
+    for the parameter, each local, and each let, as the compiler numbers
+    them.  Names resolve to slots here, so a let needs no unbind.  One
+    walk with a work stack: the children of a node go on it in reverse,
+    with the op that follows them below."""
+    declared = ([fn.param] if fn.param else []) + fn.locals
+    slots = {name: i for i, (name, _) in enumerate(declared)}
+    n_slots = len(slots)
+    code: list = []
+    work: list = [fn.body]
+    while work:
+        w = work.pop()
+        t = type(w)
+        if t is tuple:
+            k = w[0]
+            if k >= 0:
+                code.append(w)
+            elif k == _HOLE:
+                w[1].append(len(code))
+                code.append(None)
+            elif k == _LABEL:
+                _, fix, i, opcode = w
+                code[fix[i]] = (opcode, len(code))
+            elif k == _LET:
+                node = w[1]
+                code.append((_CALL, node.fn_index, node.arg is not None, n_slots))
+                work.append((_UNSCOPE, node.x, slots.get(node.x)))
+                work.append(node.body)
+                slots[node.x] = n_slots
+                n_slots += 1
+            else:
+                _, name, slot = w
+                if slot is None:
+                    del slots[name]
+                else:
+                    slots[name] = slot
+        elif t is TVar:
+            code.append((_VAR, slots[w.name]))
+        elif t is TNum:
+            code.append((_LIT, SInt(w.n)))
+        elif t is TSeq:
+            items = w.items
+            for item in items[:0:-1]:
+                work += (item, (_DROP,))
+            work.append(items[0])
+        elif t is TBinOp:
+            work += (_BIN_OPS[w.op], w.b, w.a)
+        elif t is TAssignVar:
+            work += ((_SET, slots[w.name]), w.e)
+        elif t is TAssignPtr:
+            work += ((_WRITE, w.value_ty), w.e, w.target)
+        elif t is TDeref:
+            work += ((_READ, w.ty), w.e)
+        elif t is TField:
+            fty = w.fty
+            length, wtype = (fty.count, fty.elem) if isinstance(fty, ArrayType) else (1, fty)
+            work += ((_FIELD, w.cell_off, length, wtype), w.e)
+        elif t is TIf:
+            fix: list = []  # positions of the branch's two jumps
+            work += ((_LABEL, fix, 1, _JMP), w.f, (_LABEL, fix, 0, _JZ), (_HOLE, fix),
+                     w.t, (_HOLE, fix), w.c)
+        elif t is TMallocArray:
+            work += ((_NEWARR, w.elem), w.count)
+        elif t is TMallocSingle:
+            code.append((_NEW, cells_of(mod, w.wtype), w.wtype))
+        elif t is TFree:
+            work += ((_FREE,), w.e)
+        elif t is TLetCall:
+            work.append((_LET, w))
+            if w.arg is not None:
+                work.append(w.arg)
+        elif t is TIntAsPtr:
+            work.append(w.e)
+        else:
+            raise AssertionError(f"cannot compile {w!r}")
+    code.append((_RET,))
+    return code, n_slots
+
+
 def src_run(tm: TypedModule, budget: int = 1_000_000,
             strip_annotations: bool = False) -> SrcRunResult:
     """Run main to completion, collecting the memory-event trace.
+
+    Each function's body becomes flat code at its first call (see
+    _flat_code).  One budget step is one op of that code.  A call, and
+    the start of main, charges the callee's whole code at once, as one
+    call runs each op at most once; a call past the budget ends the run
+    in "budget" before it starts.  The run ends in "hosterror" at a
+    division by zero, at an access outside the heap (after its event),
+    and at a heap of more than MAX_HEAP_CELLS cells, declared or grown by
+    malloc, before anything is allocated.
 
     strip_annotations zeroes all pointer metadata at creation; the heap
     and control behaviour must be unaffected (annotations are inert).
@@ -974,236 +1092,165 @@ def src_run(tm: TypedModule, budget: int = 1_000_000,
     if tm.mod.imports:
         raise SrcHostError("module has imports; cannot run")
     mod = tm.mod
-    fns = {f.name: f for f in tm.fns}
-    heap: list = [SInt(0)] * mod.heap_size
-    allocator = SrcAllocator()
-    if mod.heap_size > 0:
-        allocator.free = [(0, mod.heap_size)]
     trace: list = []
+    if mod.heap_size > MAX_HEAP_CELLS:
+        return SrcRunResult(trace, "hosterror", None, [])
+    heap: list = [_ZERO] * mod.heap_size
+    allocator = SrcAllocator([(0, mod.heap_size)] if mod.heap_size > 0 else [])
+    by_base = allocator.by_base
 
     def annotate(addr, base, length, wtype, seg_id) -> SPtr:
         if strip_annotations:
-            return SPtr(addr, 0, 0, INT, 0)
-        return SPtr(addr, base, length, wtype, seg_id)
+            return _new(SPtr, (addr, 0, 0, INT, 0))
+        return _new(SPtr, (addr, base, length, wtype, seg_id))
 
     def do_alloc(ncells: int, length: int, wtype) -> SPtr:
+        seg_id = allocator.next_id
         if ncells < 0:
             # The allocator drops impossible requests; the pointer still
             # materializes, annotated with the bogus length.
-            ptr = annotate(len(heap), len(heap), length, wtype, allocator.next_id)
             allocator.next_id += 1
-            return ptr
+            return annotate(len(heap), len(heap), length, wtype, seg_id)
         base = allocator.find_base(ncells, len(heap))
         if base == len(heap):
-            heap.extend([SInt(0)] * ncells)
+            if base + ncells > MAX_HEAP_CELLS:
+                raise SrcHostError(f"heap of {base + ncells} cells, "
+                                   f"past the cap of {MAX_HEAP_CELLS}")
+            heap.extend([_ZERO] * ncells)
         else:
             allocator.carve(base, ncells)
-            for j in range(ncells):
-                heap[base + j] = SInt(0)
-        seg_id = allocator.next_id
+            heap[base:base + ncells] = [_ZERO] * ncells
         allocator.next_id += 1
-        allocator.allocated[seg_id] = (base, ncells)
+        by_base.setdefault(base, []).append(ncells)
         return annotate(base, base, length, wtype, seg_id)
 
     def do_free(addr: int) -> None:
         # Address-keyed and annotation-blind; invalid requests are dropped.
-        for seg_id, (base, n) in list(allocator.allocated.items()):
-            if base == addr:
-                del allocator.allocated[seg_id]
-                for j in range(n):
-                    heap[base + j] = SInt(0)
-                allocator.release(base, n)
-                return
+        sizes = by_base.get(addr)
+        if sizes is None:
+            return
+        n = sizes.pop(0)
+        if not sizes:
+            del by_base[addr]
+        heap[addr:addr + n] = [_ZERO] * n
+        allocator.release(addr, n)
 
-    def heap_read(addr: int):
-        if not (0 <= addr < len(heap)):
-            raise SrcHostError(f"read at {addr} outside heap of {len(heap)}")
-        return heap[addr]
-
-    def heap_write(addr: int, v) -> None:
-        if not (0 <= addr < len(heap)):
-            raise SrcHostError(f"write at {addr} outside heap of {len(heap)}")
-        heap[addr] = v
-
-    main = fns["main"]
-    env = {name: SInt(0) for name, _ in main.locals}
-    env_stack = [env]
+    fns = tm.fns  # main first; a let's fn_index is its position here
+    codes: list = [None] * len(fns)  # (flat code, frame size), at first call
+    code, n_slots = codes[0] = _flat_code(mod, fns[0])
+    steps = len(code)
+    if steps > budget:
+        return SrcRunResult(trace, "budget", None, heap)
+    env = [_ZERO] * n_slots
+    frames: list = []  # (code, pc, env, result slot) of each caller
     vals: list = []
-    work: list = [("eval", main.body)]
-    steps = 0
-
-    def eval_node(node):
-        work.append(("eval", node))
-
-    outcome = "ok"
+    push, pop, emit = vals.append, vals.pop, trace.append
+    pc = 0
     try:
-        while work:
-            if steps >= budget:
-                return SrcRunResult(trace, "budget", None, heap)
-            steps += 1
-            item = work.pop()
-            tag = item[0]
-            if tag == "eval":
-                node = item[1]
-                t = type(node)
-                if t is TNum:
-                    vals.append(SInt(node.n))
-                elif t is TVar:
-                    vals.append(env_stack[-1][node.name])
-                elif t is TIntAsPtr:
-                    eval_node(node.e)
-                elif t is TSeq:
-                    work.append(("seq", node.items, 1))
-                    eval_node(node.items[0])
-                elif t is TBinOp:
-                    work.append(("bin", node))
-                    eval_node(node.b)
-                    eval_node(node.a)
-                elif t is TAssignVar:
-                    work.append(("setvar", node.name))
-                    eval_node(node.e)
-                elif t is TAssignPtr:
-                    work.append(("write", node))
-                    eval_node(node.e)
-                    eval_node(node.target)
-                elif t is TDeref:
-                    work.append(("read", node))
-                    eval_node(node.e)
-                elif t is TField:
-                    work.append(("field", node))
-                    eval_node(node.e)
-                elif t is TIf:
-                    work.append(("branch", node))
-                    eval_node(node.c)
-                elif t is TMallocArray:
-                    work.append(("alloca", node))
-                    eval_node(node.count)
-                elif t is TMallocSingle:
-                    n = cells_of(mod, node.wtype)
-                    ptr = do_alloc(n, 1, node.wtype)
-                    trace.append(SrcAlloc(ptr))
-                    vals.append(ptr)
-                elif t is TFree:
-                    work.append(("free",))
-                    eval_node(node.e)
-                elif t is TLetCall:
-                    if node.arg is None:
-                        work.append(("enter", node, None))
-                    else:
-                        work.append(("enter", node, "arg"))
-                        eval_node(node.arg)
-                else:
-                    raise AssertionError(f"cannot evaluate {node!r}")
-            elif tag == "seq":
-                _, items, i = item  # drop item i - 1's value, then item i
-                vals.pop()
-                if i + 1 < len(items):
-                    work.append(("seq", items, i + 1))
-                eval_node(items[i])
-            elif tag == "bin":
-                node = item[1]
-                b = vals.pop()
-                a = vals.pop()
-                if isinstance(a, SPtr):
+        while True:
+            op = code[pc]
+            pc += 1
+            k = op[0]
+            if k == _VAR:
+                push(env[op[1]])
+            elif k == _LIT:
+                push(op[1])
+            elif k <= _LT:
+                b = pop()
+                a = pop()
+                if type(a) is SPtr:
                     # Arithmetic moves the address, never the metadata.
-                    vals.append(SPtr(a.addr + value_addr(b), a.base, a.length,
-                                     a.wtype, a.id))
+                    push(_new(SPtr, (a[0] + b[0], a[1], a[2], a[3], a[4])))
+                    continue
+                x, y = a[0], b[0]
+                if k == _ADD:
+                    r = x + y
+                elif k == _SUB:
+                    r = x - y
+                elif k == _MUL:
+                    r = x * y
+                elif k == _DIV:
+                    if y == 0:
+                        raise SrcHostError("division by zero")
+                    r = abs(x) // abs(y)
+                    if (x < 0) != (y < 0):
+                        r = -r
+                elif k == _EQ:
+                    r = 1 if x == y else 0
                 else:
-                    x, y = a.n, value_addr(b)
-                    op = node.op
-                    if op == "+":
-                        vals.append(SInt(x + y))
-                    elif op == "-":
-                        vals.append(SInt(x - y))
-                    elif op == "*":
-                        vals.append(SInt(x * y))
-                    elif op == "/":
-                        if y == 0:
-                            raise SrcHostError("division by zero")
-                        q = abs(x) // abs(y)
-                        vals.append(SInt(-q if (x < 0) != (y < 0) else q))
-                    elif op == "==":
-                        vals.append(SInt(1 if x == y else 0))
-                    elif op == "<":
-                        vals.append(SInt(1 if x < y else 0))
-                    else:
-                        raise AssertionError(f"operator {op}")
-            elif tag == "setvar":
-                env_stack[-1][item[1]] = vals.pop()
-                vals.append(SInt(0))
-            elif tag == "write":
-                node = item[1]
-                v = vals.pop()
-                target = vals.pop()
-                trace.append(SrcWrite(node.value_ty, target))
-                heap_write(value_addr(target), v)
-                vals.append(SInt(0))
-            elif tag == "read":
-                node = item[1]
-                target = vals.pop()
-                trace.append(SrcRead(node.ty, target))
-                vals.append(heap_read(value_addr(target)))
-            elif tag == "field":
-                node = item[1]
-                v = vals.pop()
-                if isinstance(v, SPtr):
-                    addr = v.addr + node.cell_off
-                    fty = node.fty
-                    if isinstance(fty, ArrayType):
-                        length, wtype = fty.count, fty.elem
-                    else:
-                        length, wtype = 1, fty
-                    vals.append(annotate(addr, addr, length, wtype, v.id))
-                else:
+                    r = 1 if x < y else 0
+                push(_new(SInt, (r,)))
+            elif k == _DROP:
+                pop()
+            elif k == _FIELD:
+                v = pop()
+                a = v[0] + op[1]
+                if type(v) is SInt:
                     # Field offset on a forged pointer: still just arithmetic.
-                    vals.append(SInt(v.n + node.cell_off))
-            elif tag == "branch":
-                node = item[1]
-                c = vals.pop()
-                eval_node(node.t if value_addr(c) != 0 else node.f)
-            elif tag == "alloca":
-                node = item[1]
-                count = value_addr(vals.pop())
-                ptr = do_alloc(count, count, node.elem)
-                trace.append(SrcAlloc(ptr))
-                vals.append(ptr)
-            elif tag == "free":
-                v = vals.pop()
-                trace.append(SrcFree(v))
-                do_free(value_addr(v))
-                vals.append(SInt(0))
-            elif tag == "enter":
-                node, has_arg = item[1], item[2]
-                callee = fns[node.fname]
-                cenv: dict = {}
-                if has_arg:
-                    cenv[callee.param[0]] = vals.pop()
-                for name, _ in callee.locals:
-                    cenv[name] = SInt(0)
-                env_stack.append(cenv)
-                work.append(("leave", node))
-                eval_node(callee.body)
-            elif tag == "leave":
-                node = item[1]
-                retval = vals.pop()
-                env_stack.pop()
-                caller = env_stack[-1]
-                shadowed = caller.get(node.x, _MISSING)
-                caller[node.x] = retval
-                work.append(("unbind", node.x, shadowed))
-                eval_node(node.body)
-            elif tag == "unbind":
-                _, name, shadowed = item
-                if shadowed is _MISSING:
-                    del env_stack[-1][name]
+                    push(_new(SInt, (a,)))
+                elif strip_annotations:
+                    push(_new(SPtr, (a, 0, 0, INT, 0)))
                 else:
-                    env_stack[-1][name] = shadowed
+                    push(_new(SPtr, (a, a, op[2], op[3], v[4])))
+            elif k == _READ:
+                v = pop()
+                emit(SrcRead(op[1], v))
+                a = v[0]
+                if not 0 <= a < len(heap):
+                    raise SrcHostError(f"read at {a} outside heap of {len(heap)}")
+                push(heap[a])
+            elif k == _WRITE:
+                v = pop()
+                target = pop()
+                emit(SrcWrite(op[1], target))
+                a = target[0]
+                if not 0 <= a < len(heap):
+                    raise SrcHostError(f"write at {a} outside heap of {len(heap)}")
+                heap[a] = v
+                push(_ZERO)
+            elif k == _SET:
+                env[op[1]] = pop()
+                push(_ZERO)
+            elif k == _JZ:
+                if pop()[0] == 0:
+                    pc = op[1]
+            elif k == _JMP:
+                pc = op[1]
+            elif k == _CALL:
+                callee = codes[op[1]]
+                if callee is None:
+                    callee = codes[op[1]] = _flat_code(mod, fns[op[1]])
+                steps += len(callee[0])
+                if steps > budget:
+                    return SrcRunResult(trace, "budget", None, heap)
+                cenv = [_ZERO] * callee[1]
+                if op[2]:
+                    cenv[0] = pop()
+                frames.append((code, pc, env, op[3]))
+                code, pc, env = callee[0], 0, cenv
+            elif k == _RET:
+                if not frames:
+                    break
+                v = pop()
+                code, pc, env, slot = frames.pop()
+                env[slot] = v
+            elif k == _FREE:
+                v = pop()
+                emit(SrcFree(v))
+                do_free(v[0])
+                push(_ZERO)
+            elif k == _NEW:
+                ptr = do_alloc(op[1], 1, op[2])
+                emit(SrcAlloc(ptr))
+                push(ptr)
             else:
-                raise AssertionError(f"unknown work item {tag!r}")
+                count = pop()[0]
+                ptr = do_alloc(count, count, op[1])
+                emit(SrcAlloc(ptr))
+                push(ptr)
     except SrcHostError:
         return SrcRunResult(trace, "hosterror", None, heap)
-
-    return SrcRunResult(trace, outcome, vals[-1] if vals else None, heap)
+    return SrcRunResult(trace, "ok", vals[-1], heap)
 
 
 # ---------------------------------------------------------------------------

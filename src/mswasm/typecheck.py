@@ -2,10 +2,11 @@
 
 Stack types are lists of ValueType with the top of stack LAST.  Code after
 an unconditional `trap` or `return` is unreachable and accepted without
-checking.  The one non-standard restriction: flat-heap load/store may not
+typing.  The one non-standard restriction: flat-heap load/store may not
 move handle-typed values, so handles can never be forged from raw bytes.
-Reachable `if` bodies may nest at most MAX_NESTING deep, as in the text
-format, so a module built through the API is held to the same bound.
+`if` bodies, reachable or not, may nest at most MAX_NESTING deep, as in
+the text format, so a module built through the API is held to the same
+bound and every later walk of it recurses a bounded number of times.
 """
 
 from __future__ import annotations
@@ -122,20 +123,32 @@ def _apply(stack: StackType, consumes: StackType, produces: StackType) -> StackT
     return stack + produces
 
 
+def _bound_nesting(body, depth: int) -> None:
+    """Raise unless every `if` in body, which sits inside `depth` ifs,
+    nests at most MAX_NESTING deep."""
+    for ins in body:
+        if ins.op == "if":
+            if depth >= MAX_NESTING:
+                raise TypeError_("nesting", f"if nested deeper than {MAX_NESTING}")
+            _bound_nesting(ins.then_body, depth + 1)
+            _bound_nesting(ins.else_body, depth + 1)
+
+
 def type_body(ctx: TypingContext, body, stack: StackType, depth: int = 0):
     """Thread a stack type through an instruction sequence that sits
     inside `depth` ifs.
 
     Returns the final stack, or UNREACHABLE when the sequence ended in
-    trap/return (in which case trailing instructions were not checked).
+    trap/return (in which case trailing instructions were not typed, only
+    their nesting bounded).
     """
     stack = list(stack)
-    for ins in body:
+    for i, ins in enumerate(body):
         if ins.op == "trap":
-            return UNREACHABLE
+            break
         if ins.op == "return":
             _apply(stack, list(ctx.results), [])
-            return UNREACHABLE
+            break
         if ins.op == "if":
             if depth >= MAX_NESTING:
                 raise TypeError_("nesting", f"if nested deeper than {MAX_NESTING}")
@@ -152,11 +165,14 @@ def type_body(ctx: TypingContext, body, stack: StackType, depth: int = 0):
             else:
                 stack = then_out
             if stack is UNREACHABLE:
-                return UNREACHABLE
+                break
             continue
         consumes, produces = type_instr(ctx, ins)
         stack = _apply(stack, consumes, produces)
-    return stack
+    else:
+        return stack
+    _bound_nesting(body[i + 1:], depth)
+    return UNREACHABLE
 
 
 @dataclass(frozen=True)

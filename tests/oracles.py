@@ -8,7 +8,11 @@ packed 64-bit ints and finds a first fit by sorting instead of decoding
 handles to tuples and keeping sorted per-order free lists, and the
 bytecode tokenizer walks the text a character at a time, counting lines
 and columns as it goes, instead of matching one regular expression and
-counting positions only for an error.
+counting positions only for an error.  The source-interpreter reference
+walks the typed tree with a work stack of tagged items, and keeps names in
+one dict per frame, where `src_run` runs flat code over numbered slots; the
+cross-relation reference walks `Layout.byte_of_cell` on every access, where
+`relate_value` looks each cell's byte offset up.
 """
 
 from __future__ import annotations
@@ -18,6 +22,14 @@ from dataclasses import dataclass, field
 
 from mswasm.baggy import NULL_BAGGY, pack_baggy, unpack_baggy
 from mswasm.bytecode import ValueType
+from mswasm.compiler import Layout, compile_type
+from mswasm.interp import ReadEv, SAllocEv, SFreeEv, TrapEv, WriteEv
+from mswasm.minic import (
+    INT, ArrayType, SInt, SPtr, SrcAlloc, SrcAllocator, SrcFree, SrcHostError,
+    SrcRead, SrcRunResult, SrcWrite, TAssignPtr, TAssignVar, TBinOp, TDeref,
+    TField, TFree, TIf, TIntAsPtr, TLetCall, TMallocArray, TMallocSingle, TNum,
+    TSeq, TVar, TypedModule, cells_of,
+)
 from mswasm.monitor import AAlloc, AFree, ARead, AWrite, SAFE, Violation
 from mswasm.segmem import Handle, MemTrap, TrapKind
 
@@ -575,3 +587,280 @@ def mutate_text(rng, text: str) -> str:
         elif op == 3:
             del data[at:]
     return data.decode("latin-1")
+
+
+# -- the source interpreter as a tree walker ---------------------------
+
+_MISSING = object()
+
+
+def ref_src_run(tm: TypedModule, budget: int = 1_000_000,
+                strip_annotations: bool = False) -> SrcRunResult:
+    """src_run as an explicit-continuation machine over the typed tree:
+    one tagged work item per node and per continuation, one name-keyed
+    dict per frame, and a free that scans every live allocation.  A budget
+    step is one work item."""
+    mod = tm.mod
+    fns = {f.name: f for f in tm.fns}
+    heap: list = [SInt(0)] * mod.heap_size
+    allocator = SrcAllocator()
+    if mod.heap_size > 0:
+        allocator.free = [(0, mod.heap_size)]
+    allocated: dict[int, tuple[int, int]] = {}  # id -> (base, cells)
+    next_id = 0
+    trace: list = []
+
+    def annotate(addr, base, length, wtype, seg_id) -> SPtr:
+        if strip_annotations:
+            return SPtr(addr, 0, 0, INT, 0)
+        return SPtr(addr, base, length, wtype, seg_id)
+
+    def do_alloc(ncells: int, length: int, wtype) -> SPtr:
+        nonlocal next_id
+        seg_id = next_id
+        next_id += 1
+        if ncells < 0:
+            return annotate(len(heap), len(heap), length, wtype, seg_id)
+        base = allocator.find_base(ncells, len(heap))
+        if base == len(heap):
+            heap.extend([SInt(0)] * ncells)
+        else:
+            allocator.carve(base, ncells)
+            for j in range(ncells):
+                heap[base + j] = SInt(0)
+        allocated[seg_id] = (base, ncells)
+        return annotate(base, base, length, wtype, seg_id)
+
+    def do_free(addr: int) -> None:
+        for seg_id, (base, n) in list(allocated.items()):
+            if base == addr:
+                del allocated[seg_id]
+                for j in range(n):
+                    heap[base + j] = SInt(0)
+                allocator.release(base, n)
+                return
+
+    def addr_of(v) -> int:
+        return v.n if isinstance(v, SInt) else v.addr
+
+    def heap_index(addr: int) -> int:
+        if not (0 <= addr < len(heap)):
+            raise SrcHostError(f"access at {addr} outside heap of {len(heap)}")
+        return addr
+
+    main = fns["main"]
+    env_stack = [{name: SInt(0) for name, _ in main.locals}]
+    vals: list = []
+    work: list = [("eval", main.body)]
+    steps = 0
+    try:
+        while work:
+            if steps >= budget:
+                return SrcRunResult(trace, "budget", None, heap)
+            steps += 1
+            item = work.pop()
+            tag = item[0]
+            if tag == "eval":
+                node = item[1]
+                t = type(node)
+                if t is TNum:
+                    vals.append(SInt(node.n))
+                elif t is TVar:
+                    vals.append(env_stack[-1][node.name])
+                elif t is TIntAsPtr:
+                    work.append(("eval", node.e))
+                elif t is TSeq:
+                    work.append(("seq", node.items, 1))
+                    work.append(("eval", node.items[0]))
+                elif t is TBinOp:
+                    work += [("bin", node), ("eval", node.b), ("eval", node.a)]
+                elif t is TAssignVar:
+                    work += [("setvar", node.name), ("eval", node.e)]
+                elif t is TAssignPtr:
+                    work += [("write", node), ("eval", node.e), ("eval", node.target)]
+                elif t is TDeref:
+                    work += [("read", node), ("eval", node.e)]
+                elif t is TField:
+                    work += [("field", node), ("eval", node.e)]
+                elif t is TIf:
+                    work += [("branch", node), ("eval", node.c)]
+                elif t is TMallocArray:
+                    work += [("alloca", node), ("eval", node.count)]
+                elif t is TMallocSingle:
+                    ptr = do_alloc(cells_of(mod, node.wtype), 1, node.wtype)
+                    trace.append(SrcAlloc(ptr))
+                    vals.append(ptr)
+                elif t is TFree:
+                    work += [("free",), ("eval", node.e)]
+                elif t is TLetCall:
+                    work.append(("enter", node, node.arg is not None))
+                    if node.arg is not None:
+                        work.append(("eval", node.arg))
+                else:
+                    raise AssertionError(f"cannot evaluate {node!r}")
+            elif tag == "seq":
+                _, items, i = item  # drop item i - 1's value, then item i
+                vals.pop()
+                if i + 1 < len(items):
+                    work.append(("seq", items, i + 1))
+                work.append(("eval", items[i]))
+            elif tag == "bin":
+                b = vals.pop()
+                a = vals.pop()
+                if isinstance(a, SPtr):
+                    vals.append(SPtr(a.addr + addr_of(b), a.base, a.length, a.wtype, a.id))
+                    continue
+                x, y, op = a.n, addr_of(b), item[1].op
+                if op == "/":
+                    if y == 0:
+                        raise SrcHostError("division by zero")
+                    q = abs(x) // abs(y)
+                    r = -q if (x < 0) != (y < 0) else q
+                else:
+                    r = {"+": x + y, "-": x - y, "*": x * y,
+                         "==": int(x == y), "<": int(x < y)}[op]
+                vals.append(SInt(r))
+            elif tag == "setvar":
+                env_stack[-1][item[1]] = vals.pop()
+                vals.append(SInt(0))
+            elif tag == "write":
+                v = vals.pop()
+                target = vals.pop()
+                trace.append(SrcWrite(item[1].value_ty, target))
+                heap[heap_index(addr_of(target))] = v
+                vals.append(SInt(0))
+            elif tag == "read":
+                target = vals.pop()
+                trace.append(SrcRead(item[1].ty, target))
+                vals.append(heap[heap_index(addr_of(target))])
+            elif tag == "field":
+                node = item[1]
+                v = vals.pop()
+                if isinstance(v, SPtr):
+                    addr = v.addr + node.cell_off
+                    fty = node.fty
+                    if isinstance(fty, ArrayType):
+                        vals.append(annotate(addr, addr, fty.count, fty.elem, v.id))
+                    else:
+                        vals.append(annotate(addr, addr, 1, fty, v.id))
+                else:
+                    vals.append(SInt(v.n + node.cell_off))
+            elif tag == "branch":
+                node = item[1]
+                work.append(("eval", node.t if addr_of(vals.pop()) != 0 else node.f))
+            elif tag == "alloca":
+                count = addr_of(vals.pop())
+                ptr = do_alloc(count, count, item[1].elem)
+                trace.append(SrcAlloc(ptr))
+                vals.append(ptr)
+            elif tag == "free":
+                v = vals.pop()
+                trace.append(SrcFree(v))
+                do_free(addr_of(v))
+                vals.append(SInt(0))
+            elif tag == "enter":
+                node, has_arg = item[1], item[2]
+                callee = fns[node.fname]
+                cenv: dict = {}
+                if has_arg:
+                    cenv[callee.param[0]] = vals.pop()
+                for name, _ in callee.locals:
+                    cenv[name] = SInt(0)
+                env_stack.append(cenv)
+                work += [("leave", node), ("eval", callee.body)]
+            elif tag == "leave":
+                node = item[1]
+                retval = vals.pop()
+                env_stack.pop()
+                caller = env_stack[-1]
+                work += [("unbind", node.x, caller.get(node.x, _MISSING)),
+                         ("eval", node.body)]
+                caller[node.x] = retval
+            elif tag == "unbind":
+                _, name, shadowed = item
+                if shadowed is _MISSING:
+                    del env_stack[-1][name]
+                else:
+                    env_stack[-1][name] = shadowed
+            else:
+                raise AssertionError(f"unknown work item {tag!r}")
+    except SrcHostError:
+        return SrcRunResult(trace, "hosterror", None, heap)
+    return SrcRunResult(trace, "ok", vals[-1] if vals else None, heap)
+
+
+# -- the cross-language relation, walking the layout on every access ---
+
+
+@dataclass
+class RefAllocRec:
+    src_base: int
+    region: object     # word type covering the whole allocation
+    total_cells: int
+    tgt_base: int
+    tgt_id: int
+
+
+@dataclass
+class RefCrossBijection:
+    allocs: dict[int, RefAllocRec] = field(default_factory=dict)   # src id ->
+    used_tgt_ids: set[int] = field(default_factory=set)
+
+
+def ref_relate_value(layout: Layout, delta: RefCrossBijection, sv, tv) -> bool:
+    if isinstance(sv, SInt):
+        if isinstance(tv, Handle):
+            return not tv.valid
+        return sv.n == tv
+    if not isinstance(tv, Handle) or not tv.valid:
+        return False
+    rec = delta.allocs.get(sv.id)
+    if rec is None:
+        return False
+    cell_delta = sv.addr - sv.base
+    width = layout.sizeof(sv.wtype)
+    base_cells = sv.base - rec.src_base
+    if not (0 <= base_cells <= rec.total_cells):
+        return False
+    try:
+        byte_base = rec.tgt_base + layout.byte_of_cell(rec.region, base_cells) \
+            if base_cells < rec.total_cells else rec.tgt_base \
+            + layout.sizeof(rec.region)
+    except ValueError:
+        return False
+    return (tv.id == rec.tgt_id
+            and tv.base == byte_base
+            and tv.bound == sv.length * width
+            and tv.offset == cell_delta * width)
+
+
+def ref_relate_events(layout: Layout, delta: RefCrossBijection, sev, tev) -> bool:
+    if isinstance(sev, SrcAlloc):
+        if not isinstance(tev, SAllocEv):
+            return False
+        ptr, h = sev.ptr, tev.handle
+        if not h.valid or h.offset != 0 or ptr.length < 0:
+            return False
+        if ptr.id in delta.allocs or h.id in delta.used_tgt_ids:
+            return False
+        region = ArrayType(ptr.length, ptr.wtype)
+        if h.bound != ptr.length * layout.sizeof(ptr.wtype):
+            return False
+        delta.allocs[ptr.id] = RefAllocRec(ptr.base, region, cells_of(layout.mod, region),
+                                           h.base, h.id)
+        delta.used_tgt_ids.add(h.id)
+        return True
+    if isinstance(sev, (SrcRead, SrcWrite)):
+        if isinstance(sev.v, SInt):
+            return isinstance(tev, TrapEv)
+        want = ReadEv if isinstance(sev, SrcRead) else WriteEv
+        if not isinstance(tev, want) or compile_type(sev.ty) is not tev.ty:
+            return False
+        return tev.handle.valid and ref_relate_value(layout, delta, sev.v, tev.handle)
+    if isinstance(sev, SrcFree):
+        if isinstance(sev.v, SInt):
+            return isinstance(tev, TrapEv)
+        if not isinstance(tev, SFreeEv):
+            return False
+        return tev.handle.valid and ref_relate_value(layout, delta, sev.v, tev.handle)
+    return False

@@ -234,6 +234,38 @@ def test_api_built_if_nesting_past_the_cap_is_a_type_error():
             typecheck_module(nest(n))
 
 
+@pytest.mark.parametrize("stop", [(bc.trap(),), (bc.const(ValueType.I32, 0), bc.return_()),
+                                  (bc.const(ValueType.I32, 1),
+                                   bc.if_((bc.trap(),), (bc.trap(),)))])
+def test_unreachable_if_nesting_is_bounded_too(stop):
+    """ifs after a trap, a return, or an if whose arms both stop are not
+    typed, but they nest under the same cap, so printing a module that
+    typechecks recurses a bounded number of times."""
+    from mswasm.typecheck import TypeError_, typecheck_module
+
+    def nest(n):
+        body = (bc.const(ValueType.I32, 7),)
+        for _ in range(n):
+            body = (bc.const(ValueType.I32, 1), bc.if_(body, (bc.const(ValueType.I32, 0),)))
+        return ModuleDef((FuncDef((), (), (ValueType.I32,), stop + body),), (), 0, 0)
+
+    def chain(m):
+        typecheck_module(m)
+        return parse_module(print_module(m))
+
+    m = nest(MAX_NESTING)
+    assert with_frames(100, chain, m) == m
+    for n in (MAX_NESTING + 1, 2000):
+        with pytest.raises(TypeError_, match="nesting: if nested deeper"):
+            typecheck_module(nest(n))
+    # inside an arm, the unreachable tail sits one level deeper
+    inner = nest(MAX_NESTING).funcs[0].body
+    arm = ModuleDef((FuncDef((), (), (ValueType.I32,),
+                             (bc.const(ValueType.I32, 1), bc.if_(inner, inner))),), (), 0, 0)
+    with pytest.raises(TypeError_, match="nesting: if nested deeper"):
+        typecheck_module(arm)
+
+
 def _printed_corpus() -> list[str]:
     from mswasm.compiler import compile_module
     from mswasm.conformance import fuzz_module

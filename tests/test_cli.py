@@ -3,7 +3,9 @@ import json
 import pytest
 
 from fixtures import nested_ifs_module, straight_line_source
+from mswasm import cli
 from mswasm.cli import main
+from mswasm.interp import InterpBug
 
 OK_MODULE = """
 (module (segment 64) (heap 0)
@@ -226,6 +228,16 @@ def test_diff_of_source_with_imports_is_a_usage_error(tmp_path, capsys):
     f.write_text(IMPORT_SOURCE)
     assert main(["diff", str(f)]) == 2
     assert "imports" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [InterpBug("step on terminal configuration"), MemoryError()])
+def test_internal_error_is_exit_16_not_a_traceback(ok_file, capsys, monkeypatch, exc):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_run", fail)
+    assert main(["run", ok_file]) == cli.EXIT_INTERNAL == 16
+    assert capsys.readouterr().err.startswith(f"internal error: {type(exc).__name__}")
 
 
 def _shell(body: str) -> str:

@@ -440,3 +440,52 @@ def test_bad_character_reports_its_offset():
         parse_source("module { heap é }   \n")
     # inside a comment any character goes
     parse_source("module { // ! é\n fn main() -> int { var (); 0 } heap 0 }")
+
+
+# -- the heap cap ---------------------------------------------------------
+
+
+def test_a_heap_past_the_cap_is_a_host_error_before_it_is_allocated():
+    import tracemalloc
+
+    from mswasm.minic import MAX_HEAP_CELLS
+
+    huge = 1 << 40
+    programs = [
+        f"module {{ fn main() -> int {{ var (p: ptr<array int>); p := malloc<int>({huge}); 0 }} heap 0 }}",
+        f"module {{ struct S {{ a: array {huge} int }} fn main() -> int "
+        f"{{ var (s: ptr<struct S>); s := malloc(struct S); 0 }} heap 4 }}",
+        f"module {{ fn main() -> int {{ var (); 0 }} heap {huge} }}",
+        f"module {{ fn main() -> int {{ var (); 0 }} heap {MAX_HEAP_CELLS + 1} }}",
+    ]
+    tms = [load(text) for text in programs]
+    tracemalloc.start()
+    try:
+        results = [src_run(tm) for tm in tms]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    for res in results:
+        assert res.outcome == "hosterror" and res.trace == [] and res.result is None
+
+
+def test_the_heap_grows_up_to_the_cap_and_not_past_it():
+    from mswasm.minic import MAX_HEAP_CELLS
+
+    res = run_text(f"""
+    module {{
+      fn main() -> int {{
+        var (p: ptr<array int>, q: ptr<array int>);
+        p := malloc<int>({MAX_HEAP_CELLS - 8});
+        q := malloc<int>(8);
+        free(q);
+        q := malloc<int>(8);
+        q := malloc<int>(1);
+        0
+      }}
+      heap 0
+    }}""")
+    assert res.outcome == "hosterror" and len(res.heap) == MAX_HEAP_CELLS
+    # the fourth allocation would grow the heap, and is not in the trace
+    assert [type(e) for e in res.trace] == [SrcAlloc, SrcAlloc, SrcFree, SrcAlloc]
