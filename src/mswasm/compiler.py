@@ -46,7 +46,6 @@ from .minic import (
     TVar,
     TypedFn,
     TypedModule,
-    cells_of,
 )
 
 DEFAULT_SEGMENT_SIZE = 1 << 16
@@ -79,6 +78,7 @@ class Layout:
 
     mod: SrcModule
     _structs: dict = field(default_factory=dict, repr=False, compare=False)
+    _cells: dict = field(default_factory=dict, repr=False, compare=False)
 
     def sizeof(self, w) -> int:
         if isinstance(w, IntType):
@@ -128,26 +128,22 @@ class Layout:
         o1, fsize = offsets[fname]
         return o1, size - fsize
 
-    def byte_of_cell(self, w, cell: int) -> int:
-        """Byte offset of the cell-th value slot inside a region of word
-        type w (the cell-level and byte-level views of the same layout)."""
+    def cell_bytes(self, w) -> tuple[int, ...]:
+        """The byte offset of each cell (value slot) of a w, in cell order:
+        the cell-level and byte-level views of the same layout.  A
+        struct's is computed once."""
         if isinstance(w, StructType):
-            size, offsets = self._struct_layout(w.name)
-            off = 0
-            for fname, ft in self.mod.struct_fields(w.name):
-                n = cells_of(self.mod, ft)
-                if cell < off + n:
-                    base, _ = offsets[fname]
-                    return base + self.byte_of_cell(ft, cell - off)
-                off += n
-            raise ValueError(f"cell {cell} outside struct {w.name}")
+            got = self._cells.get(w.name)
+            if got is None:
+                _, offsets = self._struct_layout(w.name)
+                got = self._cells[w.name] = tuple(
+                    offsets[fname][0] + b
+                    for fname, ft in self.mod.struct_fields(w.name) for b in self.cell_bytes(ft))
+            return got
         if isinstance(w, ArrayType):
-            per = cells_of(self.mod, w.elem)
-            return (cell // per) * self.sizeof(w.elem) \
-                + self.byte_of_cell(w.elem, cell % per)
-        if cell != 0:
-            raise ValueError(f"cell {cell} in scalar {w}")
-        return 0
+            size, inner = self.sizeof(w.elem), self.cell_bytes(w.elem)
+            return tuple(i * size + b for i in range(w.count) for b in inner)
+        return (0,)
 
 
 @dataclass

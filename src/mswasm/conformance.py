@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import bytecode as bc
 from .bytecode import FuncDef, FuncType, ModuleDef, ValueType
@@ -27,7 +28,6 @@ from .minic import (
     SrcRead,
     SrcWrite,
     TypedModule,
-    cells_of,
     parse_source,
     src_ms,
     src_run,
@@ -41,8 +41,7 @@ from .typecheck import typecheck_module
 # Cross-language relation
 
 
-@dataclass
-class _AllocRec:
+class _AllocRec(NamedTuple):
     """A related allocation pair, with its element's layout at hand so that
     a related access is one divmod and one index."""
 
@@ -108,10 +107,10 @@ def relate_events(layout: Layout, delta: CrossBijection, sev, tev) -> bool:
         elem_bytes = layout.sizeof(w)
         if h.bound != ptr.length * elem_bytes:
             return False
-        elem_cells = cells_of(layout.mod, w)
-        delta.allocs[ptr.id] = _AllocRec(
-            ptr.base, ptr.length * elem_cells, h.base, h.id, w, elem_cells, elem_bytes,
-            tuple(layout.byte_of_cell(w, c) for c in range(elem_cells)), h.bound)
+        cell_bytes = layout.cell_bytes(w)
+        elem_cells = len(cell_bytes)
+        delta.allocs[ptr.id] = _AllocRec(ptr.base, ptr.length * elem_cells, h.base, h.id,
+                                         w, elem_cells, elem_bytes, cell_bytes, h.bound)
         delta.used_tgt_ids.add(h.id)
         return True
     if isinstance(sev, (SrcRead, SrcWrite)):

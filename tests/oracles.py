@@ -11,8 +11,9 @@ and columns as it goes, instead of matching one regular expression and
 counting positions only for an error.  The source-interpreter reference
 walks the typed tree with a work stack of tagged items, and keeps names in
 one dict per frame, where `src_run` runs flat code over numbered slots; the
-cross-relation reference walks `Layout.byte_of_cell` on every access, where
-`relate_value` looks each cell's byte offset up.
+cross-relation reference walks the struct layout field by field on every
+access (`ref_byte_of_cell`), where `relate_value` looks each cell's byte
+offset up in `Layout.cell_bytes`.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from mswasm.compiler import Layout, compile_type
 from mswasm.interp import ReadEv, SAllocEv, SFreeEv, TrapEv, WriteEv
 from mswasm.minic import (
     INT, ArrayType, SInt, SPtr, SrcAlloc, SrcAllocator, SrcFree, SrcHostError,
-    SrcRead, SrcRunResult, SrcWrite, TAssignPtr, TAssignVar, TBinOp, TDeref,
-    TField, TFree, TIf, TIntAsPtr, TLetCall, TMallocArray, TMallocSingle, TNum,
-    TSeq, TVar, TypedModule, cells_of,
+    SrcRead, SrcRunResult, SrcWrite, StructType, TAssignPtr, TAssignVar, TBinOp,
+    TDeref, TField, TFree, TIf, TIntAsPtr, TLetCall, TMallocArray, TMallocSingle,
+    TNum, TSeq, TVar, TypedModule, cells_of,
 )
 from mswasm.monitor import AAlloc, AFree, ARead, AWrite, SAFE, Violation
 from mswasm.segmem import Handle, MemTrap, TrapKind
@@ -807,6 +808,26 @@ class RefCrossBijection:
     used_tgt_ids: set[int] = field(default_factory=set)
 
 
+def ref_byte_of_cell(layout: Layout, w, cell: int) -> int:
+    """Byte offset of the cell-th value slot inside a region of word type w."""
+    if isinstance(w, StructType):
+        _, offsets = layout._struct_layout(w.name)
+        off = 0
+        for fname, ft in layout.mod.struct_fields(w.name):
+            n = cells_of(layout.mod, ft)
+            if cell < off + n:
+                return offsets[fname][0] + ref_byte_of_cell(layout, ft, cell - off)
+            off += n
+        raise ValueError(f"cell {cell} outside struct {w.name}")
+    if isinstance(w, ArrayType):
+        per = cells_of(layout.mod, w.elem)
+        return (cell // per) * layout.sizeof(w.elem) \
+            + ref_byte_of_cell(layout, w.elem, cell % per)
+    if cell != 0:
+        raise ValueError(f"cell {cell} in scalar {w}")
+    return 0
+
+
 def ref_relate_value(layout: Layout, delta: RefCrossBijection, sv, tv) -> bool:
     if isinstance(sv, SInt):
         if isinstance(tv, Handle):
@@ -823,7 +844,7 @@ def ref_relate_value(layout: Layout, delta: RefCrossBijection, sv, tv) -> bool:
     if not (0 <= base_cells <= rec.total_cells):
         return False
     try:
-        byte_base = rec.tgt_base + layout.byte_of_cell(rec.region, base_cells) \
+        byte_base = rec.tgt_base + ref_byte_of_cell(layout, rec.region, base_cells) \
             if base_cells < rec.total_cells else rec.tgt_base \
             + layout.sizeof(rec.region)
     except ValueError:

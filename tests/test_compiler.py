@@ -174,11 +174,13 @@ def test_layout_cell_byte_agreement():
     tm = src_typecheck(parse_source(text))
     layout = Layout(tm.mod)
     from mswasm.minic import field_cell_offset
-    struct = StructType("Mix")
+    cells = layout.cell_bytes(StructType("Mix"))
     for fname in ("a", "p", "b"):
         cell, _ = field_cell_offset(tm.mod, "Mix", fname)
         o1, _ = layout.field_offsets("Mix", fname)
-        assert layout.byte_of_cell(struct, cell) == o1
+        assert cells[cell] == o1
+    # the array's elements are 4 bytes apart, and the struct has 5 cells
+    assert cells[2:] == (o1, o1 + 4, o1 + 8) and len(cells) == 5
 
 
 def test_bound_tightness_at_runtime():

@@ -1,6 +1,7 @@
 """src_run against the tree walker it replaced, and the cross relation
-against the byte_of_cell formula it replaced (both in oracles.py), on the
-fixtures, the source fuzz corpora and the benchmark's source programs."""
+against the formula it replaced, which walks the layout on every access
+(both in oracles.py), on the fixtures, the source fuzz corpora and the
+benchmark's source programs."""
 
 import importlib.util
 import sys
@@ -98,7 +99,7 @@ def _mutants(h):
 
 
 @pytest.mark.parametrize("group", GROUPS)
-def test_relation_matches_the_byte_of_cell_formula(group):
+def test_relation_matches_the_layout_walk(group):
     related_accesses = 0
     for text in _corpus(group):
         tm = src_typecheck(parse_source(text))
