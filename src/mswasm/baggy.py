@@ -26,7 +26,7 @@ import struct
 from bisect import bisect_left, insort
 from typing import NamedTuple
 
-from .segmem import Handle, MemTrap, TrapKind
+from .segmem import MAX_MEMORY, Handle, MemTrap, TrapKind
 
 MIN_ORDER = 4  # smallest slot is 16 bytes
 _ADDR_MASK = (1 << 48) - 1
@@ -70,7 +70,7 @@ class BuddyMemory:
     an allocation takes the lowest base of the smallest order that fits.
     """
 
-    def __init__(self, size: int = 1 << 16, cap: int = 1 << 26):
+    def __init__(self, size: int = 1 << 16, cap: int = MAX_MEMORY):
         size = max(16, 1 << (size - 1).bit_length())
         self.cap = cap
         self.data = bytearray(size)

@@ -159,14 +159,13 @@ def _diverged(idx, reason, src_trace, tgt_trace, src_verdict) -> RelationReport:
                           src_verdict, src_trace, tgt_trace)
 
 
-def diff_run(tm: TypedModule, segment_size: int | None = None) -> RelationReport:
+def diff_run(tm: TypedModule) -> RelationReport:
     """Run source and compiled forms and check the required trace shape."""
     mod = tm.mod
     layout = Layout(mod)
     sres = src_run(tm)
     verdict = src_ms(mod, sres.trace)
-    cm = compile_module(tm) if segment_size is None \
-        else compile_module(tm, segment_size)
+    cm = compile_module(tm)
     typecheck_module(cm)
     tres = run(cm)
     s_tr, t_tr = sres.trace, tres.trace
@@ -252,12 +251,12 @@ class ModuleGen:
         self.budget -= n
         return True
 
-    def gen_module(self, segment_size: int = 4096) -> ModuleDef:
+    def gen_module(self) -> ModuleDef:
         funcs = []
         for i, sig in enumerate(self.signatures):
             funcs.append(self._gen_func(i, sig))
         return ModuleDef(tuple(funcs), self.imports, heap_size=64,
-                         segment_size=segment_size)
+                         segment_size=4096)
 
     def _gen_func(self, index: int, sig: FuncType) -> FuncDef:
         rng = self.rng
@@ -400,9 +399,8 @@ class ModuleGen:
         return code + [bc.call(len(self.imports) + j)]
 
 
-def fuzz_module(seed: int, max_funcs: int = 4, budget: int = 40) -> ModuleDef:
-    gen = ModuleGen(random.Random(seed), max_funcs=max_funcs, budget=budget)
-    return gen.gen_module()
+def fuzz_module(seed: int) -> ModuleDef:
+    return ModuleGen(random.Random(seed)).gen_module()
 
 
 def fuzz_victim(seed: int) -> ModuleDef:

@@ -26,7 +26,7 @@ from . import baggy as baggy_mod
 from .bytecode import (
     COMPARISON_OPS, OPCODES, FuncDef, Instr, ModuleDef, ValueType,
 )
-from .segmem import Handle, MemTrap, NULL_HANDLE, SegmentMemory
+from .segmem import MAX_MEMORY, Handle, MemTrap, NULL_HANDLE, SegmentMemory
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -149,7 +149,7 @@ class BaggyBackend:
     name = "baggy"
 
     def __init__(self, segment_size: int):
-        self.mem = mem = baggy_mod.BuddyMemory(size=max(16, segment_size))
+        self.mem = mem = baggy_mod.BuddyMemory(size=segment_size)
         # The memory's own methods, bound once: one call less per use.
         self.alloc = mem.alloc
         self.free = mem.free
@@ -234,7 +234,8 @@ def _new_frame(m: ModuleDef, idx: int, args: list[Value], backend) -> Frame:
 def init_state(m: ModuleDef, backend_name: str = "tagged",
                segment_size: int | None = None) -> Config:
     """Initial configuration: zeroed memories, empty allocator, one frame
-    for function 0."""
+    for function 0.  A segment or heap size outside [0, MAX_MEMORY] is an
+    InitError, raised before any memory is made."""
     if m.imports:
         raise InitError("module has imports; link it first")
     if not m.funcs:
@@ -242,6 +243,9 @@ def init_state(m: ModuleDef, backend_name: str = "tagged",
     if m.funcs[0].params:
         raise InitError("entry function must take no parameters")
     size = m.segment_size if segment_size is None else segment_size
+    for what, n in (("segment", size), ("heap", m.heap_size)):
+        if not 0 <= n <= MAX_MEMORY:
+            raise InitError(f"{what} size {n} outside [0, {MAX_MEMORY}]")
     backend = BACKENDS[backend_name](size)
     return Config(m, bytearray(m.heap_size), backend,
                   [_new_frame(m, 0, [], backend)])

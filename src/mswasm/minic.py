@@ -42,11 +42,12 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bytecode import MAX_NESTING
 from .monitor import AAlloc, AFree, ARead, AWrite, SAFE, Safe, Violation, check_trace
+from .segmem import give, take
 from .tracerel import BijectionDelta
 
 
@@ -925,48 +926,6 @@ MAX_HEAP_CELLS = 1 << 20
 
 
 @dataclass
-class SrcAllocator:
-    """First fit over the free blocks; the heap grows at its end when none
-    fits.  by_base lists the cell counts of the live allocations at each
-    base, oldest first: allocations of zero cells can share a base."""
-
-    free: list[tuple[int, int]] = field(default_factory=list)  # (start, cells)
-    by_base: dict[int, list[int]] = field(default_factory=dict)
-    next_id: int = 0
-
-    def find_base(self, n: int, heap_len: int) -> int:
-        for start, length in self.free:
-            if n <= length:
-                return start
-        return heap_len
-
-    def carve(self, base: int, n: int) -> None:
-        for i, (start, length) in enumerate(self.free):
-            if start <= base and base + n <= start + length:
-                pieces = []
-                if base > start:
-                    pieces.append((start, base - start))
-                if start + length > base + n:
-                    pieces.append((base + n, start + length - (base + n)))
-                self.free[i:i + 1] = pieces
-                return
-
-    def release(self, base: int, n: int) -> None:
-        if n == 0:
-            return
-        self.free.append((base, n))
-        self.free.sort()
-        merged = [self.free[0]]
-        for start, length in self.free[1:]:
-            ls, ll = merged[-1]
-            if ls + ll == start:
-                merged[-1] = (ls, ll + length)
-            else:
-                merged.append((start, length))
-        self.free = merged
-
-
-@dataclass
 class SrcRunResult:
     trace: list
     outcome: str          # "ok" | "budget" | "hosterror"
@@ -1096,8 +1055,13 @@ def src_run(tm: TypedModule, budget: int = 1_000_000,
     if mod.heap_size > MAX_HEAP_CELLS:
         return SrcRunResult(trace, "hosterror", None, [])
     heap: list = [_ZERO] * mod.heap_size
-    allocator = SrcAllocator([(0, mod.heap_size)] if mod.heap_size > 0 else [])
-    by_base = allocator.by_base
+    # First fit over the free cells (segmem.take with alignment 1); when
+    # nothing fits, the heap grows at its end.  by_base lists the cell
+    # counts of the live allocations at each base, oldest first:
+    # allocations of zero cells can share a base.
+    free = [(0, mod.heap_size)] if mod.heap_size > 0 else []
+    by_base: dict[int, list[int]] = {}
+    next_id = 0
 
     def annotate(addr, base, length, wtype, seg_id) -> SPtr:
         if strip_annotations:
@@ -1105,22 +1069,22 @@ def src_run(tm: TypedModule, budget: int = 1_000_000,
         return _new(SPtr, (addr, base, length, wtype, seg_id))
 
     def do_alloc(ncells: int, length: int, wtype) -> SPtr:
-        seg_id = allocator.next_id
+        nonlocal next_id
+        seg_id = next_id
+        next_id += 1
         if ncells < 0:
             # The allocator drops impossible requests; the pointer still
             # materializes, annotated with the bogus length.
-            allocator.next_id += 1
             return annotate(len(heap), len(heap), length, wtype, seg_id)
-        base = allocator.find_base(ncells, len(heap))
-        if base == len(heap):
+        base = take(free, ncells, 1)
+        if base is None:
+            base = len(heap)
             if base + ncells > MAX_HEAP_CELLS:
                 raise SrcHostError(f"heap of {base + ncells} cells, "
                                    f"past the cap of {MAX_HEAP_CELLS}")
             heap.extend([_ZERO] * ncells)
         else:
-            allocator.carve(base, ncells)
             heap[base:base + ncells] = [_ZERO] * ncells
-        allocator.next_id += 1
         by_base.setdefault(base, []).append(ncells)
         return annotate(base, base, length, wtype, seg_id)
 
@@ -1133,7 +1097,7 @@ def src_run(tm: TypedModule, budget: int = 1_000_000,
         if not sizes:
             del by_base[addr]
         heap[addr:addr + n] = [_ZERO] * n
-        allocator.release(addr, n)
+        give(free, addr, n)
 
     fns = tm.fns  # main first; a let's fn_index is its position here
     codes: list = [None] * len(fns)  # (flat code, frame size), at first call

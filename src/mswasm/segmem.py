@@ -1,5 +1,11 @@
-"""Tagged segment memory: per-byte data/handle tags, a deterministic
-first-fit allocator with never-reused segment ids, and handle packing.
+"""Tagged segment memory: per-byte data/handle tags, never-reused segment
+ids, handle packing, and the one first-fit free list (`take`/`give`).
+
+The free list is address-ordered first fit with immediate coalescing.
+Segment memory takes from it with 16-byte alignment; the source heap in
+`minic` takes cells with alignment 1 and grows at its end when nothing
+fits.  Freeing merges a range with its two neighbours only, so the list
+never needs a sort.
 
 Memory is two bytearrays of one size: `data` holds the bytes and `tags`
 holds one tag per byte, 0 for data and 1 for a byte of a stored handle.
@@ -19,6 +25,7 @@ Handle loads and stores then check 16-byte alignment (integrity).
 
 from __future__ import annotations
 
+import bisect
 import enum
 import struct
 from dataclasses import dataclass
@@ -28,6 +35,9 @@ HANDLE_BYTES = 16
 HANDLE_TAGS = b"\x01" * HANDLE_BYTES  # the tag bytes of a stored handle
 ALIGN = 16
 MAX_ID = (1 << 31) - 1
+# The most bytes a module's segment memory or heap may declare, and the
+# most the baggy backing store may grow to.
+MAX_MEMORY = 1 << 26
 
 _U32 = 0xFFFFFFFF
 _I32_HALF = 1 << 31
@@ -91,10 +101,11 @@ def unpack_handle(data, tags, at: int = 0) -> Handle:
 
 @dataclass
 class AllocatorState:
-    """Free ranges and live segments partition [0, size); ids are issued
-    from a counter and never handed out twice."""
+    """Free ranges and live segments partition [0, size); `free` is
+    address-ordered and coalesced (see `take`).  Ids are issued from a
+    counter and never handed out twice."""
 
-    free: list[tuple[int, int]]          # sorted disjoint (start, length)
+    free: list[tuple[int, int]]          # (start, length)
     allocated: dict[int, tuple[int, int]]  # id -> (base, size)
     next_id: int = 0
 
@@ -109,39 +120,47 @@ class AllocatorState:
         self.next_id += 1
         return i
 
-    def find_fit(self, n: int) -> int | None:
-        """Lowest aligned base where n bytes fit, or None."""
-        for start, length in self.free:
-            base = (start + ALIGN - 1) & ~(ALIGN - 1)
-            if base + n <= start + length:
-                return base
-        return None
 
-    def carve(self, base: int, n: int) -> None:
-        for i, (start, length) in enumerate(self.free):
-            if start <= base and base + n <= start + length:
+# A free list is address-ordered and coalesced: its (start, length) ranges
+# are non-empty, sorted by start, and no two overlap or touch.
+
+
+def take(free: list[tuple[int, int]], n: int, align: int) -> int | None:
+    """Carve n units from `free` at the lowest base that is a multiple of
+    `align` (a power of two) and has room for them; the base, or None when
+    no range has.  Taking zero units leaves `free` as it is: `give` merges
+    neighbours only, so it would never join a split made there."""
+    mask = align - 1
+    for i, (start, length) in enumerate(free):
+        base = (start + mask) & ~mask
+        end = start + length
+        if base + n <= end:
+            if n:
                 pieces = []
                 if base > start:
                     pieces.append((start, base - start))
-                if start + length > base + n:
-                    pieces.append((base + n, start + length - (base + n)))
-                self.free[i:i + 1] = pieces
-                return
-        raise AssertionError("carve outside free space")
+                if end > base + n:
+                    pieces.append((base + n, end - base - n))
+                free[i:i + 1] = pieces
+            return base
+    return None
 
-    def release(self, base: int, n: int) -> None:
-        if n == 0:
-            return
-        self.free.append((base, n))
-        self.free.sort()
-        merged = [self.free[0]]
-        for start, length in self.free[1:]:
-            last_start, last_len = merged[-1]
-            if last_start + last_len == start:
-                merged[-1] = (last_start, last_len + length)
-            else:
-                merged.append((start, length))
-        self.free = merged
+
+def give(free: list[tuple[int, int]], base: int, n: int) -> None:
+    """Return [base, base + n) to `free`, merging it with the neighbours
+    it touches."""
+    if n == 0:
+        return
+    i = bisect.bisect_left(free, (base, 0))
+    end = base + n
+    j = i
+    if j < len(free) and free[j][0] == end:
+        end += free[j][1]
+        j += 1
+    if i and free[i - 1][0] + free[i - 1][1] == base:
+        i -= 1
+        base = free[i][0]
+    free[i:j] = [(base, end - base)]
 
 
 class SegmentMemory:
@@ -158,10 +177,9 @@ class SegmentMemory:
     def alloc(self, n: int) -> Handle:
         if n < 0:
             raise MemTrap(TrapKind.OOM, f"negative size {n}")
-        base = self.alloc_state.find_fit(n)
+        base = take(self.alloc_state.free, n, ALIGN)
         if base is None:
             raise MemTrap(TrapKind.OOM, f"no free range fits {n} bytes")
-        self.alloc_state.carve(base, n)
         self.data[base:base + n] = bytes(n)
         self.tags[base:base + n] = bytes(n)
         seg_id = self.alloc_state.take_id()
@@ -179,7 +197,7 @@ class SegmentMemory:
         del self.alloc_state.allocated[h.id]
         self.data[base:base + n] = bytes(n)
         self.tags[base:base + n] = bytes(n)
-        self.alloc_state.release(base, n)
+        give(self.alloc_state.free, base, n)
 
     # -- access -------------------------------------------------------
 

@@ -13,7 +13,11 @@ walks the typed tree with a work stack of tagged items, and keeps names in
 one dict per frame, where `src_run` runs flat code over numbered slots; the
 cross-relation reference walks the struct layout field by field on every
 access (`ref_byte_of_cell`), where `relate_value` looks each cell's byte
-offset up in `Layout.cell_bytes`.
+offset up in `Layout.cell_bytes`.  The free-list reference,
+`RefFreeList`, finds a fit and carves it in two scans and sorts and
+re-merges the whole list on every release, where `segmem.take` carves in
+its one scan and `segmem.give` inserts by bisection and merges with two
+neighbours; the source-interpreter reference allocates with it.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from mswasm.bytecode import ValueType
 from mswasm.compiler import Layout, compile_type
 from mswasm.interp import ReadEv, SAllocEv, SFreeEv, TrapEv, WriteEv
 from mswasm.minic import (
-    INT, ArrayType, SInt, SPtr, SrcAlloc, SrcAllocator, SrcFree, SrcHostError,
+    INT, ArrayType, SInt, SPtr, SrcAlloc, SrcFree, SrcHostError,
     SrcRead, SrcRunResult, SrcWrite, StructType, TAssignPtr, TAssignVar, TBinOp,
     TDeref, TField, TFree, TIf, TIntAsPtr, TLetCall, TMallocArray, TMallocSingle,
     TNum, TSeq, TVar, TypedModule, cells_of,
@@ -590,6 +594,52 @@ def mutate_text(rng, text: str) -> str:
     return data.decode("latin-1")
 
 
+# -- the free list by sort and merge -----------------------------------
+
+
+@dataclass
+class RefFreeList:
+    """First fit over sorted free ranges, as segment memory and the source
+    heap each kept it before they shared `segmem.take`/`give`: a fit and a
+    carve are two scans, and a release appends, sorts the whole list and
+    merges every pair of ranges that touch."""
+
+    free: list[tuple[int, int]] = field(default_factory=list)
+
+    def find_fit(self, n: int, align: int) -> int | None:
+        for start, length in self.free:
+            base = (start + align - 1) & ~(align - 1)
+            if base + n <= start + length:
+                return base
+        return None
+
+    def carve(self, base: int, n: int) -> None:
+        for i, (start, length) in enumerate(self.free):
+            if start <= base and base + n <= start + length:
+                pieces = []
+                if base > start:
+                    pieces.append((start, base - start))
+                if start + length > base + n:
+                    pieces.append((base + n, start + length - (base + n)))
+                self.free[i:i + 1] = pieces
+                return
+        raise AssertionError("carve outside free space")
+
+    def release(self, base: int, n: int) -> None:
+        if n == 0:
+            return
+        self.free.append((base, n))
+        self.free.sort()
+        merged = [self.free[0]]
+        for start, length in self.free[1:]:
+            last_start, last_len = merged[-1]
+            if last_start + last_len == start:
+                merged[-1] = (last_start, last_len + length)
+            else:
+                merged.append((start, length))
+        self.free = merged
+
+
 # -- the source interpreter as a tree walker ---------------------------
 
 _MISSING = object()
@@ -604,9 +654,7 @@ def ref_src_run(tm: TypedModule, budget: int = 1_000_000,
     mod = tm.mod
     fns = {f.name: f for f in tm.fns}
     heap: list = [SInt(0)] * mod.heap_size
-    allocator = SrcAllocator()
-    if mod.heap_size > 0:
-        allocator.free = [(0, mod.heap_size)]
+    allocator = RefFreeList([(0, mod.heap_size)] if mod.heap_size > 0 else [])
     allocated: dict[int, tuple[int, int]] = {}  # id -> (base, cells)
     next_id = 0
     trace: list = []
@@ -622,8 +670,9 @@ def ref_src_run(tm: TypedModule, budget: int = 1_000_000,
         next_id += 1
         if ncells < 0:
             return annotate(len(heap), len(heap), length, wtype, seg_id)
-        base = allocator.find_base(ncells, len(heap))
-        if base == len(heap):
+        base = allocator.find_fit(ncells, 1)
+        if base is None:
+            base = len(heap)
             heap.extend([SInt(0)] * ncells)
         else:
             allocator.carve(base, ncells)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -6,6 +7,7 @@ from fixtures import nested_ifs_module, straight_line_source
 from mswasm import cli
 from mswasm.cli import main
 from mswasm.interp import InterpBug
+from mswasm.segmem import MAX_MEMORY
 
 OK_MODULE = """
 (module (segment 64) (heap 0)
@@ -275,3 +277,42 @@ def test_deep_straight_line_program_compiles_and_diffs(tmp_path, capsys):
     assert main(["compile", str(src), "-o", str(out)]) == 0
     assert main(["diff", str(src), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["related"] is True
+
+
+# (segment N, heap N, --segment-size) of modules whose memory is out of range
+BAD_MEMORY_SIZES = {
+    "segment -3": (-3, 0, None),
+    "heap -3": (0, -3, None),
+    "--segment-size -3": (64, 0, -3),
+    "segment cap+1": (MAX_MEMORY + 1, 0, None),
+    "heap cap+1": (0, MAX_MEMORY + 1, None),
+    "--segment-size cap+1": (64, 0, MAX_MEMORY + 1),
+    "segment 2^40": (1 << 40, 0, None),
+    "heap 2^40": (0, 1 << 40, None),
+    "--segment-size 2^40": (64, 0, 1 << 40),
+}
+MEMORY_COMMANDS = {"run-tagged": ["run", "--backend", "tagged"],
+                   "run-baggy": ["run", "--backend", "baggy"],
+                   "check": ["check"]}  # check has no --segment-size
+
+
+@pytest.mark.parametrize("name,cmd", [
+    (name, cmd) for name, (_, _, flag) in BAD_MEMORY_SIZES.items()
+    for cmd in MEMORY_COMMANDS if flag is None or cmd != "check"])
+def test_memory_size_outside_the_cap_is_a_usage_error(tmp_path, capsys, name, cmd):
+    segment, heap, flag = BAD_MEMORY_SIZES[name]
+    f = tmp_path / "sized.mswat"
+    f.write_text(f"(module (segment {segment}) (heap {heap})"
+                 " (func (result i32) i32.const 0))")
+    argv = MEMORY_COMMANDS[cmd] + [str(f)]
+    if flag is not None:
+        argv += ["--segment-size", str(flag)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20
+    assert "outside [0, " in capsys.readouterr().err

@@ -2,7 +2,7 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mswasm.segmem import (
@@ -11,7 +11,9 @@ from mswasm.segmem import (
     MemTrap,
     SegmentMemory,
     TrapKind,
+    give,
     pack_handle,
+    take,
     unpack_handle,
 )
 
@@ -195,18 +197,61 @@ def test_backend_matches_naive_oracle():
         run_backend_differential(SegmentMemory(256), random.Random(seed), steps=40)
 
 
+def assert_coalesced(free):
+    """Ranges are non-empty, sorted, disjoint, and no two touch."""
+    assert all(length > 0 for _, length in free)
+    assert all(s1 + n1 < s2 for (s1, n1), (s2, _) in zip(free, free[1:]))
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(0, 48), min_size=0, max_size=10))
+@example([5, 0])  # a zero-byte alloc at an unaligned free start
 def test_alloc_free_restores_partition(sizes):
-    """Allocating then freeing everything restores one free range."""
+    """Allocating then freeing everything restores one free range, and the
+    free list stays coalesced after every operation."""
     mem = SegmentMemory(1024)
     hs = []
     for n in sizes:
         hs.append(mem.alloc(n))
+        assert_coalesced(mem.alloc_state.free)
     for h in hs:
         mem.free(h)
+        assert_coalesced(mem.alloc_state.free)
     assert mem.alloc_state.free == ([(0, 1024)] if 1024 else [])
     assert mem.alloc_state.allocated == {}
+
+
+@pytest.mark.parametrize("align", [16, 1])
+def test_take_give_match_the_sort_and_merge_reference(align):
+    """take/give hand out the same bases as the sort-and-merge first fit.
+    With alignment 16 nothing fitting is out of memory, as in segment
+    memory; with alignment 1 the heap grows at its end, as in src_run."""
+    from oracles import RefFreeList
+
+    for seed in range(300):
+        rng = random.Random(seed)
+        size = rng.choice((0, 16, 64, 256))
+        free = [(0, size)] if size else []
+        ref = RefFreeList(list(free))
+        end = size
+        live = []
+        for _ in range(40):
+            if live and rng.random() < 0.4:
+                base, n = live.pop(rng.randrange(len(live)))
+                give(free, base, n)
+                ref.release(base, n)
+            else:
+                n = rng.choice((0, rng.randrange(1, 8), rng.randrange(1, 80)))
+                want = ref.find_fit(n, align)
+                if want is not None:
+                    ref.carve(want, n)
+                got = take(free, n, align)
+                assert got == want, (seed, n)
+                if got is None and align == 1:
+                    got, end = end, end + n
+                if got is not None:
+                    live.append((got, n))
+            assert_coalesced(free)
 
 
 def test_tag_alloc_soundness_invariant():
