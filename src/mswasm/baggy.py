@@ -64,11 +64,14 @@ NULL_BAGGY = BaggyHandle(0, 0, False)
 
 
 class BuddyMemory:
-    """Single growable byte store carved by a binary buddy allocator.
+    """The `baggy` backend: a single growable byte store carved by a
+    binary buddy allocator.
 
     `free_lists` maps an order to the sorted bases of its free blocks;
     an allocation takes the lowest base of the smallest order that fits.
     """
+
+    NULL = NULL_BAGGY
 
     def __init__(self, size: int = 1 << 16, cap: int = MAX_MEMORY):
         size = max(16, 1 << (size - 1).bit_length())
@@ -173,6 +176,19 @@ class BuddyMemory:
         if addr + size > len(self.data):
             raise MemTrap(TrapKind.SPATIAL, "outside backing store")
         return addr
+
+    def load(self, h: BaggyHandle, layout: struct.Struct):
+        """The number with this layout at h."""
+        return layout.unpack_from(self.data, self.check_use(h, layout.size))[0]
+
+    def store(self, h: BaggyHandle, layout: struct.Struct, v) -> None:
+        layout.pack_into(self.data, self.check_use(h, layout.size), v)
+
+    def load_handle(self, h: BaggyHandle) -> BaggyHandle:
+        return load_baggy(self.data, self.check_use(h, 8))
+
+    def store_handle(self, h: BaggyHandle, v: BaggyHandle) -> None:
+        store_baggy(self.data, self.check_use(h, 8), v)
 
     def view(self, h: BaggyHandle) -> Handle:
         """Present a slot-relative view for trace events; the slot base

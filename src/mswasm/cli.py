@@ -66,6 +66,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compile(args) -> int:
+    interp.check_memory_size("segment", args.segment_size)
     tm = minic.src_typecheck(minic.parse_source(Path(args.file).read_text()))
     m = compile_module(tm, segment_size=args.segment_size)
     typecheck_module(m)

@@ -22,11 +22,10 @@ import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from . import baggy as baggy_mod
-from .bytecode import (
-    COMPARISON_OPS, OPCODES, FuncDef, Instr, ModuleDef, ValueType,
-)
-from .segmem import MAX_MEMORY, Handle, MemTrap, NULL_HANDLE, SegmentMemory
+from .baggy import BuddyMemory
+from .bytecode import OPCODES, FuncDef, Instr, ModuleDef, ValueType
+from .monitor import other_event, same_event
+from .segmem import MAX_MEMORY, Handle, MemTrap, SegmentMemory
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -44,6 +43,10 @@ _I64_HALF, _I64_MASK = 1 << 63, (1 << 64) - 1
 
 
 class Value(NamedTuple):
+    """A typed result of the entry function.  Operand stacks and locals
+    hold the raw int, float or handle: validated code needs no run-time
+    type tags."""
+
     ty: ValueType
     v: object  # int, float, or a backend handle
 
@@ -51,38 +54,39 @@ class Value(NamedTuple):
         return f"{self.ty}:{self.v!r}"
 
 
-# _new(Value, (ty, v)) is Value(ty, v) without NamedTuple's Python-level
-# __new__; the interpreter builds a Value on most steps.
+# -- events -----------------------------------------------------------
+#
+# Events are tuples, built on the hot paths with _new(cls, fields), which
+# skips NamedTuple's Python-level __new__; equality also compares the
+# class, as for the monitor's events.
+
 _new = tuple.__new__
 
 
-# -- events -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SAllocEv:
+class SAllocEv(NamedTuple):
     handle: Handle
     kind = "salloc"
+    __eq__, __ne__, __hash__ = same_event, other_event, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class SFreeEv:
+class SFreeEv(NamedTuple):
     handle: Handle
     kind = "sfree"
+    __eq__, __ne__, __hash__ = same_event, other_event, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class ReadEv:
+class ReadEv(NamedTuple):
     ty: ValueType
     handle: Handle
     kind = "read"
+    __eq__, __ne__, __hash__ = same_event, other_event, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class WriteEv:
+class WriteEv(NamedTuple):
     ty: ValueType
     handle: Handle
     kind = "write"
+    __eq__, __ne__, __hash__ = same_event, other_event, tuple.__hash__
 
 
 @dataclass(frozen=True)
@@ -109,74 +113,13 @@ def trace_to_jsonl(trace) -> str:
 # -- backends ---------------------------------------------------------
 
 
-class TaggedBackend:
-    """Segment memory with byte tags: full spatial, temporal, and
-    handle-integrity checking."""
-
-    name = "tagged"
-
-    def __init__(self, segment_size: int):
-        self.mem = mem = SegmentMemory(segment_size)
-        # The memory's own methods, bound once: one call less per use.
-        self.alloc = mem.alloc
-        self.free = mem.free
-        self.slice = mem.slice_handle
-
-    def null_handle(self) -> Handle:
-        return NULL_HANDLE
-
-    def handle_add(self, h: Handle, delta: int) -> Handle:
-        return h.moved(delta)
-
-    def load(self, h: Handle, ty: ValueType):
-        if ty is HANDLE:
-            return self.mem.load_handle(h)
-        return self.mem.load(h, _NUM[ty._value_])
-
-    def store(self, h: Handle, ty: ValueType, v) -> None:
-        if ty is HANDLE:
-            self.mem.store_handle(h, v)
-        else:
-            self.mem.store(h, _NUM[ty._value_], v)
-
-    def view(self, h: Handle) -> Handle:
-        return h
-
-
-class BaggyBackend:
-    """Buddy-slot memory; see baggy module for the guarantees traded away."""
-
-    name = "baggy"
-
-    def __init__(self, segment_size: int):
-        self.mem = mem = baggy_mod.BuddyMemory(size=segment_size)
-        # The memory's own methods, bound once: one call less per use.
-        self.alloc = mem.alloc
-        self.free = mem.free
-        self.handle_add = mem.handle_add
-        self.slice = mem.slice_handle
-        self.view = mem.view
-
-    def null_handle(self):
-        return baggy_mod.NULL_BAGGY
-
-    def load(self, h, ty: ValueType):
-        mem = self.mem
-        if ty is HANDLE:
-            return baggy_mod.load_baggy(mem.data, mem.check_use(h, 8))
-        layout = _NUM[ty._value_]
-        return layout.unpack_from(mem.data, mem.check_use(h, layout.size))[0]
-
-    def store(self, h, ty: ValueType, v) -> None:
-        mem = self.mem
-        if ty is HANDLE:
-            baggy_mod.store_baggy(mem.data, mem.check_use(h, 8), v)
-        else:
-            layout = _NUM[ty._value_]
-            layout.pack_into(mem.data, mem.check_use(h, layout.size), v)
-
-
-BACKENDS = {"tagged": TaggedBackend, "baggy": BaggyBackend}
+# Each backend is a memory class, made with the segment size, with one
+# call set: alloc(n), free(h), handle_add(h, delta), slice_handle(h, o1,
+# o2), load(h, layout) and store(h, layout, v) for numbers (a struct
+# layout from _NUM), load_handle(h) and store_handle(h, v) for handles,
+# view(h), the handle as trace events show it, and NULL, the value of an
+# unset handle local.  A failed check raises MemTrap.
+BACKENDS = {"tagged": SegmentMemory, "baggy": BuddyMemory}
 
 
 # -- machine state ----------------------------------------------------
@@ -196,9 +139,9 @@ class LinkError(Exception):
 
 @dataclass(slots=True)
 class Frame:
-    locals: list[Value]
+    locals: list
     code: list[Instr]        # reversed: next instruction is code[-1]
-    operands: list[Value]
+    operands: list
     func: FuncDef
     func_index: int
 
@@ -217,18 +160,24 @@ class Config:
         return self.trapped or not self.frames
 
 
-def zero_value(ty: ValueType, backend) -> Value:
+def zero_value(ty: ValueType, backend):
     if ty is F32 or ty is F64:
-        return _new(Value, (ty, 0.0))
+        return 0.0
     if ty is HANDLE:
-        return _new(Value, (ty, backend.null_handle()))
-    return _new(Value, (ty, 0))
+        return backend.NULL
+    return 0
 
 
-def _new_frame(m: ModuleDef, idx: int, args: list[Value], backend) -> Frame:
+def _new_frame(m: ModuleDef, idx: int, args: list, backend) -> Frame:
     f = m.funcs[idx]
     locs = args + [zero_value(t, backend) for t in f.locals]
     return Frame(locs, list(reversed(f.body)), [], f, idx)
+
+
+def check_memory_size(what: str, n: int) -> None:
+    """InitError unless a memory of n bytes is within [0, MAX_MEMORY]."""
+    if not 0 <= n <= MAX_MEMORY:
+        raise InitError(f"{what} size {n} outside [0, {MAX_MEMORY}]")
 
 
 def init_state(m: ModuleDef, backend_name: str = "tagged",
@@ -243,9 +192,8 @@ def init_state(m: ModuleDef, backend_name: str = "tagged",
     if m.funcs[0].params:
         raise InitError("entry function must take no parameters")
     size = m.segment_size if segment_size is None else segment_size
-    for what, n in (("segment", size), ("heap", m.heap_size)):
-        if not 0 <= n <= MAX_MEMORY:
-            raise InitError(f"{what} size {n} outside [0, {MAX_MEMORY}]")
+    check_memory_size("segment", size)
+    check_memory_size("heap", m.heap_size)
     backend = BACKENDS[backend_name](size)
     return Config(m, bytearray(m.heap_size), backend,
                   [_new_frame(m, 0, [], backend)])
@@ -330,13 +278,13 @@ def _trap_ins(config, frame, ins):
 
 
 def _const(config, frame, ins):
-    frame.operands.append(_new(Value, (ins.ty, ins.literal)))
+    frame.operands.append(ins.literal)
 
 
 def _binop(config, frame, ins):
     ops = frame.operands
-    b = ops.pop().v
-    a = ops.pop().v
+    b = ops.pop()
+    a = ops.pop()
     ty = ins.ty
     f = (_FLOAT_OPS if ty is F32 or ty is F64 else _INT_OPS).get(ins.operator)
     if f is None:
@@ -344,7 +292,7 @@ def _binop(config, frame, ins):
     r = f(ty, a, b)
     if r is None:
         return _trap(config)
-    ops.append(_new(Value, (I32 if ins.operator in COMPARISON_OPS else ty, r)))
+    ops.append(r)
 
 
 def _get(config, frame, ins):
@@ -358,24 +306,24 @@ def _set(config, frame, ins):
 def _load(config, frame, ins):
     assert ins.ty is not HANDLE, "handle load from flat heap"
     layout = _NUM[ins.ty._value_]
-    n = frame.operands.pop().v
+    n = frame.operands.pop()
     if not (0 <= n and n + layout.size <= len(config.heap)):
         return _trap(config)
-    frame.operands.append(_new(Value, (ins.ty, layout.unpack_from(config.heap, n)[0])))
+    frame.operands.append(layout.unpack_from(config.heap, n)[0])
 
 
 def _store(config, frame, ins):
     assert ins.ty is not HANDLE, "handle store to flat heap"
     layout = _NUM[ins.ty._value_]
-    v = frame.operands.pop().v
-    n = frame.operands.pop().v
+    v = frame.operands.pop()
+    n = frame.operands.pop()
     if not (0 <= n and n + layout.size <= len(config.heap)):
         return _trap(config)
     config.heap[n:n + layout.size] = layout.pack(v)
 
 
 def _if(config, frame, ins):
-    body = ins.then_body if frame.operands.pop().v != 0 else ins.else_body
+    body = ins.then_body if frame.operands.pop() != 0 else ins.else_body
     frame.code.extend(reversed(body))
 
 
@@ -395,68 +343,75 @@ def _return(config, frame, ins):
 def _segload(config, frame, ins):
     backend = config.backend
     ops = frame.operands
-    h = ops.pop().v
+    h = ops.pop()
+    ty = ins.ty
     try:
-        v = backend.load(h, ins.ty)
+        if ty is HANDLE:
+            ops.append(backend.load_handle(h))
+        else:
+            ops.append(backend.load(h, _NUM[ty._value_]))
     except MemTrap:
         return _trap(config)
-    ops.append(_new(Value, (ins.ty, v)))
-    return ReadEv(ins.ty, backend.view(h))
+    return _new(ReadEv, (ty, backend.view(h)))
 
 
 def _segstore(config, frame, ins):
     backend = config.backend
     ops = frame.operands
-    v = ops.pop().v
-    h = ops.pop().v
+    v = ops.pop()
+    h = ops.pop()
+    ty = ins.ty
     try:
-        backend.store(h, ins.ty, v)
+        if ty is HANDLE:
+            backend.store_handle(h, v)
+        else:
+            backend.store(h, _NUM[ty._value_], v)
     except MemTrap:
         return _trap(config)
-    return WriteEv(ins.ty, backend.view(h))
+    return _new(WriteEv, (ty, backend.view(h)))
 
 
 def _slice(config, frame, ins):
     ops = frame.operands
-    o2 = ops.pop().v
-    o1 = ops.pop().v
-    h = ops.pop().v
+    o2 = ops.pop()
+    o1 = ops.pop()
+    h = ops.pop()
     try:
-        ops.append(_new(Value, (HANDLE, config.backend.slice(h, o1, o2))))
+        ops.append(config.backend.slice_handle(h, o1, o2))
     except MemTrap:
         return _trap(config)
 
 
 def _new_segment(config, frame, ins):
     backend = config.backend
-    n = frame.operands.pop().v
+    n = frame.operands.pop()
     try:
         h = backend.alloc(n)
     except MemTrap:
         return _trap(config)
-    frame.operands.append(_new(Value, (HANDLE, h)))
-    return SAllocEv(backend.view(h))
+    frame.operands.append(h)
+    return _new(SAllocEv, (backend.view(h),))
 
 
 def _handle_add(config, frame, ins):
     ops = frame.operands
-    n = ops.pop().v
-    h = ops.pop().v
+    n = ops.pop()
+    h = ops.pop()
     try:
-        ops.append(_new(Value, (HANDLE, config.backend.handle_add(h, n))))
+        ops.append(config.backend.handle_add(h, n))
     except MemTrap:
         return _trap(config)
 
 
 def _segfree(config, frame, ins):
     backend = config.backend
-    h = frame.operands.pop().v
+    h = frame.operands.pop()
     view = backend.view(h)
     try:
         backend.free(h)
     except MemTrap:
         return _trap(config)
-    return SFreeEv(view)
+    return _new(SFreeEv, (view,))
 
 
 _HANDLERS = {
@@ -493,7 +448,7 @@ def _do_return(config: Config, frame: Frame):
     if config.frames:
         config.frames[-1].operands.extend(results)
     else:
-        config.results = results
+        config.results = list(map(Value, frame.func.results, results))
     return None
 
 

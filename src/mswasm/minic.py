@@ -46,7 +46,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bytecode import MAX_NESTING
-from .monitor import AAlloc, AFree, ARead, AWrite, SAFE, Safe, Violation, check_trace
+from .monitor import (
+    AAlloc, AFree, ARead, AWrite, SAFE, Safe, Violation, check_trace, other_event, same_event,
+)
 from .segmem import give, take
 from .tracerel import BijectionDelta
 
@@ -886,26 +888,28 @@ _new = tuple.__new__
 _ZERO = SInt(0)
 
 
-@dataclass(frozen=True)
-class SrcAlloc:
+# Trace events, built on the hot paths with _new(cls, fields); equality
+# also compares the class, as for the monitor's events.
+class SrcAlloc(NamedTuple):
     ptr: SPtr
+    __eq__, __ne__, __hash__ = same_event, other_event, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class SrcFree:
+class SrcFree(NamedTuple):
     v: SrcValue  # SPtr, or SInt for a forged free
+    __eq__, __ne__, __hash__ = same_event, other_event, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class SrcRead:
+class SrcRead(NamedTuple):
     ty: object
     v: SrcValue  # the accessing pointer; SInt marks a forged access
+    __eq__, __ne__, __hash__ = same_event, other_event, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class SrcWrite:
+class SrcWrite(NamedTuple):
     ty: object
     v: SrcValue
+    __eq__, __ne__, __hash__ = same_event, other_event, tuple.__hash__
 
 
 class SrcHostError(Exception):
@@ -1158,7 +1162,7 @@ def src_run(tm: TypedModule, budget: int = 1_000_000,
                     push(_new(SPtr, (a, a, op[2], op[3], v[4])))
             elif k == _READ:
                 v = pop()
-                emit(SrcRead(op[1], v))
+                emit(_new(SrcRead, (op[1], v)))
                 a = v[0]
                 if not 0 <= a < len(heap):
                     raise SrcHostError(f"read at {a} outside heap of {len(heap)}")
@@ -1166,7 +1170,7 @@ def src_run(tm: TypedModule, budget: int = 1_000_000,
             elif k == _WRITE:
                 v = pop()
                 target = pop()
-                emit(SrcWrite(op[1], target))
+                emit(_new(SrcWrite, (op[1], target)))
                 a = target[0]
                 if not 0 <= a < len(heap):
                     raise SrcHostError(f"write at {a} outside heap of {len(heap)}")
@@ -1200,17 +1204,17 @@ def src_run(tm: TypedModule, budget: int = 1_000_000,
                 env[slot] = v
             elif k == _FREE:
                 v = pop()
-                emit(SrcFree(v))
+                emit(_new(SrcFree, (v,)))
                 do_free(v[0])
                 push(_ZERO)
             elif k == _NEW:
                 ptr = do_alloc(op[1], 1, op[2])
-                emit(SrcAlloc(ptr))
+                emit(_new(SrcAlloc, (ptr,)))
                 push(ptr)
             else:
                 count = pop()[0]
                 ptr = do_alloc(count, count, op[1])
-                emit(SrcAlloc(ptr))
+                emit(_new(SrcAlloc, (ptr,)))
                 push(ptr)
     except SrcHostError:
         return SrcRunResult(trace, "hosterror", None, heap)

@@ -21,26 +21,28 @@ from typing import NamedTuple
 
 # Events are tuples built cheaply, but two events are equal only when they
 # also have the same type, as dataclasses are: ARead(1, 0, 0) != AWrite(1, 0, 0).
-def _same_event(self, other) -> bool:
+# The trace events of `interp` and `minic` take the same equality:
+#     __eq__, __ne__, __hash__ = same_event, other_event, tuple.__hash__
+def same_event(self, other) -> bool:
     return type(self) is type(other) and tuple.__eq__(self, other)
 
 
-def _other_event(self, other) -> bool:
-    return not _same_event(self, other)
+def other_event(self, other) -> bool:
+    return not same_event(self, other)
 
 
 class ARead(NamedTuple):
     addr: int
     color: int
     shade: int
-    __eq__, __ne__, __hash__ = _same_event, _other_event, tuple.__hash__
+    __eq__, __ne__, __hash__ = same_event, other_event, tuple.__hash__
 
 
 class AWrite(NamedTuple):
     addr: int
     color: int
     shade: int
-    __eq__, __ne__, __hash__ = _same_event, _other_event, tuple.__hash__
+    __eq__, __ne__, __hash__ = same_event, other_event, tuple.__hash__
 
 
 class AAlloc(NamedTuple):
@@ -48,13 +50,13 @@ class AAlloc(NamedTuple):
     addr: int
     color: int
     shades: tuple[int, ...]  # one per byte/cell of the region
-    __eq__, __ne__, __hash__ = _same_event, _other_event, tuple.__hash__
+    __eq__, __ne__, __hash__ = same_event, other_event, tuple.__hash__
 
 
 class AFree(NamedTuple):
     addr: int
     color: int
-    __eq__, __ne__, __hash__ = _same_event, _other_event, tuple.__hash__
+    __eq__, __ne__, __hash__ = same_event, other_event, tuple.__hash__
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ Segment memory takes from it with 16-byte alignment; the source heap in
 fits.  Freeing merges a range with its two neighbours only, so the list
 never needs a sort.
 
-Memory is two bytearrays of one size: `data` holds the bytes and `tags`
-holds one tag per byte, 0 for data and 1 for a byte of a stored handle.
+Memory is two bytearrays of one length, which grows to the end of the
+highest segment carved so far: `data` holds the bytes and `tags` holds
+one tag per byte, 0 for data and 1 for a byte of a stored handle.
 Every access is a pair of slices at one address: a number is read with
 `struct.unpack_from` on `data`; a store writes `data[a:a+n]` and
 `tags[a:a+n]`, with tags 0 for a number and 1 for a handle.  A handle
@@ -28,7 +29,6 @@ from __future__ import annotations
 import bisect
 import enum
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple
 
 HANDLE_BYTES = 16
@@ -99,28 +99,6 @@ def unpack_handle(data, tags, at: int = 0) -> Handle:
     return Handle(base, offset, bound, valid, word & MAX_ID)
 
 
-@dataclass
-class AllocatorState:
-    """Free ranges and live segments partition [0, size); `free` is
-    address-ordered and coalesced (see `take`).  Ids are issued from a
-    counter and never handed out twice."""
-
-    free: list[tuple[int, int]]          # (start, length)
-    allocated: dict[int, tuple[int, int]]  # id -> (base, size)
-    next_id: int = 0
-
-    @classmethod
-    def empty(cls, size: int) -> "AllocatorState":
-        return cls(free=[(0, size)] if size > 0 else [], allocated={})
-
-    def take_id(self) -> int:
-        if self.next_id > MAX_ID:
-            raise RuntimeError("segment id space exhausted")
-        i = self.next_id
-        self.next_id += 1
-        return i
-
-
 # A free list is address-ordered and coalesced: its (start, length) ranges
 # are non-empty, sorted by start, and no two overlap or touch.
 
@@ -164,47 +142,65 @@ def give(free: list[tuple[int, int]], base: int, n: int) -> None:
 
 
 class SegmentMemory:
-    """Fixed-size data and tag bytearrays plus the allocator."""
+    """The `tagged` backend: data and tag bytearrays plus the allocator.
+
+    `free_ranges` (a free list, see `take`) and the live segments in
+    `allocated` (id -> (base, size)) partition [0, size).  Ids are issued
+    from `next_id` and never handed out twice.  `data` and `tags` start
+    empty, so a module pays for the memory it allocates, not for the
+    size it declares."""
+
+    NULL = NULL_HANDLE
 
     def __init__(self, size: int):
         self.size = size
-        self.data = bytearray(size)
-        self.tags = bytearray(size)  # 0 = data, 1 = handle byte
-        self.alloc_state = AllocatorState.empty(size)
+        self.data = bytearray()
+        self.tags = bytearray()  # 0 = data, 1 = handle byte
+        self.free_ranges: list[tuple[int, int]] = [(0, size)] if size > 0 else []
+        self.allocated: dict[int, tuple[int, int]] = {}
+        self.next_id = 0
 
     # -- allocation ---------------------------------------------------
 
     def alloc(self, n: int) -> Handle:
         if n < 0:
             raise MemTrap(TrapKind.OOM, f"negative size {n}")
-        base = take(self.alloc_state.free, n, ALIGN)
+        base = take(self.free_ranges, n, ALIGN)
         if base is None:
             raise MemTrap(TrapKind.OOM, f"no free range fits {n} bytes")
+        seg_id = self.next_id
+        if seg_id > MAX_ID:
+            raise RuntimeError("segment id space exhausted")
+        self.next_id += 1
+        grow = base + n - len(self.data)
+        if grow > 0:
+            self.data.extend(bytes(grow))
+            self.tags.extend(bytes(grow))
         self.data[base:base + n] = bytes(n)
         self.tags[base:base + n] = bytes(n)
-        seg_id = self.alloc_state.take_id()
-        self.alloc_state.allocated[seg_id] = (base, n)
+        self.allocated[seg_id] = (base, n)
         return Handle(base, 0, n, True, seg_id)
 
     def free(self, h: Handle) -> None:
         if not h.valid:
             raise MemTrap(TrapKind.INTEGRITY, "free via corrupted handle")
-        if h.id not in self.alloc_state.allocated:
+        rec = self.allocated.get(h.id)
+        if rec is None:
             raise MemTrap(TrapKind.TEMPORAL, f"id {h.id} not allocated")
-        base, n = self.alloc_state.allocated[h.id]
+        base, n = rec
         if h.offset != 0 or h.base != base:
             raise MemTrap(TrapKind.SPATIAL, "free not at segment start")
-        del self.alloc_state.allocated[h.id]
+        del self.allocated[h.id]
         self.data[base:base + n] = bytes(n)
         self.tags[base:base + n] = bytes(n)
-        give(self.alloc_state.free, base, n)
+        give(self.free_ranges, base, n)
 
     # -- access -------------------------------------------------------
 
     def _check_access(self, h: Handle, size: int) -> int:
         if not h.valid:
             raise MemTrap(TrapKind.INTEGRITY, "access via corrupted handle")
-        rec = self.alloc_state.allocated.get(h.id)
+        rec = self.allocated.get(h.id)
         if rec is None:
             raise MemTrap(TrapKind.TEMPORAL, f"id {h.id} not allocated")
         seg_base, seg_size = rec
@@ -239,6 +235,9 @@ class SegmentMemory:
         self.data[a:a + HANDLE_BYTES] = pack_handle(v)
         self.tags[a:a + HANDLE_BYTES] = HANDLE_TAGS
 
+    def handle_add(self, h: Handle, delta: int) -> Handle:
+        return h.moved(delta)
+
     def slice_handle(self, h: Handle, o1: int, o2: int) -> Handle:
         """Narrow the window: base grows by o1, bound shrinks by o2."""
         if not (0 <= o1 < h.bound):
@@ -246,3 +245,7 @@ class SegmentMemory:
         if not (0 <= o2 <= h.bound):
             raise MemTrap(TrapKind.SPATIAL, f"slice bound cut {o2}")
         return Handle(h.base + o1, h.offset, h.bound - o2, h.valid, h.id)
+
+    def view(self, h: Handle) -> Handle:
+        """A handle as trace events show it: itself."""
+        return h

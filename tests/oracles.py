@@ -26,7 +26,6 @@ import struct
 from dataclasses import dataclass, field
 
 from mswasm.baggy import NULL_BAGGY, pack_baggy, unpack_baggy
-from mswasm.bytecode import ValueType
 from mswasm.compiler import Layout, compile_type
 from mswasm.interp import ReadEv, SAllocEv, SFreeEv, TrapEv, WriteEv
 from mswasm.minic import (
@@ -449,16 +448,15 @@ class RefBuddyMemory:
         return {(k, b) for k, bases in self.free_lists.items() for b in bases}
 
 
-BAGGY_NUM_FORMATS = {"i32": "<i", "i64": "<q", "f32": "<f", "f64": "<d"}
+BAGGY_NUM_LAYOUTS = tuple(struct.Struct(f) for f in ("<i", "<q", "<f", "<d"))
 
 
-def run_baggy_differential(backend, rng, steps: int) -> None:
-    """Drive a baggy backend and RefBuddyMemory with one random sequence of
+def run_baggy_differential(mem, rng, steps: int) -> None:
+    """Drive a BuddyMemory and RefBuddyMemory with one random sequence of
     allocs, frees, handle adds, slices, number and handle loads and
     stores, and decodes of random packed bytes, asserting after each op
     the same handle fields, views, loaded values, trap kinds, memory
     bytes, free blocks and allocated slots."""
-    mem = backend.mem
     ref = RefBuddyMemory(len(mem.data), mem.cap)
     pool: list = []  # (handle, the reference's packed int)
 
@@ -467,7 +465,7 @@ def run_baggy_differential(backend, rng, steps: int) -> None:
         if out:
             h, packed = out
             assert (h.addr, h.order, h.marked) == ref_baggy_fields(packed), out
-            assert backend.view(h) == ref.view(packed), out
+            assert mem.view(h) == ref.view(packed), out
             pool.append(out)
 
     def attempt(act, reference):
@@ -492,33 +490,30 @@ def run_baggy_differential(backend, rng, steps: int) -> None:
         reach = 1 << min(h.order, 10)  # deltas reaching past the stray windows
         if op == 0:
             n = rng.choice((0, 1, 15, 16, 17, 32, 48, 64, 100, 200, 500, 3000))
-            keep(attempt(lambda: backend.alloc(n), lambda: ref.alloc(n)))
+            keep(attempt(lambda: mem.alloc(n), lambda: ref.alloc(n)))
         elif op == 1:
-            attempt(lambda: backend.free(h), lambda: ref.free(p))
+            attempt(lambda: mem.free(h), lambda: ref.free(p))
         elif op == 2:
             d = rng.randint(-2 * reach, 2 * reach)
-            keep(attempt(lambda: backend.handle_add(h, d), lambda: ref.handle_add(p, d)))
+            keep(attempt(lambda: mem.handle_add(h, d), lambda: ref.handle_add(p, d)))
         elif op == 3:
             o1, o2 = rng.randint(-reach, 2 * reach), rng.randint(0, reach)
-            keep(attempt(lambda: backend.slice(h, o1, o2), lambda: ref.handle_add(p, o1)))
+            keep(attempt(lambda: mem.slice_handle(h, o1, o2), lambda: ref.handle_add(p, o1)))
         elif op == 4:
-            ty = rng.choice((ValueType.I32, ValueType.I64, ValueType.F32, ValueType.F64))
-            out = attempt(lambda: backend.load(h, ty),
-                          lambda: ref.load(p, BAGGY_NUM_FORMATS[ty.value]))
+            layout = rng.choice(BAGGY_NUM_LAYOUTS)
+            out = attempt(lambda: mem.load(h, layout), lambda: ref.load(p, layout.format))
             if out:
                 got, want = out
                 assert got == want or (got != got and want != want), (got, want)
         elif op == 5:
-            ty = rng.choice((ValueType.I32, ValueType.I64, ValueType.F32, ValueType.F64))
-            fmt = BAGGY_NUM_FORMATS[ty.value]
-            v = struct.unpack(fmt, rng.randbytes(struct.calcsize(fmt)))[0]
-            attempt(lambda: backend.store(h, ty, v), lambda: ref.store(p, fmt, v))
+            layout = rng.choice(BAGGY_NUM_LAYOUTS)
+            v = layout.unpack(rng.randbytes(layout.size))[0]
+            attempt(lambda: mem.store(h, layout, v), lambda: ref.store(p, layout.format, v))
         elif op == 6:
-            keep(attempt(lambda: backend.load(h, ValueType.HANDLE),
-                         lambda: ref.load_handle(p)))
+            keep(attempt(lambda: mem.load_handle(h), lambda: ref.load_handle(p)))
         elif op == 7:
             inner, inner_p = rng.choice(pool)
-            attempt(lambda: backend.store(h, ValueType.HANDLE, inner),
+            attempt(lambda: mem.store_handle(h, inner),
                     lambda: ref.store_handle(p, inner_p))
         else:
             raw = rng.randbytes(8)

@@ -90,7 +90,7 @@ def test_criterion_2_intra_object_fixture():
     assert res.outcome == "trap"
     assert isinstance(res.trace[-1], TrapEv)
     # post-mortem: the id cell still holds 77, the overflow never landed
-    seg = res.config.backend.mem
+    seg = res.config.backend
     alloc_ev = res.trace[0]
     at = alloc_ev.handle.base + id_off
     id_bytes = bytes(seg.data[at:at + 4])

@@ -293,17 +293,22 @@ BAD_MEMORY_SIZES = {
 }
 MEMORY_COMMANDS = {"run-tagged": ["run", "--backend", "tagged"],
                    "run-baggy": ["run", "--backend", "baggy"],
-                   "check": ["check"]}  # check has no --segment-size
+                   "check": ["check"],      # no --segment-size
+                   "compile": ["compile"]}  # a source and --segment-size only
 
 
 @pytest.mark.parametrize("name,cmd", [
     (name, cmd) for name, (_, _, flag) in BAD_MEMORY_SIZES.items()
-    for cmd in MEMORY_COMMANDS if flag is None or cmd != "check"])
+    for cmd in MEMORY_COMMANDS
+    if cmd != ("check" if flag is not None else "compile")])
 def test_memory_size_outside_the_cap_is_a_usage_error(tmp_path, capsys, name, cmd):
     segment, heap, flag = BAD_MEMORY_SIZES[name]
     f = tmp_path / "sized.mswat"
-    f.write_text(f"(module (segment {segment}) (heap {heap})"
-                 " (func (result i32) i32.const 0))")
+    if cmd == "compile":
+        f.write_text(SAFE_SOURCE)
+    else:
+        f.write_text(f"(module (segment {segment}) (heap {heap})"
+                     " (func (result i32) i32.const 0))")
     argv = MEMORY_COMMANDS[cmd] + [str(f)]
     if flag is not None:
         argv += ["--segment-size", str(flag)]
@@ -316,3 +321,19 @@ def test_memory_size_outside_the_cap_is_a_usage_error(tmp_path, capsys, name, cm
     assert code == 2
     assert peak < 1 << 20
     assert "outside [0, " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("segment", [1 << 22, MAX_MEMORY])
+def test_tagged_memory_is_made_as_segments_are_allocated(tmp_path, segment):
+    """A module that allocates nothing costs no segment memory, whatever
+    size it declares."""
+    f = tmp_path / "big.mswat"
+    f.write_text(f"(module (segment {segment}) (heap 0) (func (result i32) i32.const 0))")
+    tracemalloc.start()
+    try:
+        code = main(["run", "--backend", "tagged", str(f)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1 << 20

@@ -14,13 +14,14 @@ from mswasm.conformance import (
     relate_events,
     relate_value,
 )
-from mswasm.interp import ReadEv, SAllocEv, TrapEv, WriteEv, link, run
+from mswasm.interp import ReadEv, SAllocEv, SFreeEv, TrapEv, WriteEv, link, run
 from mswasm.minic import (
     INT,
     Safe,
     SInt,
     SPtr,
     SrcAlloc,
+    SrcFree,
     SrcRead,
     SrcWrite,
     parse_source,
@@ -45,6 +46,15 @@ def _delta_with_alloc(length=4, wtype=INT, tgt_base=0, tgt_id=0):
     h = Handle(tgt_base, 0, length * layout.sizeof(wtype), True, tgt_id)
     assert relate_events(layout, delta, SrcAlloc(ptr), SAllocEv(h))
     return layout, delta
+
+
+def test_trace_events_are_equal_only_to_events_of_their_class():
+    h, p = Handle(0, 0, 8, True, 0), SPtr(0, 0, 2, INT, 0)
+    assert ReadEv(I32, h) == ReadEv(I32, h) != WriteEv(I32, h)
+    assert SAllocEv(h) != SFreeEv(h)
+    assert SrcRead(INT, p) == SrcRead(INT, p) != SrcWrite(INT, p)
+    assert SrcAlloc(p) != SrcFree(p)
+    assert len({ReadEv(I32, h), WriteEv(I32, h), SrcRead(INT, p), SrcWrite(INT, p)}) == 4
 
 
 def test_relate_value_pointer_arithmetic():

@@ -1,8 +1,10 @@
 import pytest
 
 from mswasm import bytecode as bc
+from mswasm.baggy import NULL_BAGGY, BaggyHandle
 from mswasm.bytecode import FuncDef, FuncType, ModuleDef, ValueType, parse_module
 from mswasm.interp import (
+    BACKENDS,
     Config,
     InitError,
     LinkError,
@@ -21,7 +23,7 @@ from mswasm.interp import (
 from mswasm.segmem import Handle
 from mswasm.typecheck import typecheck_module
 
-I32, I64, H = ValueType.I32, ValueType.I64, ValueType.HANDLE
+I32, I64, F64, H = ValueType.I32, ValueType.I64, ValueType.F64, ValueType.HANDLE
 
 
 def module(body, locals_=(), results=(I32,), segment=64, heap=0, funcs=()):
@@ -30,8 +32,8 @@ def module(body, locals_=(), results=(I32,), segment=64, heap=0, funcs=()):
 
 
 def exec_instr(body, operands, locals_=(), segment=64, heap=0):
-    """Drive a single frame whose operand stack is set up by hand (the only
-    way to plant arbitrary handle values)."""
+    """Drive a single frame whose operand stack of raw values is set up by
+    hand (the only way to plant arbitrary handle values)."""
     m = module(body, locals_=locals_, results=(), segment=segment, heap=heap)
     config = init_state(m)
     config.frames[-1].operands = list(operands)
@@ -53,28 +55,28 @@ def test_handle_add_moves_offset_silently():
     m = module([bc.handle_add()], results=())
     config = init_state(m)
     config.backend.alloc(8)
-    config.frames[-1].operands = [Value(H, h), Value(I32, 4)]
+    config.frames[-1].operands = [h, 4]
     ev = step(config)
     assert ev is None
-    assert config.frames[-1].operands[-1].v == Handle(0, 4, 8, True, 0)
+    assert config.frames[-1].operands[-1] == Handle(0, 4, 8, True, 0)
 
 
 def test_handle_add_wraps_i32():
     h = Handle(0, 2**31 - 1, 8, True, 0)
     m = module([bc.handle_add()], results=())
     config = init_state(m)
-    config.frames[-1].operands = [Value(H, h), Value(I32, 1)]
+    config.frames[-1].operands = [h, 1]
     step(config)
-    assert config.frames[-1].operands[-1].v.offset == -(2**31)
+    assert config.frames[-1].operands[-1].offset == -(2**31)
 
 
 def test_slice_example():
     h = Handle(100, 0, 64, True, 7)
     m = module([bc.slice_()], results=(), segment=256)
     config = init_state(m)
-    config.frames[-1].operands = [Value(H, h), Value(I32, 8), Value(I32, 16)]
+    config.frames[-1].operands = [h, 8, 16]
     step(config)
-    assert config.frames[-1].operands[-1].v == Handle(108, 0, 48, True, 7)
+    assert config.frames[-1].operands[-1] == Handle(108, 0, 48, True, 7)
 
 
 def test_slice_base_offset_at_bound_traps():
@@ -82,7 +84,7 @@ def test_slice_base_offset_at_bound_traps():
     m = module([bc.slice_()], results=(), segment=64)
     config = init_state(m)
     config.backend.alloc(64)
-    config.frames[-1].operands = [Value(H, h), Value(I32, 64), Value(I32, 0)]
+    config.frames[-1].operands = [h, 64, 0]
     ev = step(config)
     assert isinstance(ev, TrapEv)
     assert config.frames == []  # halt leaves no operand stack at all
@@ -226,8 +228,29 @@ def test_trap_is_final():
 def test_handle_local_zero_init_is_invalid_null():
     m = module([bc.const(I32, 0)], locals_=(H,))
     config = init_state(m)
-    local = config.frames[0].locals[0]
-    assert local.ty is H and local.v == Handle(0, 0, 0, False, 0)
+    assert config.frames[0].locals == [Handle(0, 0, 0, False, 0)]
+
+
+def test_both_backends_have_the_one_call_set():
+    calls = ("alloc", "free", "handle_add", "slice_handle", "load", "store",
+             "load_handle", "store_handle", "view")
+    for name, memory in BACKENDS.items():
+        mem = memory(64)
+        assert all(callable(getattr(mem, c, None)) for c in calls), name
+    assert BACKENDS["tagged"].NULL == Handle(0, 0, 0, False, 0)
+    assert BACKENDS["baggy"].NULL == NULL_BAGGY
+
+
+@pytest.mark.parametrize("backend,segment", [
+    ("tagged", Handle(0, 0, 8, True, 0)), ("baggy", BaggyHandle(0, 4, False))])
+def test_results_are_typed_by_the_entry_functions_result_types(backend, segment):
+    f64 = module([bc.const(F64, 2.5), bc.const(F64, 0.5), bc.binop(F64, "mul")],
+                 results=(F64,))
+    handle = module([bc.const(I32, 8), bc.new_segment()], results=(H,))
+    for m in (f64, handle):
+        typecheck_module(m)
+    assert run(f64, backend).results == [Value(F64, 1.25)]
+    assert run(handle, backend).results == [Value(H, segment)]
 
 
 def test_init_rejects_imported_modules():

@@ -56,8 +56,8 @@ def test_free_restores_whole_memory():
     mem = SegmentMemory(64)
     h = mem.alloc(8)
     mem.free(h)
-    assert mem.alloc_state.free == [(0, 64)]
-    assert mem.alloc_state.allocated == {}
+    assert mem.free_ranges == [(0, 64)]
+    assert mem.allocated == {}
 
 
 def test_double_free_traps():
@@ -213,12 +213,12 @@ def test_alloc_free_restores_partition(sizes):
     hs = []
     for n in sizes:
         hs.append(mem.alloc(n))
-        assert_coalesced(mem.alloc_state.free)
+        assert_coalesced(mem.free_ranges)
     for h in hs:
         mem.free(h)
-        assert_coalesced(mem.alloc_state.free)
-    assert mem.alloc_state.free == ([(0, 1024)] if 1024 else [])
-    assert mem.alloc_state.allocated == {}
+        assert_coalesced(mem.free_ranges)
+    assert mem.free_ranges == ([(0, 1024)] if 1024 else [])
+    assert mem.allocated == {}
 
 
 @pytest.mark.parametrize("align", [16, 1])
@@ -276,7 +276,7 @@ def test_tag_alloc_soundness_invariant():
                           rng.randrange(256))
             except MemTrap:
                 pass
-        for base in range(0, mem.size - 15, 16):
+        for base in range(0, len(mem.data) - 15, 16):  # bytes past data are unwritten
             decoded = unpack_handle(mem.data, mem.tags, base)
             if decoded.valid:
-                assert decoded.id < mem.alloc_state.next_id
+                assert decoded.id < mem.next_id
