@@ -223,13 +223,18 @@ _TOKEN_RE = re.compile(r"(?:[ \t\r\n]+|;[^\n]*)*([()]|[^ \t\r\n();]+|\Z)")
 
 
 def _parse_literal(ty: ValueType, text: str) -> int | float:
-    """Raises ValueError on a malformed literal, OverflowError on an f32
-    one out of range."""
+    """Raises ValueError on a malformed literal or an integer one outside
+    Wasm's range for its type, OverflowError on an f32 one out of range.
+    An i32 literal in [-2^31, 2^32) (i64: [-2^63, 2^64)) is read as Wasm
+    reads it: the unsigned half wraps to the negative values."""
     if ty is ValueType.F32:
         return struct.unpack("<f", struct.pack("<f", float(text)))[0]
     if ty is ValueType.F64:
         return float(text)
-    return int(text)
+    n, bits = int(text), SIZEOF[ty] * 8
+    if not -(1 << bits - 1) <= n < 1 << bits:
+        raise ValueError(text)
+    return n - (1 << bits) if n >= 1 << bits - 1 else n
 
 
 class _Parser:

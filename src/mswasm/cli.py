@@ -2,9 +2,11 @@
 
 Exit codes: 0 ok, 2 usage (also `run` or `check` on a module with imports,
 and `diff` on a source with imports), 10 trap, 11 type error, 12 parse
-error (also text nested past bytecode.MAX_NESTING), 13 monitor violation,
-14 step budget exhausted, 15 differential divergence, 16 internal error
-(an interpreter bug, interp.InterpBug, or memory exhausted, MemoryError).
+error (also text nested past bytecode.MAX_NESTING), 13 monitor violation
+(also `fuzz` and `fuzz --attacker` with a counterexample), 14 step budget
+exhausted, 15 differential divergence (also `fuzz --source` with a
+counterexample), 16 internal error (an interpreter bug, interp.InterpBug,
+or memory exhausted, MemoryError).
 """
 
 from __future__ import annotations
@@ -174,7 +176,9 @@ def cmd_fuzz(args) -> int:
         failures += bad
     dt = time.perf_counter() - t0
     print(f"{args.n} runs, {failures} counterexamples, {dt:.2f}s")
-    return EXIT_OK if failures == 0 else 1
+    if failures == 0:
+        return EXIT_OK
+    return EXIT_DIVERGED if args.source else EXIT_VIOLATION
 
 
 def build_parser() -> argparse.ArgumentParser:

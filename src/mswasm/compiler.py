@@ -29,6 +29,7 @@ from .minic import (
     IntType,
     PtrType,
     SrcModule,
+    SrcTypeError,
     StructType,
     TAssignPtr,
     TAssignVar,
@@ -160,9 +161,13 @@ class _FnCompiler:
     null_handle: int
 
     def ins(self, make, arg) -> bc.Instr:
-        """make(arg), built once per module."""
+        """make(arg), built once per module.  SrcTypeError for an i32
+        constant that i32 cannot hold: a literal past 2^31 - 1, or the size
+        of a struct of 2^31 bytes or more."""
         ins = self.instrs.get((make, arg))
         if ins is None:
+            if make is _i32 and arg >= 1 << 31:
+                raise SrcTypeError(f"constant {arg} does not fit in i32")
             ins = self.instrs[make, arg] = make(arg)
         return ins
 

@@ -210,13 +210,17 @@ def _trap(config: Config) -> TrapEv:
 
 def _fit(ty: ValueType, r):
     """r as a value of ty: two's-complement wrap for the integer types,
-    rounding to single precision for f32."""
+    rounding to single precision for f32, where a result that rounds past
+    the largest finite f32 is an infinity of its sign, as in Wasm."""
     if ty is I32:
         return ((r + _I32_HALF) & _I32_MASK) - _I32_HALF
     if ty is I64:
         return ((r + _I64_HALF) & _I64_MASK) - _I64_HALF
     if ty is F32:
-        return _F32.unpack(_F32.pack(r))[0]
+        try:
+            return _F32.unpack(_F32.pack(r))[0]
+        except OverflowError:
+            return math.copysign(math.inf, r)
     return r
 
 

@@ -328,7 +328,10 @@ class _SrcParser:
         got = self.next()
         if not got.isdecimal():
             raise SrcParseError(f"expected number, got {got!r}")
-        return int(got)
+        try:
+            return int(got)
+        except ValueError:  # past Python's digit limit for int()
+            raise SrcParseError(f"number of {len(got)} digits") from None
 
     def inner(self, parse, *args):
         """parse(*args) one nesting level further in."""
@@ -511,8 +514,7 @@ class _SrcParser:
             self.pos += 1
             return Var(t), 0
         if t.isdecimal():
-            self.pos += 1
-            return Num(int(t)), 0
+            return Num(self.num()), 0
         if t == "(":
             return self.enclosed("(", ")")
         if t == "malloc":
@@ -1232,12 +1234,11 @@ class SrcUnsafe:
 
 
 def _alloc_footprint(mod: SrcModule, ptr: SPtr) -> tuple[int, tuple[int, ...]]:
-    """Cell count and per-cell shades for an allocation event's pointer."""
-    if isinstance(ptr.wtype, StructType):
-        shades = struct_cell_shades(mod, ptr.wtype.name) * ptr.length
-    else:
-        shades = (0,) * (ptr.length * cells_of(mod, ptr.wtype))
-    return len(shades), shades
+    """Cell count and one element's shades for an allocation event's pointer."""
+    w = ptr.wtype
+    shades = struct_cell_shades(mod, w.name) if isinstance(w, StructType) else (0,)
+    ncells = ptr.length * cells_of(mod, w)
+    return ncells, shades if ncells else ()
 
 
 def src_relate(mod: SrcModule, trace: list):

@@ -1,20 +1,21 @@
 """Language-independent memory-safety monitor over abstract event traces.
 
-The state is a coloured shadow memory in two maps.  `cells` maps each
-address ever allocated to the colour (provenance) of the last allocation
-that covered it and the shade naming its sub-region within that
-allocation.  `blocks` maps each colour issued so far to the base address
-of its allocation and whether it is still live.  Colours are never
-reused, so a cell is freed exactly when its colour is: a free flips one
-flag instead of sweeping the cells, and a read, write, free, double-free
-or unmatched-free check is O(1) and an allocation O(size).  The monitor
-consumes events one at a time and reports the first one that cannot be
-consumed.
+The state is one record per allocation.  `blocks` maps each colour
+(provenance) issued so far, in allocation order, to the base, size,
+shades and liveness of its allocation, and `ranges` holds the sorted
+(base, end) ranges of the live non-empty blocks, which never overlap.
+Shades are one element's pattern: offset j has shades[j % len(shades)].
+Colours are never reused, so an access whose own live block covers it is
+one lookup, and any other is a violation that one newest-first scan of
+the blocks names.  An allocation or a free is one bisect into `ranges`,
+so no event costs in proportion to a region's size.  The monitor consumes
+events one at a time and reports the first one that cannot be consumed.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -49,7 +50,7 @@ class AAlloc(NamedTuple):
     size: int
     addr: int
     color: int
-    shades: tuple[int, ...]  # one per byte/cell of the region
+    shades: tuple[int, ...]  # one element's pattern: byte/cell j has shades[j % len]
     __eq__, __ne__, __hash__ = same_event, other_event, tuple.__hash__
 
 
@@ -69,47 +70,50 @@ class Violation:
 
 @dataclass
 class ShadowMemory:
-    cells: dict[int, tuple[int, int]] = field(default_factory=dict)   # addr -> (color, shade)
-    blocks: dict[int, tuple[int, bool]] = field(default_factory=dict)  # color -> (base, live)
+    blocks: dict[int, tuple] = field(default_factory=dict)  # color -> (base, size, shades, live)
+    ranges: list[tuple[int, int]] = field(default_factory=list)  # live (base, end), sorted
 
 
 def monitor_step(shadow: ShadowMemory, ev) -> str | None:
     """Consume one event, mutating shadow.  Returns a violation kind, or
     None on success."""
-    cls, cells, blocks = type(ev), shadow.cells, shadow.blocks
+    cls, blocks = type(ev), shadow.blocks
     if cls is ARead or cls is AWrite:
-        cell = cells.get(ev.addr)
-        if cell is None:
-            return "temporal-unmapped"
-        color, shade = cell
-        if not blocks[color][1]:
-            return "temporal-freed"
-        if color != ev.color:
-            return "spatial-color"
-        if shade != ev.shade:
-            return "shade"
-        return None
+        block = blocks.get(ev.color)
+        if block is not None:
+            base, size, shades, live = block
+            j = ev.addr - base
+            if live and 0 <= j < size:
+                return None if shades[j % len(shades)] == ev.shade else "shade"
+        for base, size, _, live in reversed(blocks.values()):  # the newest covering block
+            if base <= ev.addr < base + size:
+                return "spatial-color" if live else "temporal-freed"
+        return "temporal-unmapped"
 
     if cls is AAlloc:
-        addr, color, shades = ev.addr, ev.color, ev.shades
+        size, addr, color, shades = ev
+        if not (shades and size > 0 and size % len(shades) == 0 or size == 0 and not shades):
+            raise TypeError(f"not an abstract event: {ev!r} (shades is no pattern for size)")
         if color in blocks:
             return "color-reuse"
-        for a in range(addr, addr + ev.size):
-            cell = cells.get(a)
-            if cell is not None and blocks[cell[0]][1]:
+        if size:
+            ranges, end = shadow.ranges, addr + size
+            i = bisect_left(ranges, (addr,))
+            if (i and ranges[i - 1][1] > addr) or (i < len(ranges) and ranges[i][0] < end):
                 return "alloc-overlap"
-        blocks[color] = (addr, True)
-        for j in range(ev.size):
-            cells[addr + j] = (color, shades[j])
+            ranges.insert(i, (addr, end))
+        blocks[color] = (addr, size, shades, True)
         return None
 
     if cls is AFree:
         block = blocks.get(ev.color)
         if block is None or block[0] != ev.addr:
             return "free-unmatched"
-        if not block[1]:
+        if not block[3]:
             return "double-free"
-        blocks[ev.color] = (ev.addr, False)
+        blocks[ev.color] = block[:3] + (False,)
+        if block[1]:
+            del shadow.ranges[bisect_left(shadow.ranges, (ev.addr,))]
         return None
 
     raise TypeError(f"not an abstract event: {ev!r}")
@@ -141,22 +145,19 @@ class AbsTraceError(ValueError):
     """A line of an abstract trace that is not an abstract event."""
 
 
+_JSON_EVENTS = {"read": ARead, "write": AWrite, "alloc": AAlloc, "free": AFree}
+_JSON_TAGS = {cls: tag for tag, cls in _JSON_EVENTS.items()}
 _JSON_FIELDS = {"read": ("a", "c", "s"), "write": ("a", "c", "s"),
                 "alloc": ("n", "a", "c"), "free": ("a", "c")}
 
 
 def abs_event_to_json(ev) -> str:
-    if isinstance(ev, ARead):
-        obj = {"ev": "read", "a": ev.addr, "c": ev.color, "s": ev.shade}
-    elif isinstance(ev, AWrite):
-        obj = {"ev": "write", "a": ev.addr, "c": ev.color, "s": ev.shade}
-    elif isinstance(ev, AAlloc):
-        obj = {"ev": "alloc", "n": ev.size, "a": ev.addr, "c": ev.color,
-               "phi": list(ev.shades)}
-    elif isinstance(ev, AFree):
-        obj = {"ev": "free", "a": ev.addr, "c": ev.color}
-    else:
+    tag = _JSON_TAGS.get(type(ev))
+    if tag is None:
         raise TypeError(f"not an abstract event: {ev!r}")
+    obj = {"ev": tag, **dict(zip(_JSON_FIELDS[tag], ev))}
+    if tag == "alloc":  # the pattern repeated to one shade per location
+        obj["phi"] = list(ev.shades) * (ev.size // max(len(ev.shades), 1))
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -172,12 +173,8 @@ def abs_event_from_json(line: str):
     values = [obj.get(k) for k in _JSON_FIELDS[tag]]
     if not all(type(v) is int for v in values):  # bool is not int here
         raise AbsTraceError(f"{tag} needs integer fields {_JSON_FIELDS[tag]}")
-    if tag == "read":
-        return ARead(*values)
-    if tag == "write":
-        return AWrite(*values)
-    if tag == "free":
-        return AFree(*values)
+    if tag != "alloc":
+        return _JSON_EVENTS[tag](*values)
     phi = obj.get("phi")
     if values[0] < 0 or not isinstance(phi, list) or len(phi) != values[0] \
             or not all(type(s) is int for s in phi):

@@ -1,14 +1,15 @@
 """Builds the abstract-event image of an execution trace.
 
 The relation keeps one record per segment id: the segment's base, size,
-colour and per-byte shades, and whether it is live.  An allocation event
-binds its id to a fresh colour; reads and writes then expand to one
-abstract event per byte.  A handle, sliced or not, resolves through its
-id: it must be based inside its segment (at the base itself for an empty
-segment), its bytes sit at `h.base + h.offset`, and they take the colour
-of the segment and the shade of the byte at `h.base`.  Abstract addresses
-are the segment addresses themselves: colours already disambiguate reuse,
-so the identity embedding is the simplest witness.  The source relation
+colour and shades (one element's pattern, as `monitor.AAlloc` takes it),
+and whether it is live.  An allocation event binds its id to a fresh
+colour; reads and writes then expand to one abstract event per byte.  A
+handle, sliced or not, resolves through its id: it must be based inside
+its segment (at the base itself for an empty segment), its bytes sit at
+`h.base + h.offset`, and they take the colour of the segment and the
+shade of the byte at `h.base`.  Abstract addresses are the segment
+addresses themselves: colours already disambiguate reuse, so the identity
+embedding is the simplest witness.  The source relation
 (`minic.src_relate`) resolves pointers through the same records.
 """
 
@@ -25,8 +26,9 @@ _WIDTH = {t._value_: n for t, n in SIZEOF.items()}
 
 
 def constant_shading(index: int, handle, size: int) -> tuple[int, ...]:
-    """Every location the same shade: enough for flat segment memory."""
-    return (0,) * size
+    """Every location the same shade: enough for flat segment memory.  A
+    shading gives one element's pattern, empty iff `size` is 0."""
+    return (0,) if size else ()
 
 
 @dataclass(frozen=True)
@@ -69,10 +71,8 @@ class BijectionDelta:
             return None
         seg_base, size, color, shades = seg
         j = base - seg_base
-        if 0 <= j < size:
-            return color, shades[j]
-        if j == 0:  # an empty segment: its base only
-            return color, 0
+        if 0 <= j < size or j == size == 0:  # an empty segment: its base only
+            return color, shades[j % len(shades)] if size else 0
         return None
 
 

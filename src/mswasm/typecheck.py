@@ -30,6 +30,10 @@ StackType = list[ValueType]
 # Sentinel result of typing code that ends in trap/return: anything goes after.
 UNREACHABLE = None
 
+# Integer literals are signed values: -half <= n < half.  Keyed by the
+# type's name, whose hash is cached, where an Enum member's is computed.
+_INT_HALF = {"i32": 1 << 31, "i64": 1 << 63}
+
 
 class TypeError_(Exception):
     def __init__(self, kind: str, msg: str):
@@ -68,6 +72,9 @@ def type_instr(ctx: TypingContext, ins: Instr) -> tuple[StackType, StackType]:
     if op == "const":
         if ins.ty is ValueType.HANDLE:
             raise TypeError_("const-of-handle", "no handle literals")
+        half = _INT_HALF.get(ins.ty._value_)
+        if half and not -half <= ins.literal < half:
+            raise TypeError_("literal-range", f"{ins.ty.value}.const {ins.literal}")
         return [], [ins.ty]
     if op == "binop":
         return _binop_arrow(ins)

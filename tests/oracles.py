@@ -141,8 +141,9 @@ class BruteMonitor:
                 if not (ev.addr + ev.size <= r.addr or r.addr + r.size <= ev.addr):
                     return "alloc-overlap"
             self.colors.add(ev.color)
-            self.records.append(_AllocRecord(ev.size, ev.addr, ev.color,
-                                             tuple(ev.shades)))
+            pattern = ev.shades  # one element's shades, repeated per byte
+            self.records.append(_AllocRecord(ev.size, ev.addr, ev.color, tuple(
+                pattern[j % len(pattern)] for j in range(ev.size))))
             return None
         if isinstance(ev, (ARead, AWrite)):
             covering = [r for r in self.records if r.covers(ev.addr)]

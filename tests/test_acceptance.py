@@ -197,7 +197,7 @@ def _alphabet():
         for c in range(2):
             for shades in [(0,), (1,)]:
                 events.append(AAlloc(1, a, c, shades))
-            for shades in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+            for shades in [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]:
                 events.append(AAlloc(2, a, c, shades))
     for a in range(4):
         for c in range(2):
@@ -223,15 +223,14 @@ def test_criterion_8_monitor_vs_bruteforce_exhaustive():
 
     def dfs(shadow, bm, depth):
         nonlocal transitions
-        key = (frozenset(shadow.cells.items()), frozenset(shadow.blocks.items()),
-               bm.state_key())
+        key = (tuple(shadow.blocks.items()), tuple(shadow.ranges), bm.state_key())
         if seen.get(key, -1) >= depth:
             return
         seen[key] = depth
         if depth == 0:
             return
         for ev in alphabet:
-            shadow2 = ShadowMemory(dict(shadow.cells), dict(shadow.blocks))
+            shadow2 = ShadowMemory(dict(shadow.blocks), list(shadow.ranges))
             kind_m = monitor_step(shadow2, ev)
             bm2 = clone_records(bm)
             kind_b = bm2.step_kind(ev)

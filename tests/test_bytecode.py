@@ -164,6 +164,26 @@ def test_handle_const_is_not_parseable():
         parse_module("(module (segment 0) (heap 0) (func handle.const 0))")
 
 
+@pytest.mark.parametrize("ty,text,value", [
+    ("i32", "4294967295", -1), ("i32", "2147483648", -(1 << 31)),
+    ("i32", "2147483647", (1 << 31) - 1), ("i32", "-2147483648", -(1 << 31)),
+    ("i64", "18446744073709551615", -1), ("i64", "-9223372036854775808", -(1 << 63)),
+])
+def test_integer_literals_take_wasms_range_and_wrap_the_unsigned_half(ty, text, value):
+    m = parse_module(f"(module (segment 0) (heap 0) (func (result {ty}) {ty}.const {text}))")
+    assert m.funcs[0].body[0].literal == value
+    assert parse_module(print_module(m)) == m
+
+
+@pytest.mark.parametrize("ty,text", [
+    ("i32", "4294967296"), ("i32", "-2147483649"), ("i32", "99999999999"),
+    ("i64", "18446744073709551616"), ("i64", "-9223372036854775809"),
+])
+def test_integer_literals_outside_wasms_range_are_parse_errors(ty, text):
+    with pytest.raises(ParseError, match=f"bad integer literal '{text}'"):
+        parse_module(f"(module (segment 0) (heap 0) (func (result {ty}) {ty}.const {text}))")
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_roundtrip_fuzzed_modules(seed):

@@ -6,7 +6,7 @@ import pytest
 from fixtures import nested_ifs_module, straight_line_source
 from mswasm import cli
 from mswasm.cli import main
-from mswasm.interp import InterpBug
+from mswasm.interp import InterpBug, run, trace_to_jsonl
 from mswasm.segmem import MAX_MEMORY
 
 OK_MODULE = """
@@ -337,3 +337,128 @@ def test_tagged_memory_is_made_as_segments_are_allocated(tmp_path, segment):
         tracemalloc.stop()
     assert code == 0
     assert peak < 1 << 20
+
+
+def test_check_of_a_large_segment_takes_one_monitor_record(tmp_path, capsys):
+    """`check` on a module that allocates, writes and frees a 2^24-byte
+    segment: the monitor holds the segment as one record, so the verdict
+    comes in seconds, not in time and memory per byte."""
+    import time
+
+    f = tmp_path / "large.mswat"
+    f.write_text(f"""
+    (module (segment {1 << 24}) (heap 0)
+      (func (local handle) (result i32)
+        i32.const {1 << 24} new_segment set 0
+        get 0 i32.const {(1 << 24) - 4} handle.add i32.const 7 i32.segstore
+        get 0 segfree
+        i32.const 0))
+    """)
+    t0 = time.perf_counter()
+    code = main(["check", str(f)])
+    elapsed = time.perf_counter() - t0
+    assert code == 0, capsys.readouterr().err
+    assert "safe (3 events, outcome ok)" in capsys.readouterr().out
+    assert elapsed < 5.0
+
+
+STORE_BIG_SOURCE = """
+module {
+  fn main() -> int {
+    var (p: ptr<array int>);
+    p := malloc<int>(1);
+    *(p + 0) := 99999999999;
+    free(p);
+    0
+  }
+  heap 0
+}
+"""
+
+# (command, file suffix, text, exit code) for literals outside their type.
+# A source literal may exceed i32 (a malloc count of 2^40 must reach the
+# source heap's cap), so it is the compiler that rejects it.
+OUT_OF_RANGE_LITERALS = {
+    "i32-result": ("run", ".mswat", "(module (segment 0) (heap 0)"
+                   " (func (result i32) i32.const 99999999999))", 12),
+    "i32-store": ("run", ".mswat", "(module (segment 0) (heap 8) (func (result i32)"
+                  " i32.const 0 i32.const 99999999999 i32.store i32.const 0))", 12),
+    "i32-segstore": ("run", ".mswat", "(module (segment 64) (heap 0) (func (local handle)"
+                     " (result i32) i32.const 4 new_segment set 0"
+                     " get 0 i32.const 99999999999 i32.segstore i32.const 0))", 12),
+    "i64-past-2^64": ("run", ".mswat", "(module (segment 0) (heap 0)"
+                      " (func (result i64) i64.const 18446744073709551616))", 12),
+    "source-store": ("diff", ".uc", STORE_BIG_SOURCE, 11),
+    "source-compile": ("compile", ".uc", STORE_BIG_SOURCE, 11),
+    "source-5000-digits": ("compile", ".uc", _shell("9" * 5000), 12),
+    "struct-past-2^31-bytes": ("diff", ".uc", """
+    module {
+      struct Big { a: array 536870912 int }
+      fn main() -> int { var (b: ptr<struct Big>); b := malloc(struct Big); 0 }
+      heap 0
+    }""", 11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE_LITERALS))
+def test_literals_outside_their_type_end_in_a_documented_exit_code(tmp_path, capsys, name):
+    cmd, suffix, text, code = OUT_OF_RANGE_LITERALS[name]
+    f = tmp_path / f"lit{suffix}"
+    f.write_text(text)
+    assert main([cmd, str(f)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("parse error" if code == 12 else "type error"), err
+
+
+def test_f32_overflow_runs_to_infinity(tmp_path):
+    f = tmp_path / "f32.mswat"
+    f.write_text("(module (segment 0) (heap 0)"
+                 " (func (result f32) f32.const 3e38 f32.const 10.0 f32.mul))")
+    assert main(["run", str(f)]) == 0
+
+
+def _bundles(outdir):
+    return sorted(p.name for p in outdir.iterdir())
+
+
+@pytest.mark.parametrize("campaign,prefix", [([], "module"), (["--attacker"], "attacker")])
+def test_fuzz_counterexamples_exit_13_with_a_bundle_each(tmp_path, capsys, monkeypatch,
+                                                         campaign, prefix):
+    from mswasm import bytecode, tracerel
+    from mswasm.monitor import Violation
+
+    monkeypatch.setattr(tracerel, "check_ms",
+                        lambda trace: tracerel.TraceViolation(Violation("shade", 0), 0))
+    out = tmp_path / "cex"
+    assert main(["fuzz", "--n", "2", "--seed", "5", "--out", str(out)] + campaign) == 13
+    assert "2 runs, 2 counterexamples" in capsys.readouterr().out
+    assert _bundles(out) == [f"{prefix}-{s}.{part}" for s in (5, 6)
+                             for part in ("mswat", "report", "tgt_trace")]
+    for s in (5, 6):  # the bundle reproduces the run
+        m = bytecode.parse_module((out / f"{prefix}-{s}.mswat").read_text())
+        assert (out / f"{prefix}-{s}.tgt_trace").read_text() == \
+            trace_to_jsonl(run(m, budget=1_000_000).trace)
+        assert (out / f"{prefix}-{s}.report").read_text() == \
+            "TraceViolation(violation=Violation(kind='shade', index=0, detail=''), trace_index=0)"
+
+
+def test_fuzz_source_divergences_exit_15_with_a_bundle_each(tmp_path, capsys, monkeypatch):
+    """Compiling field accesses without their slices is a real
+    miscompilation: the source campaign reports it and saves what
+    reproduces it."""
+    from mswasm import bytecode
+    from mswasm.compiler import Layout
+
+    monkeypatch.setattr(Layout, "field_offsets", lambda self, sname, fname: (0, 0))
+    out = tmp_path / "cex"
+    assert main(["fuzz", "--source", "--n", "2", "--seed", "0", "--out", str(out)]) == 15
+    assert "2 runs, 2 counterexamples" in capsys.readouterr().out
+    assert _bundles(out) == [f"diff-{s}.{part}" for s in (0, 1)
+                             for part in ("mswat", "report", "src", "src_trace", "tgt_trace")]
+    for s in (0, 1):
+        assert (out / f"diff-{s}.src").read_text() == \
+            cli.conformance.fuzz_source(s, violations=(s % 2 == 0))
+        bytecode.parse_module((out / f"diff-{s}.mswat").read_text())
+        assert (out / f"diff-{s}.src_trace").read_text().startswith("SrcAlloc(")
+        assert (out / f"diff-{s}.tgt_trace").read_text().startswith('{"ev":"salloc"')
+        assert "events unrelated" in (out / f"diff-{s}.report").read_text()

@@ -9,6 +9,7 @@ from mswasm.minic import (
     ArrayType,
     PtrType,
     StructType,
+    SrcTypeError,
     parse_source,
     src_typecheck,
 )
@@ -102,6 +103,23 @@ def test_malloc_array_compiles_to_scaled_new_segment():
     i = body.index(bc.new_segment())
     assert body[i - 3:i] == [bc.const(I32, 10), bc.const(I32, 4),
                              bc.binop(I32, "mul")]
+
+
+@pytest.mark.parametrize("text", [
+    """module {
+      struct Big { a: array 536870912 int }
+      fn main() -> int { var (b: ptr<struct Big>); b := malloc(struct Big); 0 }
+      heap 0
+    }""",
+    "module { fn main() -> int { var (x: int); x := 99999999999; x } heap 0 }",
+])
+def test_a_constant_past_i32_is_a_source_type_error(text):
+    """A struct of 2^31 bytes or more, or a literal past 2^31 - 1, has no
+    i32 constant: the compiler says so rather than emit one that no store
+    could take."""
+    tm = src_typecheck(parse_source(text))
+    with pytest.raises(SrcTypeError, match="does not fit in i32"):
+        compile_module(tm)
 
 
 def test_struct_field_compiles_to_slice():

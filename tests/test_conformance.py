@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 
 from mswasm.bytecode import FuncType, ValueType, print_module
@@ -224,3 +226,74 @@ def test_module_fuzzer_well_typed_and_bounded():
             return n
 
         assert sum(count(f.body) for f in m.funcs) <= 120
+
+
+# -- mutations diff_run must report ------------------------------------------
+
+INTRA_OVERFLOW = """
+module {
+  struct S { a: array 2 int, b: int }
+  fn main() -> int {
+    var (s: ptr<struct S>);
+    s := malloc(struct S);
+    *(s.a + 2) := 1;
+    0
+  }
+  heap 0
+}
+"""
+
+
+def _no_field_slices(monkeypatch):
+    monkeypatch.setattr(Layout, "field_offsets", lambda self, sname, fname: (0, 0))
+
+
+def _run_compiled_on_baggy(monkeypatch):
+    from mswasm import conformance
+    monkeypatch.setattr(conformance, "run", partial(run, backend="baggy"))
+
+
+def _short_compiled_budget(monkeypatch):
+    from mswasm import conformance
+    monkeypatch.setattr(conformance, "run", partial(run, budget=20))
+
+
+def _short_source_budget(monkeypatch):
+    from mswasm import conformance
+    from mswasm.minic import src_run
+    monkeypatch.setattr(conformance, "src_run", partial(src_run, budget=5))
+
+
+def _monitor_rejects_the_target(monkeypatch):
+    from mswasm import conformance
+    from mswasm.monitor import Violation
+    from mswasm.tracerel import TraceViolation
+    monkeypatch.setattr(conformance, "check_ms",
+                        lambda trace: TraceViolation(Violation("shade", 0), 0))
+
+
+# mutation -> (source text, the reason's prefix)
+DIVERGENCES = {
+    "source-budget": (_short_source_budget, fuzz_source(0), "source budget on a safe trace"),
+    "compiled-budget": (_short_compiled_budget, fuzz_source(0), "trace lengths differ"),
+    "no-field-slices": (_no_field_slices, fuzz_source(0), "events unrelated: "),
+    "monitor-rejects": (_monitor_rejects_the_target, fuzz_source(0),
+                        "target trace not monitor-safe"),
+    "baggy-overflow": (_run_compiled_on_baggy, fuzz_source(3, violations=True),
+                       "target trace has 9 events, want 7"),
+    "no-field-slices-prefix": (_no_field_slices, fuzz_source(0, violations=True),
+                               "prefix events unrelated: "),
+    "no-field-slices-intra": (_no_field_slices, INTRA_OVERFLOW, "expected trap, got WriteEv"),
+}
+
+
+@pytest.mark.parametrize("name", list(DIVERGENCES))
+def test_diff_run_reports_a_broken_chain(monkeypatch, name):
+    """Each of diff_run's divergence returns, reached by breaking one link
+    of the chain; unbroken, every one of these programs relates."""
+    mutate, text, reason = DIVERGENCES[name]
+    assert diff_run_source(text).related
+    mutate(monkeypatch)
+    report = diff_run_source(text)
+    assert report.related is False and report.diverged
+    assert report.reason.startswith(reason), report.reason

@@ -437,3 +437,42 @@ def test_null_handle_store_load_and_free_trap(backend, use):
     res = run(m, backend)
     assert res.outcome == "trap"
     assert [type(e) for e in res.trace] == [SAllocEv, TrapEv]
+
+
+# -- float arithmetic at the edges ----------------------------------------
+
+_FLT_MAX = 3.4028234663852886e38
+_INF, _NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("body,expect", [
+    # past the largest finite f32: an infinity of the result's sign
+    ("f32.const 3e38 f32.const 10.0 f32.mul", _INF),
+    ("f32.const 3e38 f32.const 3e38 f32.add", _INF),
+    ("f32.const 3e38 f32.const 0.001 f32.div", _INF),
+    ("f32.const -3e38 f32.const 3e38 f32.sub", -_INF),
+    ("f32.const -3e38 f32.const 10.0 f32.mul", -_INF),
+    # a sum that rounds back to the largest finite f32 stays finite
+    (f"f32.const {_FLT_MAX!r} f32.const 1e30 f32.add", _FLT_MAX),
+    # division by zero
+    ("f32.const 2.0 f32.const 0.0 f32.div", _INF),
+    ("f32.const -2.0 f32.const 0.0 f32.div", -_INF),
+    ("f32.const 2.0 f32.const -0.0 f32.div", -_INF),
+    ("f32.const 0.0 f32.const 0.0 f32.div", _NAN),
+    ("f64.const 2.0 f64.const 0.0 f64.div", _INF),
+    ("f64.const -2.0 f64.const 0.0 f64.div", -_INF),
+    ("f64.const 2.0 f64.const -0.0 f64.div", -_INF),
+    ("f64.const 0.0 f64.const 0.0 f64.div", _NAN),
+    ("f64.const 1e308 f64.const 10.0 f64.mul", _INF),
+])
+def test_float_overflow_and_division_by_zero_follow_wasm(body, expect):
+    ty = body[:3]
+    m = parse_module(f"(module (segment 0) (heap 0) (func (result {ty}) {body}))")
+    typecheck_module(m)
+    res = run(m)
+    assert res.outcome == "ok"
+    got = res.results[0].v
+    if expect != expect:
+        assert got != got
+    else:
+        assert got == expect

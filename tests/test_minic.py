@@ -305,6 +305,39 @@ def test_src_relate_struct_shading():
     assert abs_events[0].shades == (0, 1, 1, 1, 1)
 
 
+def test_src_ms_costs_one_record_per_allocation_not_one_per_cell():
+    """A 2^20-cell int array and a 2^18-element struct array, each written
+    at its last cell and freed: the verdicts take memory and time that do
+    not grow with the allocations' sizes."""
+    import time
+    import tracemalloc
+
+    mod = load("""
+    module {
+      struct Pair { a: int, b: array 4 int }
+      fn main() -> int { var (); 0 }
+      heap 0
+    }""").mod
+    ints = SPtr(0, 0, 1 << 20, INT, 0)
+    pairs = SPtr(1 << 20, 1 << 20, 1 << 18, StructType("Pair"), 1)
+    last_int = SPtr((1 << 20) - 1, (1 << 20) - 1, 1, INT, 0)
+    last_b = SPtr((1 << 20) + 5 * (1 << 18) - 1, (1 << 20) + 5 * (1 << 18) - 1, 1, INT, 1)
+    trace = [SrcAlloc(ints), SrcAlloc(pairs), SrcWrite(INT, last_int),
+             SrcWrite(INT, last_b), SrcFree(ints), SrcFree(pairs)]
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        verdict = src_ms(mod, trace)
+        stale = src_ms(mod, trace + [SrcRead(INT, last_int)])
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == SAFE
+    assert stale == SrcUnsafe(6, "temporal-freed")
+    assert peak < 1 << 20 and elapsed < 1.0
+
+
 def test_prefix_monotone_first_unsafe_index():
     tm = load("""
     module {

@@ -1,6 +1,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from mswasm.monitor import (
     AAlloc,
     AFree,
@@ -145,6 +147,27 @@ def test_json_forms():
     ev = abs_event_from_json('{"ev":"alloc","n":2,"a":0,"c":0,"phi":[0,1]}')
     assert ev == AAlloc(2, 0, 0, (0, 1))
     assert abs_event_from_json('{"ev":"read","a":5,"c":0,"s":1}') == ARead(5, 0, 1)
+
+
+def test_shades_are_one_elements_pattern():
+    """Offset j of an allocation has shades[j % len(shades)], so a
+    two-field element repeated twice is (0, 1), and its JSON form spells
+    out one shade per location, which reads back to the same verdicts."""
+    pattern = AAlloc(4, 8, 0, (0, 1))
+    reads = [ARead(8 + j, 0, j % 2) for j in range(4)]
+    assert check_trace([pattern] + reads) is SAFE
+    assert check_trace([pattern, ARead(9, 0, 0)]) == Violation("shade", 1)
+    line = abs_event_to_json(pattern)
+    assert line == '{"ev":"alloc","n":4,"a":8,"c":0,"phi":[0,1,0,1]}'
+    assert abs_event_to_json(abs_event_from_json(line)) == line
+    assert check_trace([abs_event_from_json(line)] + reads) is SAFE
+
+
+@pytest.mark.parametrize("ev", [AAlloc(4, 0, 0, (0, 0, 0)), AAlloc(0, 0, 0, (0,)),
+                                AAlloc(2, 0, 0, ()), AAlloc(-2, 0, 0, (0,))])
+def test_alloc_whose_shades_are_no_pattern_for_its_size_is_rejected(ev):
+    with pytest.raises(TypeError, match="not an abstract event"):
+        monitor_step(ShadowMemory(), ev)
 
 
 def test_events_compare_by_type_and_hash():

@@ -58,6 +58,39 @@ def test_binop_on_handle_rejected():
     assert e.value.kind == "binop-on-handle"
 
 
+@pytest.mark.parametrize("ty,literal", [
+    (I32, 1 << 31), (I32, -(1 << 31) - 1), (I32, 99999999999),
+    (I64, 1 << 63), (I64, -(1 << 63) - 1),
+])
+def test_api_built_integer_const_outside_its_type_is_rejected(ty, literal):
+    with pytest.raises(TypeError_) as e:
+        type_instr(ctx(), bc.const(ty, literal))
+    assert e.value.kind == "literal-range"
+    m = ModuleDef((FuncDef((), (), (ty,), (bc.const(ty, literal),)),), (), 0, 0)
+    with pytest.raises(TypeError_, match="literal-range"):
+        typecheck_module(m)
+    half = 1 << (31 if ty is I32 else 63)
+    for edge in (-half, half - 1):
+        assert type_instr(ctx(), bc.const(ty, edge)) == ([], [ty])
+
+
+def test_i64_const_under_new_segment_is_a_type_mismatch():
+    m = parse_module("(module (segment 8) (heap 0)"
+                     " (func (result handle) i64.const 1 new_segment))")
+    with pytest.raises(TypeError_, match="type-mismatch"):
+        typecheck_module(m)
+
+
+@pytest.mark.parametrize("ins", [bc.get(5), bc.set_(5), bc.call(9)])
+def test_api_built_index_out_of_range_is_a_bad_index(ins):
+    """The text parser's validate_indices catches these first, so only a
+    module built through the API reaches the typechecker's own check."""
+    body = (bc.const(I32, 0),) if ins.op == "set" else ()
+    m = ModuleDef((FuncDef((), (I32,), (), body + (ins,)),), (), 0, 0)
+    with pytest.raises(TypeError_, match=f"bad-index: {ins.op} {ins.idx}"):
+        typecheck_module(m)
+
+
 def test_comparison_produces_i32():
     assert type_instr(ctx(), bc.binop(I64, "lt_s")) == ([I64, I64], [I32])
 
