@@ -128,6 +128,22 @@ def _save_counterexample(outdir: Path, name: str, bundle: dict) -> None:
         (outdir / f"{name}.{key}").write_text(value)
 
 
+def _fuzz_one_module(m, outdir: Path, name: str, budget: int) -> bool:
+    """Typecheck, run and monitor one fuzzed module; on a violation save
+    its bundle under `name` and return True."""
+    typecheck_module(m)
+    res = interp.run(m, budget=budget)
+    verdict = tracerel.check_ms(res.trace)
+    if isinstance(verdict, Safe):
+        return False
+    _save_counterexample(outdir, name, {
+        "mswat": bytecode.print_module(m),
+        "tgt_trace": interp.trace_to_jsonl(res.trace),
+        "report": repr(verdict),
+    })
+    return True
+
+
 def cmd_fuzz(args) -> int:
     failures = 0
     outdir = Path(args.out)
@@ -137,17 +153,8 @@ def cmd_fuzz(args) -> int:
         if args.attacker:
             victim = conformance.fuzz_victim(seed)
             ctx = conformance.fuzz_attacker(victim, seed * 31 + 1)
-            m = interp.link(victim, ctx)
-            typecheck_module(m)
-            res = interp.run(m, budget=args.budget)
-            verdict = tracerel.check_ms(res.trace)
-            bad = not isinstance(verdict, Safe)
-            if bad:
-                _save_counterexample(outdir, f"attacker-{seed}", {
-                    "mswat": bytecode.print_module(m),
-                    "tgt_trace": interp.trace_to_jsonl(res.trace),
-                    "report": repr(verdict),
-                })
+            bad = _fuzz_one_module(interp.link(victim, ctx), outdir,
+                                   f"attacker-{seed}", args.budget)
         elif args.source:
             text = conformance.fuzz_source(seed, violations=(i % 2 == 0))
             report = conformance.diff_run_source(text)
@@ -162,17 +169,8 @@ def cmd_fuzz(args) -> int:
                     "report": f"{report.index}: {report.reason}",
                 })
         else:
-            m = conformance.fuzz_module(seed)
-            typecheck_module(m)
-            res = interp.run(m, budget=args.budget)
-            verdict = tracerel.check_ms(res.trace)
-            bad = not isinstance(verdict, Safe)
-            if bad:
-                _save_counterexample(outdir, f"module-{seed}", {
-                    "mswat": bytecode.print_module(m),
-                    "tgt_trace": interp.trace_to_jsonl(res.trace),
-                    "report": repr(verdict),
-                })
+            bad = _fuzz_one_module(conformance.fuzz_module(seed), outdir,
+                                   f"module-{seed}", args.budget)
         failures += bad
     dt = time.perf_counter() - t0
     print(f"{args.n} runs, {failures} counterexamples, {dt:.2f}s")

@@ -170,7 +170,7 @@ def diff_run(tm: TypedModule) -> RelationReport:
     tres = run(cm)
     s_tr, t_tr = sres.trace, tres.trace
 
-    if isinstance(verdict, Safe):
+    if isinstance(verdict, Safe) and sres.outcome != "trap":
         if sres.outcome != "ok":
             return _diverged(-1, f"source {sres.outcome} on a safe trace",
                              s_tr, t_tr, verdict)
@@ -188,9 +188,10 @@ def diff_run(tm: TypedModule) -> RelationReport:
                              s_tr, t_tr, verdict)
         return _related(s_tr, t_tr, verdict)
 
-    # Unsafe at index k: target must run the related safe prefix and then
-    # trap exactly once.
-    k = verdict.index
+    # Unsafe at index k, or a safe source that trapped (a division by
+    # zero) after k events: the target must run the related prefix and
+    # then trap exactly once.
+    k = len(s_tr) if isinstance(verdict, Safe) else verdict.index
     delta = CrossBijection()
     if len(t_tr) != k + 1:
         return _diverged(k, f"target trace has {len(t_tr)} events, want {k + 1}",

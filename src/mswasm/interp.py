@@ -1,17 +1,19 @@
 """Small-step, trace-emitting interpreter.
 
-`step` is the only semantics.  It pops the next instruction of the top
-frame and runs the handler that `_HANDLERS`, one table from opcode to a
-small function, holds for it; a handler mutates the configuration and
-returns the event it emits, or None for the silent instructions.  `run`
-drives `step` from function 0 until the configuration is terminal or the
-step budget is spent; it counts the steps and collects the trace, and
-decides nothing about instructions itself.
+`step` is the only semantics.  It fetches the next instruction of the
+top frame, from an iterator over the function's own code, and runs the
+handler that `_HANDLERS`, one table from opcode to a small function,
+holds for it; a handler mutates the configuration and returns the event
+it emits, or None for the silent instructions.  `run` drives `step` from
+function 0 until the configuration is terminal or the step budget is
+spent; it counts the steps and collects the trace, and decides nothing
+about instructions itself.
 
-Execution is deterministic: one rule applies per step, and any failed
-premise of a segment operation emits a trap event and halts with an empty
-operand stack.  Traces collect the non-silent memory events (reads,
-writes, allocations, frees, trap).
+Execution is deterministic: one rule applies per step.  Any failed
+premise of an operation raises MemTrap, and `step` is the one place that
+catches it: it emits a trap event and halts with no frames left.  Traces
+collect the non-silent memory events (reads, writes, allocations, frees,
+trap).
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .baggy import BuddyMemory
 from .bytecode import OPCODES, FuncDef, Instr, ModuleDef, ValueType
 from .monitor import other_event, same_event
-from .segmem import MAX_MEMORY, Handle, MemTrap, SegmentMemory
+from .segmem import MAX_MEMORY, Handle, MemTrap, SegmentMemory, TrapKind
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -118,7 +120,7 @@ def trace_to_jsonl(trace) -> str:
 # o2), load(h, layout) and store(h, layout, v) for numbers (a struct
 # layout from _NUM), load_handle(h) and store_handle(h, v) for handles,
 # view(h), the handle as trace events show it, and NULL, the value of an
-# unset handle local.  A failed check raises MemTrap.
+# unset handle local.  A failed check raises MemTrap, which `step` catches.
 BACKENDS = {"tagged": SegmentMemory, "baggy": BuddyMemory}
 
 
@@ -140,10 +142,10 @@ class LinkError(Exception):
 @dataclass(slots=True)
 class Frame:
     locals: list
-    code: list[Instr]        # reversed: next instruction is code[-1]
+    code: Iterator[Instr]    # the running block, over the function's own tuple
+    outer: list              # the enclosing blocks' iterators, innermost last
     operands: list
     func: FuncDef
-    func_index: int
 
 
 @dataclass(slots=True)
@@ -171,7 +173,7 @@ def zero_value(ty: ValueType, backend):
 def _new_frame(m: ModuleDef, idx: int, args: list, backend) -> Frame:
     f = m.funcs[idx]
     locs = args + [zero_value(t, backend) for t in f.locals]
-    return Frame(locs, list(reversed(f.body)), [], f, idx)
+    return Frame(locs, iter(f.body), [], [], f)
 
 
 def check_memory_size(what: str, n: int) -> None:
@@ -224,13 +226,15 @@ def _fit(ty: ValueType, r):
     return r
 
 
-def _div_s(ty: ValueType, a: int, b: int):
+def _div_s(ty: ValueType, a: int, b: int) -> int:
     if b == 0:
-        return None  # trap
+        raise MemTrap(TrapKind.ARITHMETIC, "division by zero")
     q = abs(a) // abs(b)
     if (a < 0) != (b < 0):
         q = -q
-    return q if q == _fit(ty, q) else None  # int_min / -1 overflows: trap
+    if q != _fit(ty, q):
+        raise MemTrap(TrapKind.ARITHMETIC, "quotient overflow")
+    return q
 
 
 def _div(ty: ValueType, a: float, b: float) -> float:
@@ -249,7 +253,7 @@ def _lt(ty, a, b) -> int:
     return 1 if a < b else 0
 
 
-# Operator -> f(ty, a, b); None from f means trap.
+# Operator -> f(ty, a, b).
 _SHARED_OPS = {
     "add": lambda ty, a, b: _fit(ty, a + b),
     "sub": lambda ty, a, b: _fit(ty, a - b),
@@ -270,7 +274,8 @@ _FLOAT_OPS = {**_SHARED_OPS, "div": _div, "lt": _lt}
 # -- instructions: one handler per opcode ------------------------------
 #
 # A handler takes (config, top frame, instruction), the instruction
-# already popped, and returns the emitted event or None.
+# already fetched, and returns the emitted event or None.  A failed
+# premise raises MemTrap.
 
 
 def _nop(config, frame, ins):
@@ -293,10 +298,7 @@ def _binop(config, frame, ins):
     f = (_FLOAT_OPS if ty is F32 or ty is F64 else _INT_OPS).get(ins.operator)
     if f is None:
         raise InterpBug(f"operator {ty}.{ins.operator}")
-    r = f(ty, a, b)
-    if r is None:
-        return _trap(config)
-    ops.append(r)
+    ops.append(f(ty, a, b))
 
 
 def _get(config, frame, ins):
@@ -312,7 +314,7 @@ def _load(config, frame, ins):
     layout = _NUM[ins.ty._value_]
     n = frame.operands.pop()
     if not (0 <= n and n + layout.size <= len(config.heap)):
-        return _trap(config)
+        raise MemTrap(TrapKind.HEAP, f"load at {n}")
     frame.operands.append(layout.unpack_from(config.heap, n)[0])
 
 
@@ -322,13 +324,13 @@ def _store(config, frame, ins):
     v = frame.operands.pop()
     n = frame.operands.pop()
     if not (0 <= n and n + layout.size <= len(config.heap)):
-        return _trap(config)
+        raise MemTrap(TrapKind.HEAP, f"store at {n}")
     config.heap[n:n + layout.size] = layout.pack(v)
 
 
 def _if(config, frame, ins):
-    body = ins.then_body if frame.operands.pop() != 0 else ins.else_body
-    frame.code.extend(reversed(body))
+    frame.outer.append(frame.code)
+    frame.code = iter(ins.then_body if frame.operands.pop() != 0 else ins.else_body)
 
 
 def _call(config, frame, ins):
@@ -349,13 +351,10 @@ def _segload(config, frame, ins):
     ops = frame.operands
     h = ops.pop()
     ty = ins.ty
-    try:
-        if ty is HANDLE:
-            ops.append(backend.load_handle(h))
-        else:
-            ops.append(backend.load(h, _NUM[ty._value_]))
-    except MemTrap:
-        return _trap(config)
+    if ty is HANDLE:
+        ops.append(backend.load_handle(h))
+    else:
+        ops.append(backend.load(h, _NUM[ty._value_]))
     return _new(ReadEv, (ty, backend.view(h)))
 
 
@@ -365,13 +364,10 @@ def _segstore(config, frame, ins):
     v = ops.pop()
     h = ops.pop()
     ty = ins.ty
-    try:
-        if ty is HANDLE:
-            backend.store_handle(h, v)
-        else:
-            backend.store(h, _NUM[ty._value_], v)
-    except MemTrap:
-        return _trap(config)
+    if ty is HANDLE:
+        backend.store_handle(h, v)
+    else:
+        backend.store(h, _NUM[ty._value_], v)
     return _new(WriteEv, (ty, backend.view(h)))
 
 
@@ -380,19 +376,13 @@ def _slice(config, frame, ins):
     o2 = ops.pop()
     o1 = ops.pop()
     h = ops.pop()
-    try:
-        ops.append(config.backend.slice_handle(h, o1, o2))
-    except MemTrap:
-        return _trap(config)
+    ops.append(config.backend.slice_handle(h, o1, o2))
 
 
 def _new_segment(config, frame, ins):
     backend = config.backend
     n = frame.operands.pop()
-    try:
-        h = backend.alloc(n)
-    except MemTrap:
-        return _trap(config)
+    h = backend.alloc(n)
     frame.operands.append(h)
     return _new(SAllocEv, (backend.view(h),))
 
@@ -401,20 +391,14 @@ def _handle_add(config, frame, ins):
     ops = frame.operands
     n = ops.pop()
     h = ops.pop()
-    try:
-        ops.append(config.backend.handle_add(h, n))
-    except MemTrap:
-        return _trap(config)
+    ops.append(config.backend.handle_add(h, n))
 
 
 def _segfree(config, frame, ins):
     backend = config.backend
     h = frame.operands.pop()
     view = backend.view(h)
-    try:
-        backend.free(h)
-    except MemTrap:
-        return _trap(config)
+    backend.free(h)
     return _new(SFreeEv, (view,))
 
 
@@ -430,19 +414,26 @@ assert _HANDLERS.keys() == set(OPCODES)
 
 def step(config: Config):
     """Execute one instruction; returns the emitted event (None for the
-    silent ones).  Mutates config."""
+    silent ones).  Mutates config.  This is the one catch of MemTrap:
+    a trap of any kind becomes the trap event here."""
     if config.trapped or not config.frames:
         raise InterpBug("step on terminal configuration")
     frame = config.frames[-1]
-    if not frame.code:
-        # Fell off the end: implicit return of the declared results.
-        return _do_return(config, frame)
-    ins = frame.code.pop()
+    ins = next(frame.code, None)
+    while ins is None:
+        if not frame.outer:
+            # Fell off the end: implicit return of the declared results.
+            return _do_return(config, frame)
+        frame.code = frame.outer.pop()  # an if arm ended: resume its block
+        ins = next(frame.code, None)
     try:
         handler = _HANDLERS[ins.op]
     except KeyError:
         raise InterpBug(f"unknown opcode {ins.op}") from None
-    return handler(config, frame, ins)
+    try:
+        return handler(config, frame, ins)
+    except MemTrap:
+        return _trap(config)
 
 
 def _do_return(config: Config, frame: Frame):

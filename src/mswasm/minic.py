@@ -934,7 +934,7 @@ MAX_HEAP_CELLS = 1 << 20
 @dataclass
 class SrcRunResult:
     trace: list
-    outcome: str          # "ok" | "budget" | "hosterror"
+    outcome: str          # "ok" | "trap" | "budget" | "hosterror"
     result: SrcValue | None
     heap: list
 
@@ -1046,10 +1046,11 @@ def src_run(tm: TypedModule, budget: int = 1_000_000,
     _flat_code).  One budget step is one op of that code.  A call, and
     the start of main, charges the callee's whole code at once, as one
     call runs each op at most once; a call past the budget ends the run
-    in "budget" before it starts.  The run ends in "hosterror" at a
-    division by zero, at an access outside the heap (after its event),
-    and at a heap of more than MAX_HEAP_CELLS cells, declared or grown by
-    malloc, before anything is allocated.
+    in "budget" before it starts.  A division by zero ends the run in
+    "trap", as the compiled `i32.div_s` traps.  The run ends in
+    "hosterror" at an access outside the heap (after its event), and at a
+    heap of more than MAX_HEAP_CELLS cells, declared or grown by malloc,
+    before anything is allocated.
 
     strip_annotations zeroes all pointer metadata at creation; the heap
     and control behaviour must be unaffected (annotations are inert).
@@ -1141,7 +1142,7 @@ def src_run(tm: TypedModule, budget: int = 1_000_000,
                     r = x * y
                 elif k == _DIV:
                     if y == 0:
-                        raise SrcHostError("division by zero")
+                        return SrcRunResult(trace, "trap", None, heap)
                     r = abs(x) // abs(y)
                     if (x < 0) != (y < 0):
                         r = -r

@@ -74,9 +74,14 @@ class TrapKind(enum.Enum):
     TEMPORAL = "temporal"
     INTEGRITY = "integrity"
     OOM = "oom"
+    ARITHMETIC = "arithmetic"  # i32/i64 div_s by zero or int_min / -1
+    HEAP = "heap"              # flat-heap load or store out of range
 
 
 class MemTrap(Exception):
+    """Every trap: a failed premise of any operation, segment or not.
+    `interp.step` is the one place that catches it."""
+
     def __init__(self, kind: TrapKind, msg: str = ""):
         super().__init__(f"{kind.value}: {msg}" if msg else kind.value)
         self.kind = kind

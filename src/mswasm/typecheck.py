@@ -11,6 +11,8 @@ bound and every later walk of it recurses a bounded number of times.
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass
 
 from .bytecode import (
@@ -33,6 +35,15 @@ UNREACHABLE = None
 # Integer literals are signed values: -half <= n < half.  Keyed by the
 # type's name, whose hash is cached, where an Enum member's is computed.
 _INT_HALF = {"i32": 1 << 31, "i64": 1 << 63}
+_F32 = struct.Struct("<f")
+
+
+def _is_f32(x: float) -> bool:
+    """x is an f32 value: NaN, an infinity, or a float f32 holds exactly."""
+    try:
+        return math.isnan(x) or _F32.unpack(_F32.pack(x))[0] == x
+    except OverflowError:
+        return False
 
 
 class TypeError_(Exception):
@@ -70,12 +81,15 @@ def type_instr(ctx: TypingContext, ins: Instr) -> tuple[StackType, StackType]:
     if op == "trap":
         return [], []
     if op == "const":
-        if ins.ty is ValueType.HANDLE:
+        ty, lit = ins.ty, ins.literal
+        if ty is ValueType.HANDLE:
             raise TypeError_("const-of-handle", "no handle literals")
-        half = _INT_HALF.get(ins.ty._value_)
-        if half and not -half <= ins.literal < half:
-            raise TypeError_("literal-range", f"{ins.ty.value}.const {ins.literal}")
-        return [], [ins.ty]
+        half = _INT_HALF.get(ty._value_)
+        if type(lit) is not (int if half else float):
+            raise TypeError_("literal-type", f"{ty.value}.const {lit!r}")
+        if half and not -half <= lit < half or ty is ValueType.F32 and not _is_f32(lit):
+            raise TypeError_("literal-range", f"{ty.value}.const {lit!r}")
+        return [], [ty]
     if op == "binop":
         return _binop_arrow(ins)
     if op == "get":

@@ -160,6 +160,18 @@ def test_compile_and_run(tmp_path):
     assert main(["check", str(out)]) == 0
 
 
+def test_diff_of_a_source_division_by_zero_relates(tmp_path, capsys):
+    """The source ends in a trap, as the compiled i32.div_s does; this was
+    exit 15, "source hosterror on a safe trace"."""
+    src = tmp_path / "div.uc"
+    src.write_text("module {\n  fn main() -> int {\n    var (x: int);\n"
+                   "    x := 0;\n    7 / x\n  }\n  heap 0\n}\n")
+    assert main(["diff", str(src), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"related": True, "src_verdict": "safe",
+                       "src_events": 0, "tgt_events": 1}
+
+
 def test_compile_type_error_exit(tmp_path):
     src = tmp_path / "p.uc"
     src.write_text("module { fn main() -> int { var (); let y = n(1) in y } heap 0 }")

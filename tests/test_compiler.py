@@ -11,6 +11,7 @@ from mswasm.minic import (
     StructType,
     SrcTypeError,
     parse_source,
+    src_run,
     src_typecheck,
 )
 from mswasm.typecheck import typecheck_module
@@ -263,3 +264,21 @@ def test_identity_function_module():
     res = run(m)
     assert res.outcome == "ok"
     assert res.results[0].v == 3
+
+
+@pytest.mark.parametrize("expr,quotient", [
+    ("(0 - 7) / 2", -3), ("7 / (0 - 2)", -3), ("(0 - 7) / (0 - 2)", 3),
+    ("7 / (2 - 2)", None),
+])
+def test_source_and_compiled_division_agree(expr, quotient):
+    """Both truncate toward zero, as i32.div_s does, and both trap on a
+    zero divisor."""
+    tm = src_typecheck(parse_source(
+        f"module {{ fn main() -> int {{ var (); {expr} }} heap 0 }}"))
+    sres, tres = src_run(tm), run(compile_module(tm))
+    if quotient is None:
+        assert (sres.outcome, tres.outcome) == ("trap", "trap")
+        assert sres.result is None and tres.results == []
+    else:
+        assert (sres.outcome, tres.outcome) == ("ok", "ok")
+        assert sres.result.n == tres.results[0].v == quotient

@@ -142,6 +142,46 @@ def test_diff_overflow_trap_shape():
     assert [e.kind for e in rep.tgt_trace] == ["salloc", "trap"]
 
 
+DIV_BY_ZERO = """module {
+  fn main() -> int {
+    var (x: int);
+    x := 0;
+    7 / x
+  }
+  heap 0
+}
+"""
+
+DIV_BY_ZERO_AFTER_A_WRITE = """
+module {
+  struct S { a: int, b: int }
+  fn main() -> int {
+    var (s: ptr<struct S>, x: int);
+    s := malloc(struct S);
+    *(s.b) := 7;
+    x := 0;
+    *(s.b) / x
+  }
+  heap 0
+}
+"""
+
+
+def test_source_division_by_zero_relates_to_the_compiled_trap():
+    """A safe source that divides by zero ends in "trap" after k events;
+    the compiled run relates to it event by event and then traps once."""
+    rep = diff_run_source(DIV_BY_ZERO)
+    assert rep.related, rep.reason
+    assert isinstance(rep.src_verdict, Safe)
+    assert rep.src_trace == [] and rep.tgt_trace == [TrapEv()]
+
+    rep = diff_run_source(DIV_BY_ZERO_AFTER_A_WRITE)
+    assert rep.related, rep.reason
+    assert isinstance(rep.src_verdict, Safe)
+    assert [type(e) for e in rep.src_trace] == [SrcAlloc, SrcWrite, SrcRead]
+    assert [e.kind for e in rep.tgt_trace] == ["salloc", "write", "read", "trap"]
+
+
 def test_unsafe_suite_all_trap_shaped():
     for name, text in UNSAFE_SUITE.items():
         rep = diff_run_source(text)
@@ -284,6 +324,8 @@ DIVERGENCES = {
     "no-field-slices-prefix": (_no_field_slices, fuzz_source(0, violations=True),
                                "prefix events unrelated: "),
     "no-field-slices-intra": (_no_field_slices, INTRA_OVERFLOW, "expected trap, got WriteEv"),
+    "no-field-slices-trap": (_no_field_slices, DIV_BY_ZERO_AFTER_A_WRITE,
+                             "prefix events unrelated: "),
 }
 
 

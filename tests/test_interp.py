@@ -1,9 +1,12 @@
+import tracemalloc
+
 import pytest
 
 from mswasm import bytecode as bc
 from mswasm.baggy import NULL_BAGGY, BaggyHandle
 from mswasm.bytecode import FuncDef, FuncType, ModuleDef, ValueType, parse_module
 from mswasm.interp import (
+    _HANDLERS,
     BACKENDS,
     Config,
     InitError,
@@ -20,7 +23,7 @@ from mswasm.interp import (
     step,
     trace_to_jsonl,
 )
-from mswasm.segmem import Handle
+from mswasm.segmem import Handle, MemTrap, TrapKind
 from mswasm.typecheck import typecheck_module
 
 I32, I64, F64, H = ValueType.I32, ValueType.I64, ValueType.F64, ValueType.HANDLE
@@ -178,6 +181,25 @@ def test_div_overflow_traps():
     m = module([bc.const(I32, -(2**31)), bc.const(I32, -1),
                 bc.binop(I32, "div_s")])
     assert run(m).outcome == "trap"
+
+
+@pytest.mark.parametrize("body,kind", [
+    ([bc.const(I32, 1), bc.const(I32, 0), bc.binop(I32, "div_s")], TrapKind.ARITHMETIC),
+    ([bc.const(I64, -(2**63)), bc.const(I64, -1), bc.binop(I64, "div_s")],
+     TrapKind.ARITHMETIC),
+    ([bc.const(I32, 61), bc.load(I32)], TrapKind.HEAP),
+    ([bc.const(I32, -1), bc.const(I32, 0), bc.store(I32)], TrapKind.HEAP),
+])
+def test_arithmetic_and_heap_traps_raise_memtrap_with_their_kind(body, kind):
+    """Handlers raise; `step` is the one place that turns MemTrap into
+    the trap event (the outcome tests above)."""
+    config = init_state(module(body, results=(), heap=64))
+    for _ in body[:-1]:
+        step(config)
+    frame = config.frames[-1]
+    with pytest.raises(MemTrap) as e:
+        _HANDLERS[body[-1].op](config, frame, next(frame.code))
+    assert e.value.kind is kind
 
 
 def test_i32_wrapping():
@@ -397,6 +419,28 @@ def test_run_counts_steps_up_to_the_budget():
     res = run(parse_module(src), budget=500)
     assert res.outcome == "budget" and res.steps == 500
     assert run(module([bc.const(I32, 0)])).steps == 2  # const, fall off the end
+
+
+@pytest.mark.parametrize("backend", ["tagged", "baggy"])
+@pytest.mark.parametrize("nops", [10, 10_000])
+def test_frame_memory_does_not_grow_with_callee_length(backend, nops):
+    """Two functions that call each other, each a call and then `nops`
+    nops: every call opens a frame, and a frame runs its function's code
+    in place.  A frame that copied its callee's body peaked at 321 MB for
+    10,000 nops."""
+    tail = (bc.nop(),) * nops
+    m = ModuleDef((FuncDef((), (), (), (bc.call(1),) + tail),
+                   FuncDef((), (), (), (bc.call(0),) + tail)), (), 0, 64)
+    tracemalloc.start()
+    try:
+        res = run(m, backend, budget=4_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # locals only: a failed assert would print res, with every frame's code
+    outcome, depth = res.outcome, len(res.config.frames)
+    assert (outcome, depth) == ("budget", 4_001)  # the entry frame, one per step
+    assert peak < 4_000_000, peak
 
 
 NULL_READ = """

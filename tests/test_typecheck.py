@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from mswasm import bytecode as bc
@@ -72,6 +74,36 @@ def test_api_built_integer_const_outside_its_type_is_rejected(ty, literal):
     half = 1 << (31 if ty is I32 else 63)
     for edge in (-half, half - 1):
         assert type_instr(ctx(), bc.const(ty, edge)) == ([], [ty])
+
+
+F32, F64 = ValueType.F32, ValueType.F64
+
+
+@pytest.mark.parametrize("body,kind", [
+    # interp.run raised OverflowError from struct.pack on the store
+    ((bc.const(I32, 8), bc.new_segment(), bc.const(F32, 1e39), bc.segstore(F32)),
+     "literal-range: f32.const 1e+39"),
+    ((bc.const(F32, 0.1),), "literal-range: f32.const 0.1"),
+    ((bc.const(I32, 1.5),), "literal-type: i32.const 1.5"),  # ran to i32:1.5
+    ((bc.const(I32, True),), "literal-type: i32.const True"),  # ran to i32:True
+    ((bc.const(I64, 2.0),), "literal-type: i64.const 2.0"),
+    ((bc.const(F64, 1),), "literal-type: f64.const 1"),
+])
+def test_api_built_const_that_is_no_value_of_its_type_is_rejected(body, kind):
+    m = ModuleDef((FuncDef((), (), (), body + (bc.return_(),)),), (), 0, 64)
+    with pytest.raises(TypeError_, match=re.escape(kind)):
+        typecheck_module(m)
+
+
+def test_parsed_literals_are_values_of_their_types():
+    m = parse_module(
+        "(module (segment 0) (heap 0) (func"
+        " i32.const 4294967295 i64.const -9223372036854775808"
+        " f32.const 0.1 f32.const 3.4028234663852886e38 f32.const inf"
+        " f32.const -inf f32.const nan f64.const 0.1 f64.const 1e308"
+        " return))")
+    typecheck_module(m)
+    typecheck_module(parse_module(bc.print_module(m)))
 
 
 def test_i64_const_under_new_segment_is_a_type_mismatch():
