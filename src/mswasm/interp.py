@@ -1,19 +1,19 @@
 """Small-step, trace-emitting interpreter.
 
-`step` is the only semantics.  It fetches the next instruction of the
-top frame, from an iterator over the function's own code, and runs the
-handler that `_HANDLERS`, one table from opcode to a small function,
-holds for it; a handler mutates the configuration and returns the event
-it emits, or None for the silent instructions.  `run` drives `step` from
-function 0 until the configuration is terminal or the step budget is
-spent; it counts the steps and collects the trace, and decides nothing
-about instructions itself.
+`_steps` is the one machine loop.  It fetches the next instruction of the
+top frame, from an iterator over the function's own code, and runs it:
+the seven silent stack and handle opcodes inline, every other one through
+`_HANDLERS`, one table from opcode to a small function that mutates the
+configuration and returns the event it emits, or None.  `step` is that
+loop run for one step; `run` runs it from function 0 until the
+configuration is terminal or the step budget is spent, and collects the
+trace.
 
 Execution is deterministic: one rule applies per step.  Any failed
-premise of an operation raises MemTrap, and `step` is the one place that
-catches it: it emits a trap event and halts with no frames left.  Traces
-collect the non-silent memory events (reads, writes, allocations, frees,
-trap).
+premise of an operation raises MemTrap, and `_steps` is the one place
+that catches it: it emits a trap event and halts with no frames left.
+Traces collect the non-silent memory events (reads, writes, allocations,
+frees, trap).
 """
 
 from __future__ import annotations
@@ -31,17 +31,14 @@ from .segmem import MAX_MEMORY, Handle, MemTrap, SegmentMemory, TrapKind
 
 DEFAULT_BUDGET = 10_000_000
 
-I32, I64, F32, F64, HANDLE = (ValueType.I32, ValueType.I64, ValueType.F32,
-                              ValueType.F64, ValueType.HANDLE)
+F32, F64, HANDLE = ValueType.F32, ValueType.F64, ValueType.HANDLE
 
 # Number layouts, keyed by the type's value string rather than by the
 # member: Enum.__hash__ runs in Python, and these lookups sit on every
 # memory access.
-_NUM = {t._value_: struct.Struct(f) for t, f in
-        ((I32, "<i"), (I64, "<q"), (F32, "<f"), (F64, "<d"))}
-_F32 = _NUM[F32._value_]
-_I32_HALF, _I32_MASK = 1 << 31, (1 << 32) - 1
-_I64_HALF, _I64_MASK = 1 << 63, (1 << 64) - 1
+_NUM = {t: struct.Struct(f) for t, f in
+        (("i32", "<i"), ("i64", "<q"), ("f32", "<f"), ("f64", "<d"))}
+_F32 = _NUM["f32"]
 
 
 class Value(NamedTuple):
@@ -120,7 +117,8 @@ def trace_to_jsonl(trace) -> str:
 # o2), load(h, layout) and store(h, layout, v) for numbers (a struct
 # layout from _NUM), load_handle(h) and store_handle(h, v) for handles,
 # view(h), the handle as trace events show it, and NULL, the value of an
-# unset handle local.  A failed check raises MemTrap, which `step` catches.
+# unset handle local.  A failed check raises MemTrap, which the machine
+# loop, `_steps`, catches.
 BACKENDS = {"tagged": SegmentMemory, "baggy": BuddyMemory}
 
 
@@ -162,17 +160,11 @@ class Config:
         return self.trapped or not self.frames
 
 
-def zero_value(ty: ValueType, backend):
-    if ty is F32 or ty is F64:
-        return 0.0
-    if ty is HANDLE:
-        return backend.NULL
-    return 0
-
-
 def _new_frame(m: ModuleDef, idx: int, args: list, backend) -> Frame:
     f = m.funcs[idx]
-    locs = args + [zero_value(t, backend) for t in f.locals]
+    null = backend.NULL
+    locs = args + [0.0 if t is F32 or t is F64 else null if t is HANDLE else 0
+                   for t in f.locals]
     return Frame(locs, iter(f.body), [], [], f)
 
 
@@ -210,72 +202,73 @@ def _trap(config: Config) -> TrapEv:
 # -- arithmetic -------------------------------------------------------
 
 
-def _fit(ty: ValueType, r):
-    """r as a value of ty: two's-complement wrap for the integer types,
-    rounding to single precision for f32, where a result that rounds past
-    the largest finite f32 is an infinity of its sign, as in Wasm."""
-    if ty is I32:
-        return ((r + _I32_HALF) & _I32_MASK) - _I32_HALF
-    if ty is I64:
-        return ((r + _I64_HALF) & _I64_MASK) - _I64_HALF
-    if ty is F32:
-        try:
-            return _F32.unpack(_F32.pack(r))[0]
-        except OverflowError:
-            return math.copysign(math.inf, r)
-    return r
+def _fit(r: float) -> float:
+    """r rounded to single precision, where a result that rounds past the
+    largest finite f32 is an infinity of its sign, as in Wasm."""
+    try:
+        return _F32.unpack(_F32.pack(r))[0]
+    except OverflowError:
+        return math.copysign(math.inf, r)
 
 
-def _div_s(ty: ValueType, a: int, b: int) -> int:
-    if b == 0:
-        raise MemTrap(TrapKind.ARITHMETIC, "division by zero")
-    q = abs(a) // abs(b)
-    if (a < 0) != (b < 0):
-        q = -q
-    if q != _fit(ty, q):
-        raise MemTrap(TrapKind.ARITHMETIC, "quotient overflow")
-    return q
-
-
-def _div(ty: ValueType, a: float, b: float) -> float:
-    if b == 0.0:
-        if a == 0.0 or math.isnan(a):
-            return math.nan
-        return _fit(ty, math.copysign(math.inf, a) * math.copysign(1.0, b))
-    return _fit(ty, a / b)
-
-
-def _eq(ty, a, b) -> int:
+def _eq(a, b) -> int:
     return 1 if a == b else 0
 
 
-def _lt(ty, a, b) -> int:
+def _lt(a, b) -> int:
     return 1 if a < b else 0
 
 
-# Operator -> f(ty, a, b).
-_SHARED_OPS = {
-    "add": lambda ty, a, b: _fit(ty, a + b),
-    "sub": lambda ty, a, b: _fit(ty, a - b),
-    "mul": lambda ty, a, b: _fit(ty, a * b),
-    "eq": _eq,
-}
-_INT_OPS = {
-    **_SHARED_OPS,
-    "div_s": _div_s,
-    "and": lambda ty, a, b: _fit(ty, a & b),
-    "or": lambda ty, a, b: _fit(ty, a | b),
-    "xor": lambda ty, a, b: _fit(ty, a ^ b),
-    "lt_s": _lt,
-}
-_FLOAT_OPS = {**_SHARED_OPS, "div": _div, "lt": _lt}
+def _int_ops(bits: int) -> dict:
+    """Operator -> f(a, b) on `bits`-bit ints, wrapping as two's complement."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+
+    def div_s(a, b):
+        if b == 0:
+            raise MemTrap(TrapKind.ARITHMETIC, "division by zero")
+        q = abs(a) // abs(b)
+        if (a < 0) != (b < 0):
+            q = -q
+        if q != ((q + half) & mask) - half:
+            raise MemTrap(TrapKind.ARITHMETIC, "quotient overflow")
+        return q
+
+    return {"add": lambda a, b: ((a + b + half) & mask) - half,
+            "sub": lambda a, b: ((a - b + half) & mask) - half,
+            "mul": lambda a, b: ((a * b + half) & mask) - half,
+            "div_s": div_s,
+            "and": lambda a, b: (((a & b) + half) & mask) - half,
+            "or": lambda a, b: (((a | b) + half) & mask) - half,
+            "xor": lambda a, b: (((a ^ b) + half) & mask) - half,
+            "eq": _eq, "lt_s": _lt}
 
 
-# -- instructions: one handler per opcode ------------------------------
+def _float_ops(fit) -> dict:
+    """Operator -> f(a, b) on floats, each result passed through fit."""
+
+    def div(a, b):
+        if b == 0.0:
+            if a == 0.0 or math.isnan(a):
+                return math.nan
+            return fit(math.copysign(math.inf, a) * math.copysign(1.0, b))
+        return fit(a / b)
+
+    return {"add": lambda a, b: fit(a + b), "sub": lambda a, b: fit(a - b),
+            "mul": lambda a, b: fit(a * b), "div": div, "eq": _eq, "lt": _lt}
+
+
+# Type name -> operator -> f(a, b), whose result is a value of the type; a
+# failed premise raises MemTrap.
+_BINOPS = {"i32": _int_ops(32), "i64": _int_ops(64),
+           "f32": _float_ops(_fit), "f64": _float_ops(lambda r: r)}
+
+
+# -- instructions ------------------------------------------------------
 #
-# A handler takes (config, top frame, instruction), the instruction
-# already fetched, and returns the emitted event or None.  A failed
-# premise raises MemTrap.
+# `_steps` runs const, get, set, binop, if, slice and handle_add itself.
+# Every other opcode has a handler here, which takes (config, top frame,
+# instruction), the instruction already fetched, and returns the emitted
+# event or None.  A failed premise raises MemTrap, which `_steps` catches.
 
 
 def _nop(config, frame, ins):
@@ -284,29 +277,6 @@ def _nop(config, frame, ins):
 
 def _trap_ins(config, frame, ins):
     return _trap(config)
-
-
-def _const(config, frame, ins):
-    frame.operands.append(ins.literal)
-
-
-def _binop(config, frame, ins):
-    ops = frame.operands
-    b = ops.pop()
-    a = ops.pop()
-    ty = ins.ty
-    f = (_FLOAT_OPS if ty is F32 or ty is F64 else _INT_OPS).get(ins.operator)
-    if f is None:
-        raise InterpBug(f"operator {ty}.{ins.operator}")
-    ops.append(f(ty, a, b))
-
-
-def _get(config, frame, ins):
-    frame.operands.append(frame.locals[ins.idx])
-
-
-def _set(config, frame, ins):
-    frame.locals[ins.idx] = frame.operands.pop()
 
 
 def _load(config, frame, ins):
@@ -326,11 +296,6 @@ def _store(config, frame, ins):
     if not (0 <= n and n + layout.size <= len(config.heap)):
         raise MemTrap(TrapKind.HEAP, f"store at {n}")
     config.heap[n:n + layout.size] = layout.pack(v)
-
-
-def _if(config, frame, ins):
-    frame.outer.append(frame.code)
-    frame.code = iter(ins.then_body if frame.operands.pop() != 0 else ins.else_body)
 
 
 def _call(config, frame, ins):
@@ -371,27 +336,12 @@ def _segstore(config, frame, ins):
     return _new(WriteEv, (ty, backend.view(h)))
 
 
-def _slice(config, frame, ins):
-    ops = frame.operands
-    o2 = ops.pop()
-    o1 = ops.pop()
-    h = ops.pop()
-    ops.append(config.backend.slice_handle(h, o1, o2))
-
-
 def _new_segment(config, frame, ins):
     backend = config.backend
     n = frame.operands.pop()
     h = backend.alloc(n)
     frame.operands.append(h)
     return _new(SAllocEv, (backend.view(h),))
-
-
-def _handle_add(config, frame, ins):
-    ops = frame.operands
-    n = ops.pop()
-    h = ops.pop()
-    ops.append(config.backend.handle_add(h, n))
 
 
 def _segfree(config, frame, ins):
@@ -403,37 +353,94 @@ def _segfree(config, frame, ins):
 
 
 _HANDLERS = {
-    "nop": _nop, "trap": _trap_ins, "const": _const, "binop": _binop,
-    "get": _get, "set": _set, "load": _load, "store": _store, "if": _if,
+    "nop": _nop, "trap": _trap_ins, "load": _load, "store": _store,
     "call": _call, "return": _return, "segload": _segload,
-    "segstore": _segstore, "slice": _slice, "new_segment": _new_segment,
-    "handle_add": _handle_add, "segfree": _segfree,
+    "segstore": _segstore, "new_segment": _new_segment, "segfree": _segfree,
 }
-assert _HANDLERS.keys() == set(OPCODES)
+_INLINE = {"const", "get", "set", "binop", "if", "slice", "handle_add"}
+assert _INLINE.isdisjoint(_HANDLERS) and _INLINE | _HANDLERS.keys() == set(OPCODES)
+
+
+def _steps(config: Config, budget: int, emit) -> int:
+    """The machine loop: run up to `budget` steps of a non-terminal
+    configuration, passing each event to `emit`, and return the steps run.
+
+    The top frame's running block, operands and locals live in local
+    variables; a handler may push or pop a frame, so they are read again
+    after each one.  Ending an `if` arm resumes the enclosing block within
+    the same step; ending a body is the implicit return, a step of its own.
+    This is the one catch of MemTrap: a trap of any kind becomes the trap
+    event here, and the configuration halts with no frames left."""
+    frames = config.frames
+    backend = config.backend
+    frame = frames[-1]
+    code, ops, locs = frame.code, frame.operands, frame.locals
+    n = 0
+    try:
+        while n < budget:
+            for ins in code:
+                break
+            else:
+                if frame.outer:  # an if arm ended: resume its block
+                    code = frame.code = frame.outer.pop()
+                    continue
+                # Fell off the end: implicit return of the declared results.
+                n += 1
+                _do_return(config, frame)
+                if not frames:
+                    break
+                frame = frames[-1]
+                code, ops, locs = frame.code, frame.operands, frame.locals
+                continue
+            n += 1
+            op = ins.op
+            if op == "get":
+                ops.append(locs[ins.idx])
+            elif op == "const":
+                ops.append(ins.literal)
+            elif op == "set":
+                locs[ins.idx] = ops.pop()
+            elif op == "binop":
+                try:
+                    f = _BINOPS[ins.ty._value_][ins.operator]
+                except (AttributeError, KeyError):
+                    raise InterpBug(f"operator {ins.ty}.{ins.operator}") from None
+                b = ops.pop()
+                ops[-1] = f(ops[-1], b)
+            elif op == "handle_add":
+                delta = ops.pop()
+                ops[-1] = backend.handle_add(ops[-1], delta)
+            elif op == "if":
+                frame.outer.append(code)
+                code = frame.code = iter(ins.then_body if ops.pop() else ins.else_body)
+            elif op == "slice":
+                o2 = ops.pop()
+                o1 = ops.pop()
+                ops[-1] = backend.slice_handle(ops[-1], o1, o2)
+            else:
+                handler = _HANDLERS.get(op)
+                if handler is None:
+                    raise InterpBug(f"unknown opcode {op}")
+                ev = handler(config, frame, ins)
+                if ev is not None:
+                    emit(ev)
+                if not frames:
+                    break
+                frame = frames[-1]
+                code, ops, locs = frame.code, frame.operands, frame.locals
+    except MemTrap:
+        emit(_trap(config))
+    return n
 
 
 def step(config: Config):
     """Execute one instruction; returns the emitted event (None for the
-    silent ones).  Mutates config.  This is the one catch of MemTrap:
-    a trap of any kind becomes the trap event here."""
+    silent ones).  Mutates config.  It is `_steps` run for one step."""
     if config.trapped or not config.frames:
         raise InterpBug("step on terminal configuration")
-    frame = config.frames[-1]
-    ins = next(frame.code, None)
-    while ins is None:
-        if not frame.outer:
-            # Fell off the end: implicit return of the declared results.
-            return _do_return(config, frame)
-        frame.code = frame.outer.pop()  # an if arm ended: resume its block
-        ins = next(frame.code, None)
-    try:
-        handler = _HANDLERS[ins.op]
-    except KeyError:
-        raise InterpBug(f"unknown opcode {ins.op}") from None
-    try:
-        return handler(config, frame, ins)
-    except MemTrap:
-        return _trap(config)
+    out: list = []
+    _steps(config, 1, out.append)
+    return out[0] if out else None
 
 
 def _do_return(config: Config, frame: Frame):
@@ -452,7 +459,7 @@ class RunResult:
     trace: list
     outcome: str            # "ok" | "trap" | "budget"
     config: Config
-    steps: int              # instructions executed, by step()
+    steps: int              # instructions executed, as step() counts them
 
     @property
     def results(self) -> list[Value]:
@@ -461,22 +468,14 @@ class RunResult:
 
 def run(m: ModuleDef, backend: str = "tagged", budget: int = DEFAULT_BUDGET,
         segment_size: int | None = None) -> RunResult:
-    """Run a whole module from function 0, collecting its event trace:
-    `step` until the configuration is terminal or `budget` steps ran."""
+    """Run a whole module from function 0, collecting its event trace,
+    until the configuration is terminal or `budget` steps ran."""
     config = init_state(m, backend, segment_size)
-    frames = config.frames  # emptied in place when the run ends or traps
     trace: list = []
-    append = trace.append
-    steps = 0
-    while frames:
-        if steps >= budget:
-            return RunResult(trace, "budget", config, steps)
-        ev = step(config)
-        steps += 1
-        if ev is not None:
-            append(ev)
-    outcome = "trap" if config.trapped else "ok"
-    return RunResult(trace, outcome, config, steps)
+    steps = _steps(config, budget, trace.append)
+    if config.frames:
+        return RunResult(trace, "budget", config, steps)
+    return RunResult(trace, "trap" if config.trapped else "ok", config, steps)
 
 
 # -- linking ----------------------------------------------------------

@@ -888,6 +888,7 @@ SrcValue = object  # SInt or SPtr; field 0 is the int or the address
 # the interpreter builds a value on most ops.
 _new = tuple.__new__
 _ZERO = SInt(0)
+_I32_HALF, _I32_MASK = 1 << 31, (1 << 32) - 1
 
 
 # Trace events, built on the hot paths with _new(cls, fields); equality
@@ -1046,11 +1047,12 @@ def src_run(tm: TypedModule, budget: int = 1_000_000,
     _flat_code).  One budget step is one op of that code.  A call, and
     the start of main, charges the callee's whole code at once, as one
     call runs each op at most once; a call past the budget ends the run
-    in "budget" before it starts.  A division by zero ends the run in
-    "trap", as the compiled `i32.div_s` traps.  The run ends in
-    "hosterror" at an access outside the heap (after its event), and at a
-    heap of more than MAX_HEAP_CELLS cells, declared or grown by malloc,
-    before anything is allocated.
+    in "budget" before it starts.  Integer +, -, * and / wrap to i32, and
+    a division by zero or of int_min by -1 ends the run in "trap", as the
+    compiled `i32.div_s` traps.  The run ends in "hosterror" at an access
+    outside the heap (after its event), and at a heap of more than
+    MAX_HEAP_CELLS cells, declared or grown by malloc, before anything is
+    allocated.
 
     strip_annotations zeroes all pointer metadata at creation; the heap
     and control behaviour must be unaffected (annotations are inert).
@@ -1134,18 +1136,21 @@ def src_run(tm: TypedModule, budget: int = 1_000_000,
                     push(_new(SPtr, (a[0] + b[0], a[1], a[2], a[3], a[4])))
                     continue
                 x, y = a[0], b[0]
+                # Integer arithmetic is i32, as in the compiled code.
                 if k == _ADD:
-                    r = x + y
+                    r = ((x + y + _I32_HALF) & _I32_MASK) - _I32_HALF
                 elif k == _SUB:
-                    r = x - y
+                    r = ((x - y + _I32_HALF) & _I32_MASK) - _I32_HALF
                 elif k == _MUL:
-                    r = x * y
+                    r = ((x * y + _I32_HALF) & _I32_MASK) - _I32_HALF
                 elif k == _DIV:
                     if y == 0:
                         return SrcRunResult(trace, "trap", None, heap)
                     r = abs(x) // abs(y)
                     if (x < 0) != (y < 0):
                         r = -r
+                    if r != ((r + _I32_HALF) & _I32_MASK) - _I32_HALF:
+                        return SrcRunResult(trace, "trap", None, heap)  # int_min / -1
                 elif k == _EQ:
                     r = 1 if x == y else 0
                 else:

@@ -42,6 +42,8 @@ MAX_MEMORY = 1 << 26
 _U32 = 0xFFFFFFFF
 _I32_HALF = 1 << 31
 _HANDLE_LAYOUT = struct.Struct("<IiII")
+# _new(Handle, fields) skips NamedTuple's Python-level __new__.
+_new = tuple.__new__
 
 
 def wrap_i32(v: int) -> int:
@@ -62,8 +64,8 @@ class Handle(NamedTuple):
     id: int         # 31-bit allocation identifier, never reused
 
     def moved(self, delta: int) -> "Handle":
-        return Handle(self.base, wrap_i32(self.offset + delta),
-                      self.bound, self.valid, self.id)
+        base, offset, bound, valid, seg_id = self
+        return _new(Handle, (base, wrap_i32(offset + delta), bound, valid, seg_id))
 
 
 NULL_HANDLE = Handle(0, 0, 0, False, 0)
@@ -80,7 +82,8 @@ class TrapKind(enum.Enum):
 
 class MemTrap(Exception):
     """Every trap: a failed premise of any operation, segment or not.
-    `interp.step` is the one place that catches it."""
+    The interpreter's machine loop, `interp._steps`, which `interp.step`
+    runs for one step, is the one place that catches it."""
 
     def __init__(self, kind: TrapKind, msg: str = ""):
         super().__init__(f"{kind.value}: {msg}" if msg else kind.value)
@@ -203,18 +206,19 @@ class SegmentMemory:
     # -- access -------------------------------------------------------
 
     def _check_access(self, h: Handle, size: int) -> int:
-        if not h.valid:
+        base, offset, bound, valid, seg_id = h
+        if not valid:
             raise MemTrap(TrapKind.INTEGRITY, "access via corrupted handle")
-        rec = self.allocated.get(h.id)
+        rec = self.allocated.get(seg_id)
         if rec is None:
-            raise MemTrap(TrapKind.TEMPORAL, f"id {h.id} not allocated")
+            raise MemTrap(TrapKind.TEMPORAL, f"id {seg_id} not allocated")
         seg_base, seg_size = rec
-        if not (seg_base <= h.base and h.base + h.bound <= seg_base + seg_size):
+        if not (seg_base <= base and base + bound <= seg_base + seg_size):
             raise MemTrap(TrapKind.SPATIAL, "window escapes segment")
-        if not (0 <= h.offset and h.offset + size <= h.bound):
+        if not (0 <= offset and offset + size <= bound):
             raise MemTrap(TrapKind.SPATIAL,
-                          f"offset {h.offset}+{size} outside bound {h.bound}")
-        return h.base + h.offset
+                          f"offset {offset}+{size} outside bound {bound}")
+        return base + offset
 
     def load(self, h: Handle, layout: struct.Struct):
         """The number with this layout at h."""
@@ -222,10 +226,9 @@ class SegmentMemory:
         return layout.unpack_from(self.data, a)[0]
 
     def store(self, h: Handle, layout: struct.Struct, v) -> None:
-        n = layout.size
-        a = self._check_access(h, n)
-        self.data[a:a + n] = layout.pack(v)
-        self.tags[a:a + n] = bytes(n)
+        a = self._check_access(h, layout.size)
+        layout.pack_into(self.data, a, v)
+        layout.pack_into(self.tags, a, 0)  # zero packs to zero bytes in every layout
 
     def load_handle(self, h: Handle) -> Handle:
         a = self._check_access(h, HANDLE_BYTES)
@@ -245,11 +248,12 @@ class SegmentMemory:
 
     def slice_handle(self, h: Handle, o1: int, o2: int) -> Handle:
         """Narrow the window: base grows by o1, bound shrinks by o2."""
-        if not (0 <= o1 < h.bound):
+        base, offset, bound, valid, seg_id = h
+        if not (0 <= o1 < bound):
             raise MemTrap(TrapKind.SPATIAL, f"slice base offset {o1}")
-        if not (0 <= o2 <= h.bound):
+        if not (0 <= o2 <= bound):
             raise MemTrap(TrapKind.SPATIAL, f"slice bound cut {o2}")
-        return Handle(h.base + o1, h.offset, h.bound - o2, h.valid, h.id)
+        return _new(Handle, (base + o1, offset, bound - o2, valid, seg_id))
 
     def view(self, h: Handle) -> Handle:
         """A handle as trace events show it: itself."""

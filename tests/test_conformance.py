@@ -16,7 +16,8 @@ from mswasm.conformance import (
     relate_events,
     relate_value,
 )
-from mswasm.interp import ReadEv, SAllocEv, SFreeEv, TrapEv, WriteEv, link, run
+from mswasm.compiler import compile_module
+from mswasm.interp import ReadEv, SAllocEv, SFreeEv, TrapEv, Value, WriteEv, link, run
 from mswasm.minic import (
     INT,
     Safe,
@@ -27,6 +28,7 @@ from mswasm.minic import (
     SrcRead,
     SrcWrite,
     parse_source,
+    src_run,
     src_typecheck,
 )
 from mswasm.segmem import Handle
@@ -180,6 +182,48 @@ def test_source_division_by_zero_relates_to_the_compiled_trap():
     assert isinstance(rep.src_verdict, Safe)
     assert [type(e) for e in rep.src_trace] == [SrcAlloc, SrcWrite, SrcRead]
     assert [e.kind for e in rep.tgt_trace] == ["salloc", "write", "read", "trap"]
+
+
+INT_MIN_DIV_MINUS_ONE = """module {
+  fn main() -> int {
+    var (x: int);
+    x := 0 - 2147483647 - 1;
+    x / (0 - 1)
+  }
+  heap 0
+}
+"""
+
+STORE_OF_A_WRAPPED_SUM = """module {
+  fn main() -> int {
+    var (p: ptr<array int>);
+    p := malloc<int>(1);
+    *(p) := 2147483647 + 1;
+    *(p)
+  }
+  heap 0
+}
+"""
+
+
+def test_source_int_min_divided_by_minus_one_traps_as_compiled():
+    """Source integers are i32: int_min / -1 ends in "trap", as i32.div_s
+    does.  On unbounded ints the source returned 2^31 where the compiled
+    run trapped, and the report was "trace lengths differ (0 vs 1)"."""
+    tm = src_typecheck(parse_source(INT_MIN_DIV_MINUS_ONE))
+    assert src_run(tm).outcome == "trap"
+    rep = diff_run(tm)
+    assert rep.related, rep.reason
+    assert rep.src_trace == [] and rep.tgt_trace == [TrapEv()]
+
+
+def test_source_sum_wraps_to_i32_as_compiled():
+    """2147483647 + 1 is int_min on both sides; the source used to return
+    2147483648 while the compiled code returned int_min."""
+    tm = src_typecheck(parse_source(STORE_OF_A_WRAPPED_SUM))
+    assert src_run(tm).result == SInt(-(2**31))
+    assert run(compile_module(tm)).results == [Value(ValueType.I32, -(2**31))]
+    assert diff_run(tm).related
 
 
 def test_unsafe_suite_all_trap_shaped():

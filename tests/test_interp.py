@@ -6,12 +6,15 @@ from mswasm import bytecode as bc
 from mswasm.baggy import NULL_BAGGY, BaggyHandle
 from mswasm.bytecode import FuncDef, FuncType, ModuleDef, ValueType, parse_module
 from mswasm.interp import (
+    _BINOPS,
     _HANDLERS,
     BACKENDS,
     Config,
     InitError,
+    InterpBug,
     LinkError,
     ReadEv,
+    RunResult,
     SAllocEv,
     SFreeEv,
     TrapEv,
@@ -191,14 +194,19 @@ def test_div_overflow_traps():
     ([bc.const(I32, -1), bc.const(I32, 0), bc.store(I32)], TrapKind.HEAP),
 ])
 def test_arithmetic_and_heap_traps_raise_memtrap_with_their_kind(body, kind):
-    """Handlers raise; `step` is the one place that turns MemTrap into
-    the trap event (the outcome tests above)."""
+    """Operators and handlers raise; the machine loop is the one place
+    that turns MemTrap into the trap event (the outcome tests above)."""
     config = init_state(module(body, results=(), heap=64))
     for _ in body[:-1]:
         step(config)
     frame = config.frames[-1]
+    ins = next(frame.code)
     with pytest.raises(MemTrap) as e:
-        _HANDLERS[body[-1].op](config, frame, next(frame.code))
+        if ins.op == "binop":
+            b = frame.operands.pop()
+            _BINOPS[ins.ty._value_][ins.operator](frame.operands.pop(), b)
+        else:
+            _HANDLERS[ins.op](config, frame, ins)
     assert e.value.kind is kind
 
 
@@ -383,12 +391,19 @@ def _drive_step(m, backend, budget):
     trace, steps = [], 0
     while not config.terminal:
         if steps >= budget:
-            return "budget", trace, config.results, steps
+            return RunResult(trace, "budget", config, steps)
         ev = step(config)
         steps += 1
         if ev is not None:
             trace.append(ev)
-    return ("trap" if config.trapped else "ok"), trace, config.results, steps
+    return RunResult(trace, "trap" if config.trapped else "ok", config, steps)
+
+
+def _shape(res):
+    """What a run leaves: outcome, trace, results, steps, and the depth of
+    each remaining frame's operand stack and of its enclosing blocks."""
+    return (res.outcome, res.trace, res.results, res.steps,
+            [(len(f.operands), len(f.outer)) for f in res.config.frames])
 
 
 def test_run_is_step_in_a_loop():
@@ -406,8 +421,61 @@ def test_run_is_step_in_a_loop():
         for backend in ("tagged", "baggy"):
             res = run(m, backend, budget=200_000)
             assert res.steps > 0
-            assert (res.outcome, res.trace, res.results, res.steps) == \
-                _drive_step(m, backend, 200_000)
+            assert _shape(res) == _shape(_drive_step(m, backend, 200_000))
+
+
+# The entry stores through a moved handle and calls function 1 from inside
+# an inner `if` arm; both arms end where their enclosing block ends too,
+# and function 1 returns implicitly right after its arm ends.  Then the
+# entry frees the segment and reads it again, which traps on tagged; on
+# baggy a freed slot stays readable and the body returns implicitly.
+ARMS_AND_CALLS = ModuleDef((
+    FuncDef((), (H, I32), (I32,), (
+        bc.const(I32, 16), bc.new_segment(), bc.set_(0),
+        bc.const(I32, 1),
+        bc.if_([bc.const(I32, 2),
+                bc.if_([bc.get(0), bc.const(I32, 4), bc.handle_add(),
+                        bc.const(I32, 7), bc.segstore(I32),
+                        bc.const(I32, 3), bc.call(1), bc.set_(1)],
+                       [bc.nop()])],
+               [bc.nop()]),
+        bc.get(0), bc.segfree(),
+        bc.get(0), bc.segload(I32))),
+    FuncDef((I32,), (), (I32,), (
+        bc.get(0),
+        bc.if_([bc.get(0), bc.const(I32, 1), bc.binop(I32, "sub")],
+               [bc.const(I32, 0)]))),
+), (), 0, 64)
+
+
+def test_run_stops_exactly_where_step_stops():
+    """For every budget up to a run's length and one past it, run leaves
+    what the loop over step leaves, down to each frame's stacks: an arm
+    that ended just before the budget is resumed by the next step, not by
+    this one."""
+    from mswasm.conformance import fuzz_module
+
+    typecheck_module(ARMS_AND_CALLS)
+    for m in [ARMS_AND_CALLS] + [fuzz_module(seed) for seed in range(30)]:
+        for backend in ("tagged", "baggy"):
+            n = run(m, backend).steps
+            for k in range(n + 2):
+                assert _shape(run(m, backend, budget=k)) == \
+                    _shape(_drive_step(m, backend, k)), (backend, k)
+
+
+@pytest.mark.parametrize("backend", ["tagged", "baggy"])
+@pytest.mark.parametrize("body", [
+    [bc.Instr("bogus")],
+    [bc.const(I32, 2), bc.const(I32, 3), bc.Instr("binop", ty=I32, operator="pow")],
+    [bc.get(0), bc.get(0), bc.Instr("binop", ty=H, operator="add")],
+    [bc.const(I32, 2), bc.const(I32, 3), bc.Instr("binop", operator="add")],
+], ids=["unknown-opcode", "i32.pow", "handle.add", "untyped-add"])
+def test_malformed_instructions_are_interp_bugs(backend, body):
+    """Code that no typechecked module holds is a bug in its maker, never
+    a trap or a result."""
+    with pytest.raises(InterpBug):
+        run(module(body, locals_=(H,), results=()), backend)
 
 
 def test_run_counts_steps_up_to_the_budget():
