@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""One SHA-256 over what the interpreters do on a fixed corpus, to show
-that a change leaves behaviour where it was.
+"""One SHA-256 over what the front end and the interpreters do on a fixed
+corpus, to show that a change leaves behaviour where it was.
 
     python3 scripts/trace_digest.py [N]
 
@@ -8,7 +8,8 @@ The corpus is `fuzz_module` seeds 0..N-1, the victim/attacker pairs of
 seeds 0..N-1, `fuzz_source` seeds 0..N-1 with and without violations,
 and the benchmark's copy, churn and frontend programs of seeds 1-3 (not
 the deep one).  N defaults to 200.  Every module runs on both backends at
-budgets 1,000,000 and 37; the digest covers each run's outcome, steps,
+budgets 1,000,000 and 37; the digest covers each source's typed tree
+(`repr(tm.fns)`) and compiled module text, each run's outcome, steps,
 results, JSONL trace and trace repr, and each source's `diff_run_source`
 report: related, index, reason and both traces.  It imports mswasm and
 chainbench's `programs` from the checkout it lies in, so running it in
@@ -25,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "chainbench")]
 
 import programs
+from mswasm.bytecode import print_module
 from mswasm.compiler import compile_module
 from mswasm.conformance import (
     diff_run_source, fuzz_attacker, fuzz_module, fuzz_source, fuzz_victim)
@@ -56,7 +58,10 @@ def digest(n: int) -> str:
     for s in range(n):
         victim = fuzz_victim(s)
         modules.append(link(victim, fuzz_attacker(victim, programs.fuzz_attacker_seed(s))))
-    modules += [compile_module(src_typecheck(parse_source(t))) for t in texts]
+    for t in texts:
+        tm = src_typecheck(parse_source(t))
+        modules.append(compile_module(tm))
+        add(repr(tm.fns), print_module(modules[-1]))
     for m in modules:
         for backend in BACKENDS:
             for budget in BUDGETS:

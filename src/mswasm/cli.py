@@ -7,6 +7,12 @@ error (also text nested past bytecode.MAX_NESTING), 13 monitor violation
 exhausted, 15 differential divergence (also `fuzz --source` with a
 counterexample), 16 internal error (an interpreter bug, interp.InterpBug,
 or memory exhausted, MemoryError).
+
+A source text with more than one error exits with the code of the first
+in the order the minic docstring gives: parse errors outside the function
+bodies, then the function names, then the bodies in text order, then
+main.  So a type error in one body (11) comes before a parse error in a
+later body (12).
 """
 
 from __future__ import annotations

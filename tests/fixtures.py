@@ -1,5 +1,6 @@
 """Source-program fixtures shared by the unit and acceptance tests."""
 
+import random
 import sys
 
 
@@ -238,6 +239,38 @@ def straight_line_source(n: int) -> str:
     body = ";\n    ".join(f"x := x + {i % 7}" for i in range(n))
     return (f"module {{\n  fn main() -> int {{\n    var (x: int);\n    {body};\n"
             f"    x\n  }}\n  heap 0\n}}\n")
+
+
+# Tokens a mutant may take in place of one of its own: every keyword and
+# operator of the source language, an unbound name and two numbers.
+MUTANT_TOKENS = ("module", "struct", "fn", "var", "heap", "int", "ptr", "array", "malloc",
+                 "free", "let", "in", "if", "else", "import", ":=", "->", "==", "-", "+",
+                 "*", "/", "<", ">", "(", ")", "{", "}", ",", ";", ":", ".", "=", "zz", "0", "7")
+
+
+def token_mutants(text: str, seed: int, n: int) -> list[str]:
+    """n mutants of a source text, each with one token deleted, doubled,
+    swapped with the next one, or replaced by another token of the text
+    or of MUTANT_TOKENS."""
+    from mswasm.minic import _tokenize_src
+
+    toks = _tokenize_src(text)[:-1]
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        t = list(toks)
+        i = rng.randrange(len(t))
+        kind = rng.randrange(4)
+        if kind == 0:
+            del t[i]
+        elif kind == 1:
+            t.insert(i, t[i])
+        elif kind == 2 and i + 1 < len(t):
+            t[i], t[i + 1] = t[i + 1], t[i]
+        else:
+            t[i] = rng.choice(MUTANT_TOKENS + tuple(toks))
+        out.append(" ".join(t))
+    return out
 
 
 def nested_ifs_module(n: int) -> str:

@@ -178,6 +178,18 @@ def test_compile_type_error_exit(tmp_path):
     assert main(["compile", str(src)]) == 11
 
 
+@pytest.mark.parametrize("text,code", [
+    # a type error in a body comes before a parse error in a later body
+    ("module { fn main() -> int { var (); zz } fn f() -> int { var (); ( } heap 0 }", 11),
+    # a missing main is checked after the bodies
+    ("module { fn f() -> int { var (); ( } heap 0 }", 12),
+])
+def test_compile_reports_the_first_error_in_the_text(tmp_path, text, code):
+    src = tmp_path / "p.uc"
+    src.write_text(text)
+    assert main(["compile", str(src)]) == code
+
+
 def test_diff_safe_and_unsafe(tmp_path, capsys):
     src = tmp_path / "p.uc"
     src.write_text(SAFE_SOURCE)

@@ -387,21 +387,19 @@ def test_annotations_are_inert(seed, violations):
 
 
 def test_a_block_is_one_flat_seq_and_a_let_body_is_the_rest_of_it():
-    from mswasm.minic import LetCall, Seq, TLetCall, TSeq
+    from mswasm.minic import TLetCall, TSeq
 
-    text = """
+    tm = load("""
     module {
       fn main() -> int { var (x: int); x := 1; x := 2; let y = f() in x := y; x }
       fn f() -> int { var (); 3 }
       heap 0
-    }"""
-    body = parse_source(text).fns[0].body
-    assert isinstance(body, Seq) and len(body.items) == 3
+    }""")
+    body = tm.fns[0].body
+    assert isinstance(body, TSeq) and len(body.items) == 3
     let = body.items[2]
-    assert isinstance(let, LetCall) and isinstance(let.body, Seq) and len(let.body.items) == 2
-    tm = load(text)
-    assert isinstance(tm.fns[0].body, TSeq) and len(tm.fns[0].body.items) == 3
-    assert isinstance(tm.fns[0].body.items[2], TLetCall) and tm.fns[0].n_lets == 1
+    assert isinstance(let, TLetCall) and isinstance(let.body, TSeq) and len(let.body.items) == 2
+    assert tm.fns[0].n_lets == 1
     assert src_run(tm).result == SInt(3)
 
 
@@ -473,6 +471,62 @@ def test_bad_character_reports_its_offset():
         parse_source("module { heap é }   \n")
     # inside a comment any character goes
     parse_source("module { // ! é\n fn main() -> int { var (); 0 } heap 0 }")
+
+
+# -- which error a text reports --------------------------------------------
+
+
+def test_an_error_in_a_body_comes_before_one_in_a_later_body():
+    """The bodies are read in text order, and each check runs as soon as
+    its tokens are read, so a type error can come before a parse error."""
+    bad_main = "fn main() -> int { var (); zz }"
+    bad_f = "fn f() -> int { var (); ( }"
+    with pytest.raises(SrcTypeError, match="unbound variable zz"):
+        parse_source(f"module {{ {bad_main} {bad_f} heap 0 }}")
+    with pytest.raises(SrcParseError, match="expected expression, got '}'"):
+        parse_source(f"module {{ {bad_f} {bad_main} heap 0 }}")
+
+
+def test_main_is_checked_after_the_bodies():
+    """A missing main, or a main with a parameter, loses to any error in
+    a body, so a body that does not parse stays a parse error."""
+    with pytest.raises(SrcParseError, match="expected expression, got '}'"):
+        parse_source("module { fn f() -> int { var (); ( } heap 0 }")
+    with pytest.raises(SrcParseError, match="expected expression, got '}'"):
+        parse_source("module { fn main(n: int) -> int { var (); ( } heap 0 }")
+    with pytest.raises(SrcTypeError, match="unbound variable zz"):
+        parse_source("module { fn main(n: int) -> int { var (); zz } heap 0 }")
+
+
+@pytest.mark.parametrize("after", ["fn f() -> int { var (); 4 } heap 0 }",
+                                   "import g() -> int; heap 0 }", "heap 0 }", ""])
+def test_a_body_without_its_closing_brace_is_reported_where_the_next_item_starts(after):
+    got = repr((after.split() or [""])[0])
+    with pytest.raises(SrcParseError, match=f"expected '}}', got {got}"):
+        parse_source("module { fn main() -> int { var (); if 1 { 2 } else { 3 } " + after)
+
+
+def test_token_mutants_of_sources_end_in_a_module_or_a_source_error():
+    """Every mutant of a fixed set ends in a typed module, a SrcParseError
+    or a SrcTypeError; none raises anything else or reads the type of a
+    node that has none."""
+    import time
+
+    from fixtures import token_mutants
+    from mswasm.conformance import fuzz_source
+
+    texts = [fuzz_source(seed, violations=v) for seed in range(40) for v in (False, True)]
+    mutants = [m for i, t in enumerate(texts) for m in token_mutants(t, i, 20)]
+    ends = {"ok": 0, SrcParseError: 0, SrcTypeError: 0}
+    t0 = time.perf_counter()
+    for text in mutants:
+        try:
+            src_typecheck(parse_source(text))
+            ends["ok"] += 1
+        except (SrcParseError, SrcTypeError) as e:
+            ends[type(e)] += 1
+    assert time.perf_counter() - t0 < 10.0
+    assert len(mutants) == 1600 and all(ends.values()), ends
 
 
 # -- the heap cap ---------------------------------------------------------
