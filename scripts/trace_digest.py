@@ -10,8 +10,10 @@ and the benchmark's copy, churn and frontend programs of seeds 1-3 (not
 the deep one).  N defaults to 200.  Every module runs on both backends at
 budgets 1,000,000 and 37; the digest covers each source's typed tree
 (`repr(tm.fns)`) and compiled module text, each run's outcome, steps,
-results, JSONL trace and trace repr, and each source's `diff_run_source`
-report: related, index, reason and both traces.  It imports mswasm and
+results, JSONL trace, trace repr and `check_ms` verdict, each source's
+`diff_run_source` report (related, index, reason and both traces), and
+each source run's `src_ms` verdict, alone and with a forged read of a raw
+integer appended.  It imports mswasm and
 chainbench's `programs` from the checkout it lies in, so running it in
 two checkouts compares their code.
 """
@@ -31,7 +33,8 @@ from mswasm.compiler import compile_module
 from mswasm.conformance import (
     diff_run_source, fuzz_attacker, fuzz_module, fuzz_source, fuzz_victim)
 from mswasm.interp import BACKENDS, link, run, trace_to_jsonl
-from mswasm.minic import parse_source, src_typecheck
+from mswasm.minic import INT, SInt, SrcRead, parse_source, src_ms, src_run, src_typecheck
+from mswasm.tracerel import check_ms
 
 BUDGETS = (1_000_000, 37)
 BENCH_SEEDS = (1, 2, 3)
@@ -67,10 +70,13 @@ def digest(n: int) -> str:
             for budget in BUDGETS:
                 res = run(m, backend, budget)
                 add(res.outcome, res.steps, repr(res.results),
-                    trace_to_jsonl(res.trace), repr(res.trace))
+                    trace_to_jsonl(res.trace), repr(res.trace), repr(check_ms(res.trace)))
     for t in texts:
         rep = diff_run_source(t)
         add(rep.related, rep.index, rep.reason, repr(rep.src_trace), repr(rep.tgt_trace))
+        tm = src_typecheck(parse_source(t))
+        trace = src_run(tm).trace
+        add(repr(src_ms(tm.mod, trace)), repr(src_ms(tm.mod, trace + [SrcRead(INT, SInt(3))])))
     return h.hexdigest()
 
 

@@ -221,8 +221,6 @@ def enforce_check(tm: TypedModule) -> bool:
 # Bytecode module fuzzer (well-typed by construction)
 
 
-_NUM_TYPES = (ValueType.I32, ValueType.I64, ValueType.F32, ValueType.F64)
-
 _EXTREME_I32 = (-(1 << 31), (1 << 31) - 1, -1, 0, 1, 7, 16, 64, 255, -64)
 
 

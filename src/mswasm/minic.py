@@ -59,11 +59,12 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .bytecode import MAX_NESTING
 from .monitor import (
-    AAlloc, AFree, ARead, AWrite, SAFE, Safe, Violation, check_trace, other_event, same_event,
+    AAlloc, AFree, ARead, AWrite, SAFE, Safe, ShadowMemory, monitor_step, other_event, same_event,
 )
 from .segmem import give, take
 from .tracerel import BijectionDelta
@@ -1135,56 +1136,49 @@ def _alloc_footprint(mod: SrcModule, ptr: SPtr) -> tuple[int, tuple[int, ...]]:
     return ncells, shades if ncells else ()
 
 
-def src_relate(mod: SrcModule, trace: list):
-    """Abstract image of a source trace: (abs_events, sources, unsafe).
-    unsafe is None, or SrcUnsafe at the first forged or out-of-provenance
-    event, and then abs_events is the image of the events before it.
-
-    abs_events[i] came from trace[sources[i]].  Pointers resolve through
-    one record per allocation id, as handles do in tracerel."""
+def src_relate(mod: SrcModule, trace: list, step):
+    """Pass the abstract image of a source trace to step, one abstract
+    event per source event, and return the verdict: SAFE, or SrcUnsafe at
+    the first event that is forged, has no image, or whose image step
+    rejects.  step returns None to accept an event, or a violation kind,
+    which becomes the SrcUnsafe's reason.  Pointers resolve through one
+    record per allocation id, as handles do in tracerel."""
     delta = BijectionDelta()
-    abs_events: list = []
-    sources: list[int] = []
     for i, ev in enumerate(trace):
         if isinstance(ev, SrcAlloc):
             ptr = ev.ptr
             if ptr.length < 0:
-                return abs_events, sources, SrcUnsafe(i, "allocation with negative length")
+                return SrcUnsafe(i, "allocation with negative length")
             ncells, shades = _alloc_footprint(mod, ptr)
             color = delta.bind_segment(ptr.id, ptr.base, ncells, shades)
-            abs_events.append(AAlloc(ncells, ptr.base, color, shades))
-            sources.append(i)
+            kind = step(AAlloc(ncells, ptr.base, color, shades))
         elif isinstance(ev, (SrcRead, SrcWrite)):
             if isinstance(ev.v, SInt):
-                return abs_events, sources, SrcUnsafe(i, "access through a raw integer")
+                return SrcUnsafe(i, "access through a raw integer")
             ptr = ev.v
             image = delta.resolve(ptr.id, ptr.base)
             if image is None:
-                return abs_events, sources, SrcUnsafe(i, "pointer with unknown provenance")
+                return SrcUnsafe(i, "pointer with unknown provenance")
             cls = ARead if isinstance(ev, SrcRead) else AWrite
-            abs_events.append(cls(ptr.addr, *image))
-            sources.append(i)
+            kind = step(cls(ptr.addr, *image))
         elif isinstance(ev, SrcFree):
             if isinstance(ev.v, SInt):
-                return abs_events, sources, SrcUnsafe(i, "free of a raw integer")
+                return SrcUnsafe(i, "free of a raw integer")
             ptr = ev.v
             if ptr.addr != ptr.base:
-                return abs_events, sources, SrcUnsafe(i, "free not at allocation start")
+                return SrcUnsafe(i, "free not at allocation start")
             image = delta.resolve(ptr.id, ptr.base)
             if image is None:
-                return abs_events, sources, SrcUnsafe(i, "free with unknown provenance")
-            abs_events.append(AFree(ptr.base, image[0]))
-            sources.append(i)
+                return SrcUnsafe(i, "free with unknown provenance")
+            kind = step(AFree(ptr.base, image[0]))
         else:
             raise TypeError(f"not a source event: {ev!r}")
-    return abs_events, sources, None
+        if kind is not None:
+            return SrcUnsafe(i, kind)
+    return SAFE
 
 
 def src_ms(mod: SrcModule, trace: list):
     """SAFE, or SrcUnsafe carrying the index of the first memory violation
     (a forged event, or the first event the monitor rejects)."""
-    abs_events, sources, unsafe = src_relate(mod, trace)
-    verdict = check_trace(abs_events)
-    if isinstance(verdict, Violation):
-        return SrcUnsafe(sources[verdict.index], verdict.kind)
-    return unsafe or SAFE
+    return src_relate(mod, trace, partial(monitor_step, ShadowMemory()))

@@ -9,7 +9,10 @@ Colours are never reused, so an access whose own live block covers it is
 one lookup, and any other is a violation that one newest-first scan of
 the blocks names.  An allocation or a free is one bisect into `ranges`,
 so no event costs in proportion to a region's size.  The monitor consumes
-events one at a time and reports the first one that cannot be consumed.
+events one at a time and reports the first one that cannot be consumed:
+the relaters (`tracerel.relate`, `minic.src_relate`) call `monitor_step`
+on each abstract event as they make it, so a verdict keeps no abstract
+trace, and `check_trace` folds it over a list of events.
 """
 
 from __future__ import annotations

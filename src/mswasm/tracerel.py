@@ -1,4 +1,4 @@
-"""Builds the abstract-event image of an execution trace.
+"""Relates an execution trace to abstract events and judges it in one pass.
 
 The relation keeps one record per segment id: the segment's base, size,
 colour and shades (one element's pattern, as `monitor.AAlloc` takes it),
@@ -11,15 +11,21 @@ shade of the byte at `h.base`.  Abstract addresses are the segment
 addresses themselves: colours already disambiguate reuse, so the identity
 embedding is the simplest witness.  The source relation
 (`minic.src_relate`) resolves pointers through the same records.
+
+`relate` hands each abstract event to a `step` callback as it makes it,
+and stops at the first event in trace order that has no image or whose
+image `step` rejects.  `check_ms` steps the monitor, so a verdict keeps
+no abstract trace; `relate_trace` collects the image as a list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .bytecode import SIZEOF
 from .interp import ReadEv, SAllocEv, SFreeEv, TrapEv, WriteEv
-from .monitor import AAlloc, AFree, ARead, AWrite, SAFE, Safe, Violation, check_trace
+from .monitor import AAlloc, AFree, ARead, AWrite, SAFE, ShadowMemory, Violation, monitor_step
 
 _new = tuple.__new__
 _WIDTH = {t._value_: n for t, n in SIZEOF.items()}
@@ -35,6 +41,12 @@ def constant_shading(index: int, handle, size: int) -> tuple[int, ...]:
 class Unrelatable:
     index: int      # offending event's position in the concrete trace
     reason: str
+
+
+@dataclass(frozen=True)
+class TraceViolation:
+    violation: Violation
+    trace_index: int  # index of the concrete event it came from
 
 
 class BijectionDelta:
@@ -76,16 +88,12 @@ class BijectionDelta:
         return None
 
 
-def relate_trace(trace, shading=constant_shading):
-    """Returns (abs_events, sources, delta) or Unrelatable.
-
-    abs_events[i] came from trace[sources[i]]; a read or write of a
-    multi-byte value contributes several abstract events with the same
-    source index.
-    """
-    delta = BijectionDelta()
-    abs_events: list = []
-    sources: list[int] = []
+def relate(trace, step, delta: BijectionDelta, shading=constant_shading):
+    """Pass trace's abstract image to step, one event at a time, extending
+    delta.  step returns None to accept an event, or a violation kind to
+    stop.  Returns SAFE, Unrelatable, or TraceViolation(Violation(kind, n),
+    i) when step rejects the n-th abstract event, made from trace[i]."""
+    n = 0  # abstract events made so far
     for i, ev in enumerate(trace):
         cls = type(ev)
         if cls is TrapEv:
@@ -96,43 +104,42 @@ def relate_trace(trace, shading=constant_shading):
                 return Unrelatable(i, f"base {h.base} id {h.id} overlaps a live segment")
             shades = tuple(shading(i, h, h.bound))
             color = delta.bind_segment(h.id, h.base, h.bound, shades)
-            abs_events.append(AAlloc(h.bound, h.base, color, shades))
-            sources.append(i)
-            continue
-        image = delta.resolve(h.id, h.base)
-        if image is None:
-            return Unrelatable(i, f"no image for base {h.base} id {h.id}")
-        color, shade = image
-        if cls is ReadEv or cls is WriteEv:
-            addr = h.base + h.offset
-            width = _WIDTH[ev.ty._value_]
-            acls = ARead if cls is ReadEv else AWrite
-            abs_events.extend([_new(acls, (a, color, shade))
-                               for a in range(addr, addr + width)])
-            sources.extend([i] * width)
-        elif cls is SFreeEv:
-            delta.live.discard(h.id)
-            abs_events.append(AFree(h.base, color))
-            sources.append(i)
+            kind = step(AAlloc(h.bound, h.base, color, shades))
         else:
-            raise TypeError(f"not a trace event: {ev!r}")
-    return abs_events, sources, delta
+            image = delta.resolve(h.id, h.base)
+            if image is None:
+                return Unrelatable(i, f"no image for base {h.base} id {h.id}")
+            color, shade = image
+            if cls is ReadEv or cls is WriteEv:
+                addr = h.base + h.offset
+                width = _WIDTH[ev.ty._value_]
+                acls = ARead if cls is ReadEv else AWrite
+                for a in range(addr, addr + width):  # one abstract event per byte
+                    kind = step(_new(acls, (a, color, shade)))
+                    if kind is not None:
+                        return TraceViolation(Violation(kind, n + a - addr), i)
+                n += width
+                continue
+            if cls is not SFreeEv:
+                raise TypeError(f"not a trace event: {ev!r}")
+            delta.live.discard(h.id)
+            kind = step(AFree(h.base, color))
+        if kind is not None:
+            return TraceViolation(Violation(kind, n), i)
+        n += 1
+    return SAFE
 
 
-@dataclass(frozen=True)
-class TraceViolation:
-    violation: Violation
-    trace_index: int  # index of the concrete event it came from
+def relate_trace(trace, shading=constant_shading):
+    """(abs_events, delta): the whole abstract image as a list and the
+    bijection that made it; or Unrelatable."""
+    abs_events: list = []
+    delta = BijectionDelta()
+    out = relate(trace, abs_events.append, delta, shading)
+    return out if isinstance(out, Unrelatable) else (abs_events, delta)
 
 
 def check_ms(trace, shading=constant_shading):
     """Safety of the related abstract trace: SAFE, TraceViolation, or
-    Unrelatable."""
-    related = relate_trace(trace, shading)
-    if isinstance(related, Unrelatable):
-        return related
-    abs_events, sources, _ = related
-    verdict = check_trace(abs_events)
-    if isinstance(verdict, Safe):
-        return SAFE
-    return TraceViolation(verdict, sources[verdict.index])
+    Unrelatable, whichever the first offending event gives."""
+    return relate(trace, partial(monitor_step, ShadowMemory()), BijectionDelta(), shading)

@@ -196,11 +196,6 @@ def type_body(ctx: TypingContext, body, stack: StackType, depth: int = 0):
     return UNREACHABLE
 
 
-@dataclass(frozen=True)
-class WellTyped:
-    module: ModuleDef
-
-
 def typecheck_func(functions: list[FuncType], f: FuncDef) -> None:
     ctx = TypingContext(list(f.params) + list(f.locals), functions, f.results)
     out = type_body(ctx, f.body, [])
@@ -209,9 +204,10 @@ def typecheck_func(functions: list[FuncType], f: FuncDef) -> None:
                          f"body gives {out}, declared {list(f.results)}")
 
 
-def typecheck_module(m: ModuleDef, library: bool = False) -> WellTyped:
+def typecheck_module(m: ModuleDef, library: bool = False) -> None:
     """Check every function; whole modules also need a no-param entry
-    (skipped for library=True, e.g. link contexts that only export)."""
+    (skipped for library=True, e.g. link contexts that only export).
+    Raises TypeError_ for an ill-typed module."""
     functions = m.func_types()
     errors = []
     for i, f in enumerate(m.funcs):
@@ -226,5 +222,4 @@ def typecheck_module(m: ModuleDef, library: bool = False) -> WellTyped:
             raise TypeError_("no-entry", "whole module has no functions")
         if m.funcs[0].params:
             raise TypeError_("entry-params", "entry function must take no parameters")
-    return WellTyped(m)
 

@@ -177,7 +177,7 @@ def test_int_as_pointer_coercion_sequence():
 
 def test_compiled_module_is_well_typed():
     m = compile_text(USER)
-    assert typecheck_module(m)
+    typecheck_module(m)  # raises TypeError_ if not
 
 
 def test_layout_cell_byte_agreement():

@@ -301,7 +301,8 @@ def test_src_relate_struct_shading():
       heap 0
     }""")
     res = src_run(tm)
-    abs_events, _, _ = src_relate(tm.mod, res.trace)
+    abs_events = []
+    assert src_relate(tm.mod, res.trace, abs_events.append) is SAFE
     assert abs_events[0].shades == (0, 1, 1, 1, 1)
 
 

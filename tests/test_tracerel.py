@@ -1,9 +1,10 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mswasm.bytecode import ValueType, parse_module
 from mswasm.interp import ReadEv, SAllocEv, SFreeEv, TrapEv, WriteEv, run
-from mswasm.monitor import AAlloc, AFree, ARead, AWrite, Safe
+from mswasm.monitor import AAlloc, AFree, ARead, AWrite, Safe, Violation
 from mswasm.segmem import Handle
 from mswasm.tracerel import (
     TraceViolation,
@@ -18,17 +19,67 @@ I32 = ValueType.I32
 def test_alloc_write_expansion():
     h = Handle(0, 0, 8, True, 0)
     trace = [SAllocEv(h), WriteEv(I32, h)]
-    abs_events, sources, delta = relate_trace(trace)
+    abs_events, delta = relate_trace(trace)
     assert abs_events[0] == AAlloc(8, 0, 0, (0,))
     assert abs_events[1:] == [AWrite(0, 0, 0), AWrite(1, 0, 0),
                               AWrite(2, 0, 0), AWrite(3, 0, 0)]
-    assert sources == [0, 1, 1, 1, 1]
+
+
+def test_violation_names_the_byte_and_its_access():
+    """After a good read, a 4-byte read whose third byte leaves its
+    segment: the violation is that byte's abstract event, reported at the
+    read's trace index."""
+    h = Handle(0, 0, 8, True, 0)
+    after = Handle(8, 0, 8, True, 1)
+    trace = [SAllocEv(h), SAllocEv(after), ReadEv(I32, h),
+             ReadEv(I32, Handle(0, 6, 8, True, 0))]
+    abs_events, _ = relate_trace(trace)
+    assert abs_events[8] == ARead(8, 0, 0)
+    assert check_ms(trace) == TraceViolation(Violation("spatial-color", 8), 3)
+
+
+def test_first_offending_event_decides():
+    """The check stops at the first event, in trace order, that has no
+    image or that the monitor rejects: a stale read before an unknown id
+    is a violation, and an unknown id before it is unrelatable."""
+    h = Handle(0, 0, 8, True, 0)
+    unknown = Handle(32, 0, 8, True, 9)
+    trace = [SAllocEv(h), SFreeEv(h), ReadEv(I32, h), ReadEv(I32, unknown)]
+    assert check_ms(trace) == TraceViolation(Violation("temporal-freed", 2), 2)
+    out = check_ms([SAllocEv(h), SFreeEv(h), ReadEv(I32, unknown), ReadEv(I32, h)])
+    assert isinstance(out, Unrelatable) and out.index == 2
+
+
+@pytest.mark.parametrize("n", [1_000, 16_000])
+def test_verdicts_take_memory_that_does_not_grow_with_the_trace(n):
+    """check_ms over one segment and n i64 reads, and src_ms over one
+    allocation and n reads, peak under the same small bound for every n:
+    neither keeps the abstract trace."""
+    import tracemalloc
+
+    from mswasm.minic import INT, SAFE, SPtr, SrcAlloc, SrcModule, SrcRead, src_ms
+
+    trace = [SAllocEv(Handle(0, 0, 8 * n, True, 0))]
+    trace += [ReadEv(ValueType.I64, Handle(8 * k, 0, 8, True, 0)) for k in range(n)]
+    src_trace = [SrcAlloc(SPtr(0, 0, n, INT, 0))]
+    src_trace += [SrcRead(INT, SPtr(k, 0, n, INT, 0)) for k in range(n)]
+    mod = SrcModule({}, [], 0)
+    peaks = []
+    for check, args in ((check_ms, (trace,)), (src_ms, (mod, src_trace))):
+        tracemalloc.start()
+        try:
+            verdict = check(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert verdict is SAFE
+    assert max(peaks) < 8 << 10, peaks
 
 
 def test_sliced_handle_reads_at_moved_base():
     h = Handle(0, 0, 8, True, 0)
     sliced = Handle(4, 0, 4, True, 0)
-    abs_events, _, _ = relate_trace([SAllocEv(h), ReadEv(I32, sliced)])
+    abs_events, _ = relate_trace([SAllocEv(h), ReadEv(I32, sliced)])
     assert abs_events[1:] == [ARead(a, 0, 0) for a in (4, 5, 6, 7)]
 
 
@@ -54,7 +105,7 @@ def test_read_after_free_violation():
 
 def test_zero_length_segment_free_is_relatable():
     h = Handle(16, 0, 0, True, 5)
-    abs_events, _, _ = relate_trace([SAllocEv(h), SFreeEv(h)])
+    abs_events, _ = relate_trace([SAllocEv(h), SFreeEv(h)])
     assert abs_events == [AAlloc(0, 16, 0, ()), AFree(16, 0)]
 
 
@@ -78,7 +129,7 @@ def test_delta_keys_cover_segment_and_are_bijective():
         for j in range(h.bound):
             sliced = Handle(h.base + j, 0, h.bound - j, True, h.id)
             trace = [SAllocEv(h1), SAllocEv(h2), ReadEv(I32, sliced)]
-            abs_events, _, delta = relate_trace(trace, shading=by_byte)
+            abs_events, delta = relate_trace(trace, shading=by_byte)
             assert abs_events[2:] == [ARead(h.base + j + k, color, j) for k in range(4)]
     assert abs_events[:2] == [AAlloc(8, 0, 0, tuple(range(8))),
                               AAlloc(4, 16, 1, tuple(range(4)))]
@@ -93,7 +144,7 @@ def test_reuse_same_base_extends_delta_monotonically():
     h1 = Handle(0, 0, 8, True, 0)
     h2 = Handle(0, 0, 8, True, 1)
     trace = [SAllocEv(h1), SFreeEv(h1), SAllocEv(h2), WriteEv(I32, h2)]
-    abs_events, _, delta = relate_trace(trace)
+    abs_events, delta = relate_trace(trace)
     assert isinstance(check_ms(trace), Safe)
     old, new = delta.resolve(0, 0), delta.resolve(1, 0)
     assert old is not None and new is not None
@@ -158,7 +209,7 @@ def test_delta_injectivity_on_fuzz_traces(seed):
     from mswasm.conformance import fuzz_module
     out = relate_trace(run(fuzz_module(seed)).trace)
     if not isinstance(out, Unrelatable):
-        abs_events, _, delta = out
+        abs_events, delta = out
         colors = [e.color for e in abs_events if isinstance(e, AAlloc)]
         assert colors == list(range(len(colors)))
         assert _live_segments_disjoint(delta)
