@@ -246,7 +246,11 @@ class _Parser:
 
     def __init__(self, text: str):
         self.text = text
-        self.toks = _TOKEN_RE.findall(text)
+        # Where both skip the same characters, str.split() finds _TOKEN_RE's tokens.
+        if text.isascii() and not any(c in text for c in ";\x0b\x0c\x1c\x1d\x1e\x1f"):
+            self.toks = text.replace("(", " ( ").replace(")", " ) ").split() + [""]
+        else:
+            self.toks = _TOKEN_RE.findall(text)
         self.pos = 0
         self.instrs: dict = {}
 

@@ -45,11 +45,14 @@ than one error reports the first of these, in this order:
 Parse errors are SrcParseError and type errors SrcTypeError.
 
 A block is one flat TSeq, so statement count adds no depth; a let's body
-is the rest of its block.  A program nested past MAX_NESTING levels (see
-_SrcParser) is a SrcParseError, so every later tree walk recurses a
-bounded number of times.  src_run recurses not at all: it turns each
-function into flat code in one walk with a work stack, and runs the code
-with an explicit frame stack.
+is the rest of its block.  The parser reads a block in one loop, which
+keeps the operators waiting for their right side on a stack and calls
+itself only for a parenthesis, if, let or malloc/free argument; it counts
+the nesting levels as it goes, and a program nested past MAX_NESTING
+levels (see _SrcParser) is a SrcParseError, so the parse and every later
+tree walk recurse a bounded number of times.  src_run recurses not at
+all: it turns each function into flat code in one walk with a work stack,
+and runs the code with an explicit frame stack.
 
 The function called main takes no parameter; it is the entry point.
 """
@@ -188,7 +191,7 @@ def struct_cell_shades(mod: SrcModule, sname: str) -> tuple[int, ...]:
 # One match per token, after any whitespace and // comments; a character
 # that starts no token matches up to the end; the end matches as "".
 _TOKEN_RE = re.compile(r"(?:\s+|//[^\n]*)*"
-                       r"(\d+|[A-Za-z_]\w*|:=|->|==|[-+*/<>(){},;:.=]|[\s\S]+|\Z)")
+                       r"([A-Za-z_]\w*|\d+|:=|->|==|[-+*/<>(){},;:.=]|[\s\S]+|\Z)")
 
 _NAME_START = frozenset(string.ascii_letters + "_")
 _OP_START = frozenset("-+*/<>(){},;:.=")
@@ -208,25 +211,37 @@ def _tokenize_src(text: str) -> list[str]:
     """Token strings, ending in "" for the end of the input.  A token's
     kind is its first character's: a digit, a name start, or an operator."""
     toks = _TOKEN_RE.findall(text)
-    last = toks[-2] if len(toks) > 1 else ""  # a bad character's match is this
-    if last:
-        c = last[0]
-        if c not in _NAME_START and c not in _OP_START and not c.isdecimal():
-            raise SrcParseError(f"bad character {c!r} at offset {len(text) - len(last)}")
+    c = toks[-2][:1] if len(toks) > 1 else ""  # a bad character's match is toks[-2]
+    if c and c not in _NAME_START and c not in _OP_START and not c.isdecimal():
+        raise SrcParseError(f"bad character {c!r} at offset {len(text) - len(toks[-2])}")
     return toks
 
 
 _TOO_DEEP = f"nesting deeper than {MAX_NESTING}"
 
 
+def _number(t: str) -> int:
+    if not t.isdecimal():
+        raise SrcParseError(f"expected number, got {t!r}")
+    try:
+        return int(t)
+    except ValueError:  # past Python's digit limit for int()
+        raise SrcParseError(f"number of {len(t)} digits") from None
+
+
 class _SrcParser:
     """Recursive descent over the token strings that types each node as it
     builds it.  An expression comes as (typed node, depth): each
     parenthesis, if, let, malloc/free argument, `*`, `.` field, `:=` and
-    binary operator adds one level; a block adds none.  `level` counts the
-    levels open around the parse position, so the descent stops at
-    MAX_NESTING too, and so do nested types.  A node's own parse checks
-    run before its type checks.
+    binary operator adds one level; a block adds none.  Depths are checked
+    where they grow.  block() reads a block in one loop, with precedence
+    climbing: operands are read in place, and the left sides of binary
+    operators and of `:=` wait on one stack for their right side.  So the
+    operand after k waiting left sides is k levels into the block, each of
+    its `*`s one more, and a parenthesis, if, let or malloc/free argument
+    is a block one level further in.  block() and ty() take their level
+    and stop past MAX_NESTING before they read a token, so the descent
+    stops there too.  A node's own parse checks run before its type checks.
 
     module() reads the declarations first and then the bodies (see the
     module docstring); while a body is read, `env` maps the variables in
@@ -236,7 +251,6 @@ class _SrcParser:
     def __init__(self, text: str):
         self.toks = _tokenize_src(text)
         self.pos = 0
-        self.level = 0
 
     def next(self) -> str:
         t = self.toks[self.pos]
@@ -258,56 +272,24 @@ class _SrcParser:
             raise SrcParseError(f"expected name, got {got!r}")
         return got
 
-    def num(self) -> int:
-        got = self.next()
-        if not got.isdecimal():
-            raise SrcParseError(f"expected number, got {got!r}")
-        try:
-            return int(got)
-        except ValueError:  # past Python's digit limit for int()
-            raise SrcParseError(f"number of {len(got)} digits") from None
-
-    def inner(self, parse, *args):
-        """parse(*args) one nesting level further in."""
-        self.level += 1
-        if self.level > MAX_NESTING:
+    def ty(self, level: int = 0, word: bool = False):
+        """A ty, or a wtype if word, `level` levels in."""
+        if level > MAX_NESTING:
             raise SrcParseError(_TOO_DEEP)
-        out = parse(*args)
-        self.level -= 1
-        return out
-
-    @staticmethod
-    def above(depth: int) -> int:
-        """The depth of a construct around one of the given depth."""
-        if depth >= MAX_NESTING:
-            raise SrcParseError(_TOO_DEEP)
-        return depth + 1
-
-    # -- types --
-
-    def ty(self):
-        if self.at("int"):
-            self.next()
+        t = self.next()
+        if t == "int":
             return INT
-        if self.at("ptr"):
-            self.next()
+        if t == "ptr":
             self.eat("<")
-            w = self.inner(self.wtype)
+            w = self.ty(level + 1, True)
             self.eat(">")
             return PtrType(w)
-        raise SrcParseError(f"expected type, got {self.toks[self.pos]!r}")
-
-    def wtype(self):
-        if self.at("struct"):
-            self.next()
+        if word and t == "struct":
             return StructType(self.name())
-        if self.at("array"):
-            self.next()
-            count = None
-            if self.toks[self.pos].isdecimal():
-                count = self.num()
-            return ArrayType(count, self.inner(self.ty))
-        return self.ty()
+        if word and t == "array":
+            count = _number(self.next()) if self.toks[self.pos].isdecimal() else None
+            return ArrayType(count, self.ty(level + 1))
+        raise SrcParseError(f"expected type, got {t!r}")
 
     # -- module --
 
@@ -345,7 +327,7 @@ class _SrcParser:
             else:
                 raise SrcParseError(f"expected item, got {self.toks[self.pos]!r}")
         self.eat("heap")
-        n_hs = self.num()
+        n_hs = _number(self.next())
         self.eat("}")
         if self.toks[self.pos] != "":
             raise SrcParseError(f"trailing input {self.toks[self.pos]!r}")
@@ -353,8 +335,7 @@ class _SrcParser:
 
         self.sigs = {imp.name: (imp.param, imp.result) for imp in imports}
         self.indices = {imp.name: i for i, imp in enumerate(imports)}
-        names = [f[0] for f in fns]
-        if len(set(names)) != len(names):
+        if len({f[0] for f in fns}) != len(fns):
             raise SrcTypeError("duplicate function names")
         order = sorted(fns, key=lambda f: f[0] != "main")
         for j, (fname, param, result, _, _) in enumerate(order):
@@ -386,15 +367,13 @@ class _SrcParser:
 
     def fn_body(self, name, param, result, locals_, start) -> TypedFn:
         """Parse and type the body at start, which pass 1 skipped."""
-        env: dict[str, object] = {}
-        if param:
-            env[param[0]] = param[1]
+        env: dict[str, object] = dict([param] if param else [])
         for var, ty in locals_:
             if var in env:
                 raise SrcTypeError(f"duplicate variable {var}")
             env[var] = ty
         self.env, self.n_lets, self.pos = env, 0, start
-        body, _ = self.block()
+        body, _ = self.block(0)
         self.eat("}")
         return TypedFn(name, param, result, locals_, _coerce(body, body.ty, result),
                        self.indices[name], self.n_lets)
@@ -423,7 +402,7 @@ class _SrcParser:
     def field_decl(self):
         fname = self.name()
         self.eat(":")
-        w = self.wtype()
+        w = self.ty(0, True)
         if isinstance(w, StructType):
             raise SrcParseError("struct-typed fields are not supported")
         if isinstance(w, ArrayType) and w.count is None:
@@ -432,112 +411,130 @@ class _SrcParser:
 
     # -- expressions: each returns (typed node, depth) --
 
-    def block(self):
-        """assign (";" assign)*: one TSeq of the items, or the one item."""
-        e, depth = self.assign()
-        if self.toks[self.pos] != ";":
-            return e, depth
-        items = [e]
-        while self.toks[self.pos] == ";":
-            self.pos += 1
-            e, d = self.assign()
-            items.append(e)
-            depth = max(depth, d)
-        return TSeq(items, e.ty), depth
-
-    def assign(self):
-        lhs, depth = self.climb(*self.unary(), 1)
-        if self.toks[self.pos] != ":=":
-            return lhs, depth
-        self.pos += 1
-        if type(lhs) not in (TVar, TDeref):
-            raise SrcParseError("assignment needs a variable or deref target")
-        rhs, d = self.inner(self.assign)
-        depth = self.above(max(depth, d))
-        rhs = _coerce(rhs, rhs.ty, lhs.ty)
-        if type(lhs) is TVar:
-            return TAssignVar(lhs.name, rhs, INT), depth
-        return TAssignPtr(lhs.e, rhs, lhs.ty, INT), depth
-
-    def climb(self, e, depth: int, min_prec: int):
-        """Precedence climbing: fold the operators binding at least
-        min_prec into the operand e of the given depth."""
-        toks = self.toks
+    def block(self, level: int):
+        """assign (";" assign)* at pos, `level` levels in: one TSeq of the
+        items, or the one item."""
+        if level > MAX_NESTING:
+            raise SrcParseError(_TOO_DEEP)
+        toks, env, pos = self.toks, self.env, self.pos
+        items, block_depth = [], 0
+        # Waiting left sides, innermost last: (node, depth, binary operator,
+        # its precedence) or (target, depth, ":=", -1).
+        stack = []
         while True:
-            op = toks[self.pos]
-            prec = _BINARY.get(op)
-            if prec is None or prec < min_prec:
-                return e, depth
-            self.pos += 1
-            b, d = self.inner(self.unary)
-            tighter = _BINARY.get(toks[self.pos])
-            if tighter is not None and tighter > prec:
-                b, d = self.inner(self.climb, b, d, prec + 1)
-            depth = self.above(max(depth, d))
-            aty, bty = e.ty, b.ty
-            if op == "+" and isinstance(aty, PtrType) and isinstance(aty.wtype, ArrayType):
-                e = TBinOp("+", e, _coerce(b, bty, INT), aty, elem=aty.wtype.elem)
-            elif isinstance(aty, IntType) and isinstance(bty, IntType):
-                e = TBinOp(op, e, b, INT)
+            stars = 0
+            while toks[pos] == "*":
+                pos, stars = pos + 1, stars + 1
+            atom_level = level + len(stack) + stars
+            if atom_level > MAX_NESTING:
+                raise SrcParseError(_TOO_DEEP)
+            t = toks[pos]
+            ty = env.get(t)
+            if ty is not None:
+                e, depth, pos = TVar(t, ty), 0, pos + 1
+            elif t.isdecimal():
+                e, depth, pos = TNum(_number(t), INT), 0, pos + 1
+            elif t == "(":
+                self.pos = pos + 1
+                e, depth = self.block(atom_level + 1)
+                pos = self.pos + 1
+                if toks[pos - 1] != ")":
+                    raise SrcParseError(f"expected ')', got {toks[pos - 1]!r}")
+                if depth >= MAX_NESTING:
+                    raise SrcParseError(_TOO_DEEP)
+                depth += 1
             else:
-                raise SrcTypeError(f"binop {op} needs ints, got {aty}, {bty}")
+                self.pos = pos
+                e, depth = self.atom(t, atom_level)
+                pos = self.pos
+            while toks[pos] == ".":
+                self.pos = pos + 1
+                fname = self.name()
+                pos += 2
+                if depth >= MAX_NESTING:
+                    raise SrcParseError(_TOO_DEEP)
+                depth += 1
+                ty = e.ty
+                if not (isinstance(ty, PtrType) and isinstance(ty.wtype, StructType)):
+                    raise SrcTypeError(f"field access needs a struct pointer, got {ty}")
+                sname = ty.wtype.name
+                if sname not in self.mod.structs:
+                    raise SrcTypeError(f"unknown struct {sname}")
+                off, fty = field_cell_offset(self.mod, sname, fname)
+                e = TField(e, fname, sname, off, fty, PtrType(fty))
+            while stars:
+                stars -= 1
+                if depth >= MAX_NESTING:
+                    raise SrcParseError(_TOO_DEEP)
+                depth += 1
+                ty = e.ty
+                if ty is INT:  # an int used as a pointer: an int-typed forged access
+                    ty = PtrType(INT)
+                    e = TIntAsPtr(e, ty)
+                e = TDeref(e, _deref_elem(ty))
+            # Fold what binds at least as tightly as the next token: an
+            # operator binds by its precedence, ":=" at 0 and the rest at -1.
+            t = toks[pos]
+            prec = _BINARY.get(t, 0 if t == ":=" else -1)
+            while stack and stack[-1][3] >= prec:
+                a, d, op, p = stack.pop()
+                if d > depth:
+                    depth = d
+                if depth >= MAX_NESTING:
+                    raise SrcParseError(_TOO_DEEP)
+                depth += 1
+                aty, bty = a.ty, e.ty
+                if p < 0:
+                    e = _coerce(e, bty, aty)
+                    e = (TAssignVar(a.name, e, INT) if type(a) is TVar
+                         else TAssignPtr(a.e, e, aty, INT))
+                elif aty is INT and bty is INT:
+                    e = TBinOp(op, a, e, INT)
+                elif op == "+" and isinstance(aty, PtrType) and isinstance(aty.wtype, ArrayType):
+                    e = TBinOp("+", a, _coerce(e, bty, INT), aty, elem=aty.wtype.elem)
+                else:
+                    raise SrcTypeError(f"binop {op} needs ints, got {aty}, {bty}")
+            pos += 1  # past the operator, ":=", ";" or the token that ends the block
+            if prec > 0:
+                stack.append((e, depth, t, prec))
+            elif prec == 0:
+                if type(e) is not TVar and type(e) is not TDeref:
+                    raise SrcParseError("assignment needs a variable or deref target")
+                stack.append((e, depth, t, -1))
+            else:
+                items.append(e)
+                if depth > block_depth:
+                    block_depth = depth
+                if t != ";":
+                    break
+        self.pos = pos - 1
+        return (e if len(items) == 1 else TSeq(items, e.ty)), block_depth
 
-    def unary(self):
-        if self.toks[self.pos] == "*":
-            self.pos += 1
-            e, depth = self.inner(self.unary)
-            depth = self.above(depth)
-            ty = e.ty
-            if isinstance(ty, IntType):
-                # Int used as pointer: an int-typed forged access.
-                e, ty = _coerce(e, ty, PtrType(INT)), PtrType(INT)
-            return TDeref(e, _deref_elem(ty)), depth
-        e, depth = self.atom()
-        while self.toks[self.pos] == ".":
-            self.pos += 1
-            fname = self.name()
-            depth = self.above(depth)
-            ty = e.ty
-            if not (isinstance(ty, PtrType) and isinstance(ty.wtype, StructType)):
-                raise SrcTypeError(f"field access needs a struct pointer, got {ty}")
-            sname = ty.wtype.name
-            if sname not in self.mod.structs:
-                raise SrcTypeError(f"unknown struct {sname}")
-            off, fty = field_cell_offset(self.mod, sname, fname)
-            e = TField(e, fname, sname, off, fty, PtrType(fty))
-        return e, depth
-
-    def enclosed(self, open_: str, close: str):
+    def enclosed(self, open_: str, close: str, level: int):
         """open_ block close, the block one level in: (node, its depth + 1)."""
         self.eat(open_)
-        e, depth = self.inner(self.block)
+        e, depth = self.block(level + 1)
         self.eat(close)
-        return e, self.above(depth)
+        if depth >= MAX_NESTING:
+            raise SrcParseError(_TOO_DEEP)
+        return e, depth + 1
 
-    def atom(self):
-        t = self.toks[self.pos]
+    def atom(self, t: str, level: int):
+        """The atom t at pos, `level` levels in, other than those block() reads."""
         if t[:1] in _NAME_START and t not in _KEYWORDS:
-            self.pos += 1
-            ty = self.env.get(t)
-            if ty is None:
-                raise SrcTypeError(f"unbound variable {t}")
-            return TVar(t, ty), 0
-        if t.isdecimal():
-            return TNum(self.num(), INT), 0
-        if t == "(":
-            return self.enclosed("(", ")")
+            raise SrcTypeError(f"unbound variable {t}")
+        self.pos += 1
         if t == "malloc":
-            self.next()
             if self.at("<"):
                 self.next()
-                elem = self.ty()
+                elem = self.ty(level)
                 self.eat(">")
-                count, depth = self.enclosed("(", ")")
+                count, depth = self.enclosed("(", ")", level)
                 if not isinstance(count.ty, IntType):
                     raise SrcTypeError("array length must be an int")
                 return TMallocArray(elem, count, PtrType(ArrayType(None, elem))), depth
             self.eat("(")
-            w = self.wtype()
+            w = self.ty(level, True)
             self.eat(")")
             if isinstance(w, ArrayType):
                 raise SrcParseError("single malloc cannot take an array type")
@@ -546,13 +543,11 @@ class _SrcParser:
             cells_of(self.mod, w)  # must be sized
             return TMallocSingle(w, PtrType(w)), 0
         if t == "free":
-            self.next()
-            e, depth = self.enclosed("(", ")")
+            e, depth = self.enclosed("(", ")", level)
             if isinstance(e.ty, IntType):
                 e = _coerce(e, e.ty, PtrType(INT))
             return TFree(e, INT), depth
         if t == "let":
-            self.next()
             x = self.name()
             self.eat("=")
             fname = self.name()
@@ -564,26 +559,29 @@ class _SrcParser:
                 raise SrcTypeError(f"arity mismatch calling {fname}")
             arg, depth = None, 0
             if pty is not None:
-                arg, depth = self.inner(self.block)
+                arg, depth = self.block(level + 1)
                 arg = _coerce(arg, arg.ty, pty)
             self.eat(")", "in")
             env = self.env
-            self.env = dict(env)
-            self.env[x] = rty
+            self.env = {**env, x: rty}
             self.n_lets += 1
-            body, d = self.inner(self.block)
+            body, d = self.block(level + 1)
             self.env = env
+            depth = max(depth, d)
+            if depth >= MAX_NESTING:
+                raise SrcParseError(_TOO_DEEP)
             return (TLetCall(x, fname, self.indices[fname], arg, body, rty, body.ty),
-                    self.above(max(depth, d)))
+                    depth + 1)
         if t == "if":
-            self.next()
-            c, depth = self.inner(self.block)
+            c, depth = self.block(level + 1)
             if not isinstance(c.ty, IntType):
                 raise SrcTypeError("condition must be an int")
-            then, dt = self.enclosed("{", "}")
+            then, dt = self.enclosed("{", "}", level)
             self.eat("else")
-            else_, de = self.enclosed("{", "}")
-            depth = max(self.above(depth), dt, de)
+            else_, de = self.enclosed("{", "}", level)
+            if depth >= MAX_NESTING:
+                raise SrcParseError(_TOO_DEEP)
+            depth = max(depth + 1, dt, de)
             tty, fty = then.ty, else_.ty
             if types_compatible(tty, fty):
                 ty = tty
@@ -730,7 +728,7 @@ class TypedModule:
 
 def _coerce(e_typed, actual, expected):
     """Accept ints where pointers are expected (and nothing else)."""
-    if types_compatible(actual, expected):
+    if actual is expected or types_compatible(actual, expected):
         return e_typed
     if isinstance(actual, IntType) and isinstance(expected, PtrType):
         return TIntAsPtr(e_typed, expected)

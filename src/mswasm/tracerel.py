@@ -98,6 +98,8 @@ def relate(trace, step, delta: BijectionDelta, shading=constant_shading):
         cls = type(ev)
         if cls is TrapEv:
             continue  # relates to the empty trace
+        if cls is not SAllocEv and cls is not ReadEv and cls is not WriteEv and cls is not SFreeEv:
+            raise TypeError(f"not a trace event: {ev!r}")
         h = ev.handle
         if cls is SAllocEv:
             if h.id in delta.live:
@@ -120,8 +122,6 @@ def relate(trace, step, delta: BijectionDelta, shading=constant_shading):
                         return TraceViolation(Violation(kind, n + a - addr), i)
                 n += width
                 continue
-            if cls is not SFreeEv:
-                raise TypeError(f"not a trace event: {ev!r}")
             delta.live.discard(h.id)
             kind = step(AFree(h.base, color))
         if kind is not None:

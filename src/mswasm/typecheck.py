@@ -59,26 +59,13 @@ class TypingContext:
     results: tuple[ValueType, ...]     # current function's result types
 
 
-def _binop_arrow(ins: Instr) -> tuple[StackType, StackType]:
-    ty = ins.ty
-    if ty is ValueType.HANDLE:
-        raise TypeError_("binop-on-handle", "arithmetic on handle values")
-    ops = FLOAT_OPS if ty in (ValueType.F32, ValueType.F64) else INT_OPS
-    if ins.operator not in ops:
-        raise TypeError_("bad-operator", f"{ty}.{ins.operator}")
-    out = ValueType.I32 if ins.operator in COMPARISON_OPS else ty
-    return [ty, ty], [out]
-
-
 def type_instr(ctx: TypingContext, ins: Instr) -> tuple[StackType, StackType]:
     """The arrow type (consumed, produced) of a single instruction.
 
     `if` has no fixed arrow; it is handled by type_body.
     """
     op = ins.op
-    if op == "nop":
-        return [], []
-    if op == "trap":
+    if op == "nop" or op == "trap":
         return [], []
     if op == "const":
         ty, lit = ins.ty, ins.literal
@@ -91,7 +78,12 @@ def type_instr(ctx: TypingContext, ins: Instr) -> tuple[StackType, StackType]:
             raise TypeError_("literal-range", f"{ty.value}.const {lit!r}")
         return [], [ty]
     if op == "binop":
-        return _binop_arrow(ins)
+        ty = ins.ty
+        if ty is ValueType.HANDLE:
+            raise TypeError_("binop-on-handle", "arithmetic on handle values")
+        if ins.operator not in (FLOAT_OPS if ty in (ValueType.F32, ValueType.F64) else INT_OPS):
+            raise TypeError_("bad-operator", f"{ty}.{ins.operator}")
+        return [ty, ty], [ValueType.I32 if ins.operator in COMPARISON_OPS else ty]
     if op == "get":
         if not (0 <= ins.idx < len(ctx.locals)):
             raise TypeError_("bad-index", f"get {ins.idx}")
@@ -134,8 +126,7 @@ def type_instr(ctx: TypingContext, ins: Instr) -> tuple[StackType, StackType]:
 
 def _apply(stack: StackType, consumes: StackType, produces: StackType) -> StackType:
     if len(stack) < len(consumes):
-        raise TypeError_("stack-underflow",
-                         f"need {consumes}, have {stack}")
+        raise TypeError_("stack-underflow", f"need {consumes}, have {stack}")
     if consumes:
         got = stack[-len(consumes):]
         if got != consumes:
@@ -155,41 +146,48 @@ def _bound_nesting(body, depth: int) -> None:
             _bound_nesting(ins.else_body, depth + 1)
 
 
-def type_body(ctx: TypingContext, body, stack: StackType, depth: int = 0):
+def type_body(ctx: TypingContext, body, stack: StackType, depth: int = 0,
+              arrows: dict | None = None):
     """Thread a stack type through an instruction sequence that sits
-    inside `depth` ifs.
+    inside `depth` ifs.  arrows maps id(ins) to the arrow of each
+    instruction of ctx's function typed so far, so each is typed once.
 
     Returns the final stack, or UNREACHABLE when the sequence ended in
     trap/return (in which case trailing instructions were not typed, only
     their nesting bounded).
     """
+    arrows = {} if arrows is None else arrows
     stack = list(stack)
     for i, ins in enumerate(body):
-        if ins.op == "trap":
-            break
-        if ins.op == "return":
-            _apply(stack, list(ctx.results), [])
-            break
-        if ins.op == "if":
-            if depth >= MAX_NESTING:
-                raise TypeError_("nesting", f"if nested deeper than {MAX_NESTING}")
-            stack = _apply(stack, [ValueType.I32], [])
-            then_out = type_body(ctx, ins.then_body, stack, depth + 1)
-            else_out = type_body(ctx, ins.else_body, stack, depth + 1)
-            if then_out is UNREACHABLE:
-                stack = else_out if else_out is not UNREACHABLE else UNREACHABLE
-            elif else_out is UNREACHABLE:
-                stack = then_out
-            elif then_out != else_out:
-                raise TypeError_("if-arm-mismatch",
-                                 f"then gives {then_out}, else gives {else_out}")
-            else:
-                stack = then_out
-            if stack is UNREACHABLE:
+        arrow = arrows.get(id(ins))
+        if arrow is None:
+            op = ins.op
+            if op == "trap":
                 break
-            continue
-        consumes, produces = type_instr(ctx, ins)
-        stack = _apply(stack, consumes, produces)
+            if op == "return":
+                _apply(stack, list(ctx.results), [])
+                break
+            if op == "if":
+                if depth >= MAX_NESTING:
+                    raise TypeError_("nesting", f"if nested deeper than {MAX_NESTING}")
+                stack = _apply(stack, [ValueType.I32], [])
+                then_out = type_body(ctx, ins.then_body, stack, depth + 1, arrows)
+                else_out = type_body(ctx, ins.else_body, stack, depth + 1, arrows)
+                if UNREACHABLE not in (then_out, else_out) and then_out != else_out:
+                    raise TypeError_("if-arm-mismatch",
+                                     f"then gives {then_out}, else gives {else_out}")
+                stack = else_out if then_out is UNREACHABLE else then_out
+                if stack is UNREACHABLE:
+                    break
+                continue
+            arrow = arrows[id(ins)] = type_instr(ctx, ins)
+        consumes, produces = arrow
+        n = len(consumes)
+        if n:
+            if stack[-n:] != consumes:
+                _apply(stack, consumes, produces)  # raises the underflow or mismatch
+            del stack[-n:]
+        stack += produces
     else:
         return stack
     _bound_nesting(body[i + 1:], depth)

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -335,3 +336,58 @@ def test_tokenizer_matches_the_char_loop_reference():
         except (ParseError, ValidationError):
             errors += 1
     assert errors > 100  # the mutants exercise the error paths
+
+
+# Characters the tokenizer must agree on: parentheses, `;` comments, word
+# characters, the whitespace both skip and the whitespace only str.split()
+# knows (\x0b \x0c \x1c \x85 \xa0), and a non-ASCII letter.
+_TOKEN_ALPHABET = "();abcxyzAZ_019.- \t\r\n\x0b\x0c\x1c\x85\xa0é"
+
+
+@functools.cache
+def _small_printed_modules() -> tuple[str, ...]:
+    from mswasm.conformance import fuzz_module
+
+    return (print_module(fuzz_module(0)), print_module(fuzz_module(3)),
+            "(module (segment 0) (heap 0) (func (result i32) i32.const 7))\n")
+
+
+class _RegexParser(_Parser):
+    """The parser on _TOKEN_RE's tokens alone."""
+
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.toks = _TOKEN_RE.findall(text)
+
+
+def _parse_outcome(text: str) -> str:
+    try:
+        return repr(parse_module(text))
+    except ParseError as e:
+        return f"ParseError {e} at {e.line}:{e.col}"
+    except ValidationError as e:
+        return f"ValidationError {e}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 3),
+       st.lists(st.tuples(st.floats(0, 1), st.text(_TOKEN_ALPHABET, max_size=3)), max_size=4))
+def test_split_tokens_are_the_regular_expressions(which, edits):
+    """_Parser's tokens, split by str.split() where the text allows it, are
+    _TOKEN_RE.findall's up to the "" that end them, and a parse gives the
+    same module or the same error at the same line and column."""
+    text = "".join(edit for _, edit in edits)  # which == 3: text of edits alone
+    if which < 3:
+        text = _small_printed_modules()[which]
+        for at, edit in edits:  # each edit replaces one character
+            i = int(at * len(text))
+            text = text[:i] + edit + text[i + 1:]
+    toks, ref = _Parser(text).toks, _TOKEN_RE.findall(text)
+    assert toks[-1] == ""
+    while ref and ref[-1] == "":
+        ref.pop()
+    assert toks[:len(ref)] == ref and set(toks[len(ref):]) == {""}
+    fast = _parse_outcome(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bc, "_Parser", _RegexParser)
+        assert _parse_outcome(text) == fast

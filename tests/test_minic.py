@@ -577,3 +577,28 @@ def test_the_heap_grows_up_to_the_cap_and_not_past_it():
     assert res.outcome == "hosterror" and len(res.heap) == MAX_HEAP_CELLS
     # the fourth allocation would grow the heap, and is not in the trace
     assert [type(e) for e in res.trace] == [SrcAlloc, SrcAlloc, SrcFree, SrcAlloc]
+
+
+@pytest.mark.parametrize("construct", ["parens", "derefs", "assigns", "operators"])
+def test_an_operand_is_read_in_place(construct):
+    """A parenthesis costs the parser one Python frame, and `*`, `:=` and
+    binary operators none: 100 levels parse with 750 frames taken."""
+    with_frames(750, parse_source, nested_source(construct, MAX_NESTING))
+
+
+@pytest.mark.parametrize("body,levels", [
+    ("1 == 1 + 1 * zz", 3),        # three operators wait for zz
+    ("x := y := 1 + zz", 3),       # two targets and one operator
+    ("x := **zz", 3),              # one target and two derefs
+    ("1 + (zz)", 2),               # one operator and the parenthesis
+])
+def test_a_level_is_counted_before_the_operand_in_it_is_read(body, levels):
+    """zz, an unbound name, sits `levels` levels into the parentheses
+    around it: at the cap it is a type error, one level past it the
+    nesting error comes first."""
+    shell = "module {{ fn main() -> int {{ var (x: int, y: int); {} }} heap 0 }}"
+    k = MAX_NESTING - levels
+    with pytest.raises(SrcTypeError, match="unbound variable zz"):
+        parse_source(shell.format("(" * k + body + ")" * k))
+    with pytest.raises(SrcParseError, match=f"nesting deeper than {MAX_NESTING}"):
+        parse_source(shell.format("(" * (k + 1) + body + ")" * (k + 1)))

@@ -283,3 +283,11 @@ def test_a_segment_costs_one_record_not_one_per_byte():
     assert isinstance(verdict, Safe)
     assert stale.violation.kind == "temporal-freed" and stale.trace_index == 3
     assert peak < 1 << 20 and elapsed < 1.0
+
+
+@pytest.mark.parametrize("judge", [check_ms, relate_trace])
+def test_an_item_that_is_no_trace_event_is_a_type_error(judge):
+    h = Handle(0, 0, 8, True, 0)
+    for trace in ([3], [SAllocEv(h), 3]):
+        with pytest.raises(TypeError, match=r"^not a trace event: 3$"):
+            judge(trace)

@@ -206,3 +206,46 @@ def test_call_types_threaded():
     callee = FuncType((I32,), (H,))
     out = type_body(ctx(functions=[callee]), [bc.const(I32, 3), bc.call(0)], [])
     assert out == [H]
+
+
+def test_one_shared_instruction_is_typed_in_each_function():
+    """A parse shares one `get 0` between two functions whose local 0 has
+    different types: each function types it by its own locals."""
+    m = parse_module("(module (segment 64) (heap 0)"
+                     " (func (local i32) (result i32) get 0)"
+                     " (func (local handle) get 0 segfree)"
+                     " (func (local i32) (result i32) get 0))")
+    shared = m.funcs[0].body[0]
+    assert m.funcs[1].body[0] is shared and m.funcs[2].body[0] is shared
+    typecheck_module(m)
+    flipped = ModuleDef((m.funcs[1], m.funcs[0]), (), 0, 64)
+    typecheck_module(flipped, library=True)
+
+
+F64 = ValueType.F64
+_ADD, _ONE = bc.binop(I32, "add"), bc.const(I32, 1)
+
+
+@pytest.mark.parametrize("locals_,results,body,kind,msg", [
+    # the second use of the one `i32.add` finds one operand
+    ((), (I32,), (_ONE, _ONE, _ADD, _ADD), "stack-underflow",
+     "need [<ValueType.I32: 'i32'>, <ValueType.I32: 'i32'>], have [<ValueType.I32: 'i32'>]"),
+    ((H,), (I32,), (bc.get(0), _ONE, _ADD), "type-mismatch",
+     "need [<ValueType.I32: 'i32'>, <ValueType.I32: 'i32'>], "
+     "have [<ValueType.HANDLE: 'handle'>, <ValueType.I32: 'i32'>]"),
+    ((), (I32,), (_ONE, bc.if_((_ONE,), ()), _ONE), "if-arm-mismatch",
+     "then gives [<ValueType.I32: 'i32'>], else gives []"),
+    ((), (I32,), (bc.const(F64, 1.5), bc.return_()), "type-mismatch",
+     "need [<ValueType.I32: 'i32'>], have [<ValueType.F64: 'f64'>]"),
+    ((), (I32,), (bc.return_(),), "stack-underflow",
+     "need [<ValueType.I32: 'i32'>], have []"),
+    ((I32,), (), (bc.get(0), bc.get(0), bc.segfree()), "type-mismatch",
+     "need [<ValueType.HANDLE: 'handle'>], have [<ValueType.I32: 'i32'>]"),
+])
+def test_ill_typed_bodies_keep_their_kind_and_message(locals_, results, body, kind, msg):
+    with pytest.raises(TypeError_) as e:
+        type_body(ctx(locals_, results=results), body, [])
+    assert (e.value.kind, str(e.value)) == (kind, f"{kind}: {msg}")
+    with pytest.raises(TypeError_) as e:
+        typecheck_module(ModuleDef((FuncDef((), tuple(locals_), tuple(results), body),), (), 0, 0))
+    assert str(e.value) == f"module: func 0: {kind}: {msg}"
