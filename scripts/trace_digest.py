@@ -45,7 +45,7 @@ from mswasm.compiler import compile_module
 from mswasm.conformance import (
     diff_run_source, fuzz_attacker, fuzz_module, fuzz_source, fuzz_victim)
 from mswasm.interp import BACKENDS, link, run, trace_to_jsonl
-from mswasm.minic import INT, SInt, SrcRead, parse_source, src_ms, src_run, src_typecheck
+from mswasm.minic import INT, SInt, SrcRead, parse_source, src_ms, src_run
 from mswasm.tracerel import check_ms
 from mswasm.typecheck import typecheck_module
 
@@ -122,7 +122,7 @@ def digest(n: int) -> str:
         victim = fuzz_victim(s)
         modules.append(link(victim, fuzz_attacker(victim, programs.fuzz_attacker_seed(s))))
     for j, t in enumerate(texts):
-        tm = src_typecheck(parse_source(t))
+        tm = parse_source(t)
         modules.append(compile_module(tm))
         code = print_module(modules[-1])
         add(repr(tm.fns), code, parse_module(code) == modules[-1])
@@ -139,7 +139,7 @@ def digest(n: int) -> str:
     for t in texts:
         rep = diff_run_source(t)
         add(rep.related, rep.index, rep.reason, repr(rep.src_trace), repr(rep.tgt_trace))
-        tm = src_typecheck(parse_source(t))
+        tm = parse_source(t)
         trace = src_run(tm).trace
         add(repr(src_ms(tm.mod, trace)), repr(src_ms(tm.mod, trace + [SrcRead(INT, SInt(3))])))
     return h.hexdigest()

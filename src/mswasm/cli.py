@@ -75,7 +75,7 @@ def cmd_run(args) -> int:
 
 def cmd_compile(args) -> int:
     interp.check_memory_size("segment", args.segment_size)
-    tm = minic.src_typecheck(minic.parse_source(Path(args.file).read_text()))
+    tm = minic.parse_source(Path(args.file).read_text())
     m = compile_module(tm, segment_size=args.segment_size)
     typecheck_module(m)
     text = bytecode.print_module(m)
@@ -163,13 +163,15 @@ def cmd_fuzz(args) -> int:
                                    f"attacker-{seed}", args.budget)
         elif args.source:
             text = conformance.fuzz_source(seed, violations=(i % 2 == 0))
-            report = conformance.diff_run_source(text)
+            tm = minic.parse_source(text)
+            m = compile_module(tm)
+            typecheck_module(m)
+            report = conformance.diff_run(tm, m)
             bad = report.diverged
             if bad:
-                tm = minic.src_typecheck(minic.parse_source(text))
                 _save_counterexample(outdir, f"diff-{seed}", {
                     "src": text,
-                    "mswat": bytecode.print_module(compile_module(tm)),
+                    "mswat": bytecode.print_module(m),
                     "src_trace": "\n".join(repr(e) for e in report.src_trace),
                     "tgt_trace": interp.trace_to_jsonl(report.tgt_trace),
                     "report": f"{report.index}: {report.reason}",

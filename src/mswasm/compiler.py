@@ -2,8 +2,10 @@
 
 Pointers become handles and all data lives in segment memory; the flat
 heap is declared but never touched by generated code.  Struct field
-access compiles to a slice whose two offsets are computed from the byte
-layout, so the resulting handle covers exactly the field.
+access compiles to a slice whose two offsets come from the byte layout,
+so the resulting handle covers exactly the field.  The layout lives in
+minic, next to the source types, as SrcModule.layout; Layout is
+re-exported here for the callers that import it from the compiler.
 
 Since the bytecode has no drop instruction and no handle literals,
 every compiled function carries three scratch locals: one to discard
@@ -19,18 +21,16 @@ parser bounds by MAX_NESTING.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 from . import bytecode as bc
 from .bytecode import FuncDef, FuncType, ModuleDef, ValueType
 from .minic import (
-    ArrayType,
     IntType,
+    Layout,
     PtrType,
-    SrcModule,
     SrcTypeError,
-    StructType,
     TAssignPtr,
     TAssignVar,
     TBinOp,
@@ -65,86 +65,6 @@ def compile_type(ty) -> ValueType:
     if isinstance(ty, PtrType):
         return ValueType.HANDLE
     raise ValueError(f"not an expression type: {ty}")
-
-
-@dataclass
-class Layout:
-    """Byte sizes, alignments, and struct field offsets.
-
-    ints are 4 bytes at 4-byte alignment; pointers are 16-byte handles at
-    16-byte alignment (so handle loads through compiled code are always
-    aligned); arrays are dense; struct fields sit at padded offsets and the
-    struct is padded to its strictest member.
-    """
-
-    mod: SrcModule
-    _structs: dict = field(default_factory=dict, repr=False, compare=False)
-    _cells: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def sizeof(self, w) -> int:
-        if isinstance(w, IntType):
-            return 4
-        if isinstance(w, PtrType):
-            return 16
-        if isinstance(w, ArrayType):
-            if w.count is None:
-                raise ValueError("array without length has no size")
-            return w.count * self.sizeof(w.elem)
-        if isinstance(w, StructType):
-            size, _ = self._struct_layout(w.name)
-            return size
-        raise ValueError(f"no size for {w}")
-
-    def alignof(self, w) -> int:
-        if isinstance(w, IntType):
-            return 4
-        if isinstance(w, PtrType):
-            return 16
-        if isinstance(w, ArrayType):
-            return self.alignof(w.elem)
-        if isinstance(w, StructType):
-            return max(self.alignof(ft) for _, ft in self.mod.struct_fields(w.name))
-        raise ValueError(f"no alignment for {w}")
-
-    def _struct_layout(self, sname: str) -> tuple[int, dict[str, tuple[int, int]]]:
-        """(size, field name -> (offset, size)), computed once per struct."""
-        if sname in self._structs:
-            return self._structs[sname]
-        offsets: dict[str, tuple[int, int]] = {}
-        off = 0
-        for fname, ft in self.mod.struct_fields(sname):
-            a = self.alignof(ft)
-            off = (off + a - 1) // a * a
-            offsets[fname] = (off, self.sizeof(ft))
-            off += self.sizeof(ft)
-        total_align = self.alignof(StructType(sname))
-        size = (off + total_align - 1) // total_align * total_align
-        self._structs[sname] = size, offsets
-        return size, offsets
-
-    def field_offsets(self, sname: str, fname: str) -> tuple[int, int]:
-        """(o1, o2) for slicing: o1 bytes skipped at the front, o2 shaved
-        off the bound, so the slice covers exactly the field."""
-        size, offsets = self._struct_layout(sname)
-        o1, fsize = offsets[fname]
-        return o1, size - fsize
-
-    def cell_bytes(self, w) -> tuple[int, ...]:
-        """The byte offset of each cell (value slot) of a w, in cell order:
-        the cell-level and byte-level views of the same layout.  A
-        struct's is computed once."""
-        if isinstance(w, StructType):
-            got = self._cells.get(w.name)
-            if got is None:
-                _, offsets = self._struct_layout(w.name)
-                got = self._cells[w.name] = tuple(
-                    offsets[fname][0] + b
-                    for fname, ft in self.mod.struct_fields(w.name) for b in self.cell_bytes(ft))
-            return got
-        if isinstance(w, ArrayType):
-            size, inner = self.sizeof(w.elem), self.cell_bytes(w.elem)
-            return tuple(i * size + b for i in range(w.count) for b in inner)
-        return (0,)
 
 
 @dataclass
@@ -265,7 +185,7 @@ def compile_module(tm: TypedModule,
                    segment_size: int = DEFAULT_SEGMENT_SIZE) -> ModuleDef:
     """One bytecode function per source function, main at the first
     defined-function index; imports are carried over positionally."""
-    layout = Layout(tm.mod)
+    layout = tm.mod.layout
     imports = []
     for imp in tm.mod.imports:
         ps = (compile_type(imp.param),) if imp.param is not None else ()

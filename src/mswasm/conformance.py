@@ -2,12 +2,16 @@
 source-vs-compiled runner, the unconditional enforcement check, and the
 fuzzers (bytecode modules, attacker contexts, source programs).
 
-A source run and its compiled run are compared event by event through a
-growing bijection between source allocations (cell base, id) and target
-segments (byte base, id).  A memory-safe source program must produce a
-fully related pair of traces with a monitor-safe target trace; an unsafe
-one must produce the related image of its safe prefix followed by exactly
-one trap.
+diff_run judges a typed source module against the compiled, typechecked
+module it is given, and compiles nothing itself; diff_run_source is
+parse, compile, typecheck and diff_run.  A source run and its compiled
+run are compared event by event through a growing bijection between
+source allocations (cell base, id) and target segments (byte base, id),
+laid out by the module's one SrcModule.layout.  The trace shape required
+depends on the source verdict: a memory-safe source program must produce
+a fully related pair of traces with a monitor-safe target trace; an
+unsafe one, or a safe one that traps, must produce the related image of
+its prefix followed by exactly one trap.
 """
 
 from __future__ import annotations
@@ -18,9 +22,10 @@ from typing import NamedTuple
 
 from . import bytecode as bc
 from .bytecode import FuncDef, FuncType, ModuleDef, ValueType
-from .compiler import Layout, compile_module, compile_type
+from .compiler import compile_module, compile_type
 from .interp import Handle, ReadEv, SAllocEv, SFreeEv, TrapEv, WriteEv, run
 from .minic import (
+    Layout,
     Safe,
     SInt,
     SrcAlloc,
@@ -31,7 +36,6 @@ from .minic import (
     parse_source,
     src_ms,
     src_run,
-    src_typecheck,
 )
 from .tracerel import check_ms
 from .typecheck import typecheck_module
@@ -149,71 +153,52 @@ class RelationReport:
         return not self.related
 
 
-def _related(src_trace, tgt_trace, src_verdict) -> RelationReport:
-    return RelationReport(True, src_verdict=src_verdict,
-                          src_trace=src_trace, tgt_trace=tgt_trace)
-
-
-def _diverged(idx, reason, src_trace, tgt_trace, src_verdict) -> RelationReport:
-    return RelationReport(False, idx, reason,
-                          src_verdict, src_trace, tgt_trace)
-
-
-def diff_run(tm: TypedModule) -> RelationReport:
-    """Run source and compiled forms and check the required trace shape."""
-    mod = tm.mod
-    layout = Layout(mod)
+def diff_run(tm: TypedModule, cm: ModuleDef) -> RelationReport:
+    """Run tm and cm, its compiled and typechecked module, and check the
+    trace shape that the source verdict requires: for a safe source that
+    ends "ok", traces of one length, related event by event, and a
+    monitor-safe target trace; for a source unsafe at index k, or a safe
+    one that trapped (a division by zero) after k events, k related events
+    and then exactly one trap."""
     sres = src_run(tm)
-    verdict = src_ms(mod, sres.trace)
-    cm = compile_module(tm)
-    typecheck_module(cm)
-    tres = run(cm)
-    s_tr, t_tr = sres.trace, tres.trace
+    s_tr = sres.trace
+    verdict = src_ms(tm.mod, s_tr)
+    t_tr = run(cm).trace
 
-    if isinstance(verdict, Safe) and sres.outcome != "trap":
-        if sres.outcome != "ok":
-            return _diverged(-1, f"source {sres.outcome} on a safe trace",
-                             s_tr, t_tr, verdict)
-        delta = CrossBijection()
-        if len(s_tr) != len(t_tr):
-            return _diverged(min(len(s_tr), len(t_tr)),
-                             f"trace lengths differ ({len(s_tr)} vs {len(t_tr)})",
-                             s_tr, t_tr, verdict)
-        for i, (se, te) in enumerate(zip(s_tr, t_tr)):
-            if not relate_events(layout, delta, se, te):
-                return _diverged(i, f"events unrelated: {se!r} vs {te!r}",
-                                 s_tr, t_tr, verdict)
-        if not isinstance(check_ms(t_tr), Safe):
-            return _diverged(len(t_tr), "target trace not monitor-safe",
-                             s_tr, t_tr, verdict)
-        return _related(s_tr, t_tr, verdict)
+    def report(index: int = -1, reason: str = "") -> RelationReport:
+        return RelationReport(not reason, index, reason, verdict, s_tr, t_tr)
 
-    # Unsafe at index k, or a safe source that trapped (a division by
-    # zero) after k events: the target must run the related prefix and
-    # then trap exactly once.
+    # whole: all k source events must relate; else k, then one trap.
+    whole = isinstance(verdict, Safe) and sres.outcome != "trap"
     k = len(s_tr) if isinstance(verdict, Safe) else verdict.index
-    delta = CrossBijection()
-    if len(t_tr) != k + 1:
-        return _diverged(k, f"target trace has {len(t_tr)} events, want {k + 1}",
-                         s_tr, t_tr, verdict)
+    if whole and sres.outcome != "ok":
+        return report(-1, f"source {sres.outcome} on a safe trace")
+    if whole and len(t_tr) != k:
+        return report(min(k, len(t_tr)), f"trace lengths differ ({k} vs {len(t_tr)})")
+    if not whole and len(t_tr) != k + 1:
+        return report(k, f"target trace has {len(t_tr)} events, want {k + 1}")
+    layout, delta = tm.mod.layout, CrossBijection()
     for i in range(k):
         if not relate_events(layout, delta, s_tr[i], t_tr[i]):
-            return _diverged(i, f"prefix events unrelated: {s_tr[i]!r} vs {t_tr[i]!r}",
-                             s_tr, t_tr, verdict)
-    if not isinstance(t_tr[k], TrapEv):
-        return _diverged(k, f"expected trap, got {t_tr[k]!r}", s_tr, t_tr, verdict)
-    return _related(s_tr, t_tr, verdict)
+            what = "events" if whole else "prefix events"
+            return report(i, f"{what} unrelated: {s_tr[i]!r} vs {t_tr[i]!r}")
+    if not whole and not isinstance(t_tr[k], TrapEv):
+        return report(k, f"expected trap, got {t_tr[k]!r}")
+    if whole and not isinstance(check_ms(t_tr), Safe):
+        return report(k, "target trace not monitor-safe")
+    return report()
 
 
 def diff_run_source(text: str) -> RelationReport:
-    return diff_run(src_typecheck(parse_source(text)))
-
-
-def enforce_check(tm: TypedModule) -> bool:
-    """The unconditional guarantee: whatever the source does, the compiled
-    trace is monitor-safe."""
+    tm = parse_source(text)
     cm = compile_module(tm)
     typecheck_module(cm)
+    return diff_run(tm, cm)
+
+
+def enforce_check(cm: ModuleDef) -> bool:
+    """The unconditional guarantee: whatever the source does, the trace of
+    its compiled, typechecked module cm is monitor-safe."""
     return isinstance(check_ms(run(cm).trace), Safe)
 
 
@@ -229,11 +214,9 @@ class ModuleGen:
     out-of-range arithmetic, edge slices, stores over handle bytes,
     double frees."""
 
-    def __init__(self, rng: random.Random, max_funcs: int = 4,
-                 budget: int = 40, imports: tuple[FuncType, ...] = ()):
+    def __init__(self, rng: random.Random, max_funcs: int = 4, budget: int = 40):
         self.rng = rng
         self.budget = budget
-        self.imports = imports
         n = rng.randint(1, max_funcs)
         self.signatures = [FuncType((), (ValueType.I32,))]
         for _ in range(n - 1):
@@ -254,7 +237,7 @@ class ModuleGen:
         funcs = []
         for i, sig in enumerate(self.signatures):
             funcs.append(self._gen_func(i, sig))
-        return ModuleDef(tuple(funcs), self.imports, heap_size=64,
+        return ModuleDef(tuple(funcs), (), heap_size=64,
                          segment_size=4096)
 
     def _gen_func(self, index: int, sig: FuncType) -> FuncDef:
@@ -395,7 +378,7 @@ class ModuleGen:
         code: list = []
         for pty in self.signatures[j].params:
             code += self._gen_value(findex, all_vars, pty, depth - 1)
-        return code + [bc.call(len(self.imports) + j)]
+        return code + [bc.call(j)]
 
 
 def fuzz_module(seed: int) -> ModuleDef:
@@ -466,7 +449,7 @@ class SourceGen:
         lines = ["module {"]
         lines.append("  struct Pair { a: int, b: array 4 int }")
         helpers = rng.randint(0, 1)
-        stmts = self._body_stmts(args_in_scope=False)
+        stmts = self._body_stmts()
         lines.append("  fn main() -> int {")
         lines.append("    var (p: ptr<array int>, q: ptr<array int>, "
                       "s: ptr<struct Pair>, f: ptr<array 4 int>, "
@@ -478,12 +461,11 @@ class SourceGen:
             lines.append("  fn twice(v: int) -> int {")
             lines.append("    var (); v + v")
             lines.append("  }")
-        self.has_helper = bool(helpers)
         lines.append("  heap 8")
         lines.append("}")
         return "\n".join(lines)
 
-    def _body_stmts(self, args_in_scope: bool) -> list[str]:
+    def _body_stmts(self) -> list[str]:
         rng = self.rng
         n1 = rng.randint(2, 6)
         p_len = rng.randint(1, 6)

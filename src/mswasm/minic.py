@@ -29,12 +29,13 @@ Grammar (see parse_source):
 
 parse_source builds the typed tree (TNum ... TIntAsPtr) directly: the
 parser types each node as it builds it, so there is one tree.
-src_typecheck is the identity, kept for the callers that chain it after
-parse_source.  A let may call a function defined later in the text, so
-the parser makes two passes over the tokens: the first reads the structs,
-imports and function signatures and skips each body by counting braces;
-the second parses and types the bodies in text order.  A text with more
-than one error reports the first of these, in this order:
+src_typecheck is the identity; it stays only because the benchmark
+(chainbench/bench.py) imports it.  A let may call a function defined
+later in the text, so the parser makes two passes over the tokens: the
+first reads the structs, imports and function signatures and skips each
+body by counting braces; the second parses and types the bodies in text
+order.  A text with more than one error reports the first of these, in
+this order:
 
   1. a parse error outside the bodies, or a body without its closing "}";
   2. two functions of one name, or a function both defined and imported;
@@ -55,6 +56,11 @@ all: it turns each function into flat code in one walk with a work stack,
 and runs the code with an explicit frame stack.
 
 The function called main takes no parameter; it is the entry point.
+
+Layout is where each value of a source type sits, in cells (src_run's
+heap) and in bytes (the compiled segments); SrcModule.layout is the one
+Layout of a module, which the parser, src_run, src_relate, the compiler
+and the differential runner all read.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple
 
 from .bytecode import MAX_NESTING
@@ -135,7 +141,7 @@ class SrcParseError(Exception):
 @dataclass
 class StructDef:
     name: str
-    fields: list[tuple[str, object]]  # (name, wtype); no struct-typed fields
+    fields: list[tuple[str, object]]  # (name, wtype); no struct-typed fields, no name twice
 
 
 @dataclass
@@ -154,35 +160,124 @@ class SrcModule:
     def struct_fields(self, name: str):
         return self.structs[name].fields
 
-
-def cells_of(mod: SrcModule, w) -> int:
-    """Heap footprint in cells (one value per cell)."""
-    if isinstance(w, (IntType, PtrType)):
-        return 1
-    if isinstance(w, ArrayType):
-        if w.count is None:
-            raise SrcTypeError(f"array without length has no size: {w}")
-        return w.count * cells_of(mod, w.elem)
-    if isinstance(w, StructType):
-        return sum(cells_of(mod, ft) for _, ft in mod.struct_fields(w.name))
-    raise SrcTypeError(f"no size for {w}")
+    @cached_property
+    def layout(self) -> Layout:
+        """The module's one Layout, built at first use; not a field, so
+        it is in neither equality nor repr."""
+        return Layout(self)
 
 
-def field_cell_offset(mod: SrcModule, sname: str, fname: str) -> tuple[int, object]:
-    off = 0
-    for name, ft in mod.struct_fields(sname):
-        if name == fname:
-            return off, ft
-        off += cells_of(mod, ft)
-    raise SrcTypeError(f"struct {sname} has no field {fname}")
+class Field(NamedTuple):
+    """Where a struct field sits."""
+
+    offset: int   # in bytes
+    size: int     # in bytes
+    cell: int     # offset in cells
+    type: object  # declared word type
 
 
-def struct_cell_shades(mod: SrcModule, sname: str) -> tuple[int, ...]:
-    """One shade per cell: field k's cells all get shade k."""
-    shades: list[int] = []
-    for k, (_, ft) in enumerate(mod.struct_fields(sname)):
-        shades.extend([k] * cells_of(mod, ft))
-    return tuple(shades)
+class StructRec(NamedTuple):
+    size: int     # in bytes, padded to the alignment
+    align: int
+    cells: int
+    fields: dict[str, Field]  # in declaration order
+
+
+class Layout:
+    """Where each value of a module's source types sits: in cells, one
+    int or pointer per cell, as src_run's heap holds it, and in bytes, as
+    the compiled segments hold it.
+
+    ints are 4 bytes at 4-byte alignment; pointers are 16-byte handles at
+    16-byte alignment (so handle loads through compiled code are always
+    aligned); arrays are dense; struct fields sit at padded offsets and the
+    struct is padded to its strictest member.  A struct's record is built
+    at its first use, and its per-cell tables (cell_bytes, shades) at
+    theirs: a struct may have 2^30 cells, and parsing and compiling read
+    only the record."""
+
+    def __init__(self, mod: SrcModule):
+        self.mod = mod
+        self._structs: dict[str, StructRec] = {}
+        self._cell_bytes: dict[str, tuple[int, ...]] = {}
+        self._shades: dict[str, tuple[int, ...]] = {}
+
+    def struct(self, sname: str) -> StructRec:
+        rec = self._structs.get(sname)
+        if rec is None:
+            fields, off, cell, align = {}, 0, 0, 1
+            for fname, ft in self.mod.struct_fields(sname):
+                size, a, cells = self._place(ft)
+                off = (off + a - 1) // a * a
+                fields[fname] = Field(off, size, cell, ft)
+                off, cell, align = off + size, cell + cells, max(align, a)
+            rec = self._structs[sname] = StructRec(
+                (off + align - 1) // align * align, align, cell, fields)
+        return rec
+
+    def _place(self, w) -> tuple[int, int, int]:
+        """(bytes, alignment, cells) of a w."""
+        if isinstance(w, IntType):
+            return 4, 4, 1
+        if isinstance(w, PtrType):
+            return 16, 16, 1
+        if isinstance(w, StructType):
+            return self.struct(w.name)[:3]
+        if isinstance(w, ArrayType) and w.count is not None:
+            size, align, cells = self._place(w.elem)
+            return w.count * size, align, w.count * cells
+        raise ValueError(f"no size for {w}")
+
+    def sizeof(self, w) -> int:
+        return self._place(w)[0]
+
+    def alignof(self, w) -> int:
+        return self._place(w)[1]
+
+    def cells(self, w) -> int:
+        return self._place(w)[2]
+
+    def field(self, sname: str, fname: str) -> Field:
+        f = self.struct(sname).fields.get(fname)
+        if f is None:
+            raise SrcTypeError(f"struct {sname} has no field {fname}")
+        return f
+
+    def field_offsets(self, sname: str, fname: str) -> tuple[int, int]:
+        """(o1, o2) for slicing: o1 bytes skipped at the front, o2 shaved
+        off the bound, so the slice covers exactly the field."""
+        f = self.field(sname, fname)
+        return f.offset, self.struct(sname).size - f.size
+
+    def cell_bytes(self, w) -> tuple[int, ...]:
+        """The byte offset of each cell of a w, in cell order: the
+        cell-level and byte-level views of the same layout.  A struct's
+        is built once."""
+        if isinstance(w, StructType):
+            got = self._cell_bytes.get(w.name)
+            if got is None:
+                got = self._cell_bytes[w.name] = tuple(
+                    f.offset + b for f in self.struct(w.name).fields.values()
+                    for b in self.cell_bytes(f.type))
+            return got
+        if isinstance(w, ArrayType):
+            size, inner = self.sizeof(w.elem), self.cell_bytes(w.elem)
+            return tuple(i * size + b for i in range(w.count) for b in inner)
+        return (0,)
+
+    def shades(self, w) -> tuple[int, ...]:
+        """One element's shades, one per cell: field k's cells all get
+        shade k, and a w that is no struct is one shade.  A struct's is
+        built once."""
+        if not isinstance(w, StructType):
+            return (0,)
+        got = self._shades.get(w.name)
+        if got is None:
+            shades: list[int] = []
+            for k, f in enumerate(self.struct(w.name).fields.values()):
+                shades += [k] * self.cells(f.type)
+            got = self._shades[w.name] = tuple(shades)
+        return got
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +405,8 @@ class _SrcParser:
                 self.eat("}")
                 if sname in structs:
                     raise SrcParseError(f"duplicate struct {sname}")
+                if len({fname for fname, _ in fields}) != len(fields):
+                    raise SrcParseError(f"duplicate field name in struct {sname}")
                 structs[sname] = StructDef(sname, fields)
             elif self.at("import"):
                 self.next()
@@ -460,8 +557,8 @@ class _SrcParser:
                 sname = ty.wtype.name
                 if sname not in self.mod.structs:
                     raise SrcTypeError(f"unknown struct {sname}")
-                off, fty = field_cell_offset(self.mod, sname, fname)
-                e = TField(e, fname, sname, off, fty, PtrType(fty))
+                f = self.mod.layout.field(sname, fname)
+                e = TField(e, fname, sname, f.cell, f.type, PtrType(f.type))
             while stars:
                 stars -= 1
                 if depth >= MAX_NESTING:
@@ -540,7 +637,6 @@ class _SrcParser:
                 raise SrcParseError("single malloc cannot take an array type")
             if isinstance(w, StructType) and w.name not in self.mod.structs:
                 raise SrcTypeError(f"unknown struct {w.name}")
-            cells_of(self.mod, w)  # must be sized
             return TMallocSingle(w, PtrType(w)), 0
         if t == "free":
             e, depth = self.enclosed("(", ")", level)
@@ -748,8 +844,8 @@ def _deref_elem(ty) -> object:
 
 
 def src_typecheck(tm: TypedModule) -> TypedModule:
-    """tm itself: parse_source already types the module.  Kept for the
-    callers that chain src_typecheck(parse_source(text))."""
+    """tm itself: parse_source already types the module.  It stays only
+    because the benchmark (chainbench/bench.py) imports it."""
     return tm
 
 
@@ -911,7 +1007,7 @@ def _flat_code(mod: SrcModule, fn: TypedFn) -> tuple[list, int]:
         elif t is TMallocArray:
             work += ((_NEWARR, w.elem), w.count)
         elif t is TMallocSingle:
-            code.append((_NEW, cells_of(mod, w.wtype), w.wtype))
+            code.append((_NEW, mod.layout.cells(w.wtype), w.wtype))
         elif t is TFree:
             work += ((_FREE,), w.e)
         elif t is TLetCall:
@@ -1126,14 +1222,6 @@ class SrcUnsafe:
     reason: str
 
 
-def _alloc_footprint(mod: SrcModule, ptr: SPtr) -> tuple[int, tuple[int, ...]]:
-    """Cell count and one element's shades for an allocation event's pointer."""
-    w = ptr.wtype
-    shades = struct_cell_shades(mod, w.name) if isinstance(w, StructType) else (0,)
-    ncells = ptr.length * cells_of(mod, w)
-    return ncells, shades if ncells else ()
-
-
 def src_relate(mod: SrcModule, trace: list, step):
     """Pass the abstract image of a source trace to step, one abstract
     event per source event, and return the verdict: SAFE, or SrcUnsafe at
@@ -1141,13 +1229,14 @@ def src_relate(mod: SrcModule, trace: list, step):
     rejects.  step returns None to accept an event, or a violation kind,
     which becomes the SrcUnsafe's reason.  Pointers resolve through one
     record per allocation id, as handles do in tracerel."""
-    delta = BijectionDelta()
+    delta, layout = BijectionDelta(), mod.layout
     for i, ev in enumerate(trace):
         if isinstance(ev, SrcAlloc):
             ptr = ev.ptr
             if ptr.length < 0:
                 return SrcUnsafe(i, "allocation with negative length")
-            ncells, shades = _alloc_footprint(mod, ptr)
+            ncells = ptr.length * layout.cells(ptr.wtype)
+            shades = layout.shades(ptr.wtype) if ncells else ()
             color = delta.bind_segment(ptr.id, ptr.base, ncells, shades)
             kind = step(AAlloc(ncells, ptr.base, color, shades))
         elif isinstance(ev, (SrcRead, SrcWrite)):

@@ -12,12 +12,13 @@ counting positions only for an error.  The source-interpreter reference
 walks the typed tree with a work stack of tagged items, and keeps names in
 one dict per frame, where `src_run` runs flat code over numbered slots; the
 cross-relation reference walks the struct layout field by field on every
-access (`ref_byte_of_cell`), where `relate_value` looks each cell's byte
-offset up in `Layout.cell_bytes`.  The free-list reference,
-`RefFreeList`, finds a fit and carves it in two scans and sorts and
-re-merges the whole list on every release, where `segmem.take` carves in
-its one scan and `segmem.give` inserts by bisection and merges with two
-neighbours; the source-interpreter reference allocates with it.
+access (`ref_byte_of_cell`, with its own cell counts and padding), where
+`relate_value` looks each cell's byte offset up in `Layout.cell_bytes`.
+The free-list reference, `RefFreeList`, finds a fit and carves it in two
+scans and sorts and re-merges the whole list on every release, where
+`segmem.take` carves in its one scan and `segmem.give` inserts by
+bisection and merges with two neighbours; the source-interpreter
+reference allocates with it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from mswasm.minic import (
     INT, ArrayType, SInt, SPtr, SrcAlloc, SrcFree, SrcHostError,
     SrcRead, SrcRunResult, SrcWrite, StructType, TAssignPtr, TAssignVar, TBinOp,
     TDeref, TField, TFree, TIf, TIntAsPtr, TLetCall, TMallocArray, TMallocSingle,
-    TNum, TSeq, TVar, TypedModule, cells_of,
+    TNum, TSeq, TVar, TypedModule,
 )
 from mswasm.monitor import AAlloc, AFree, ARead, AWrite, SAFE, Violation
 from mswasm.segmem import Handle, MemTrap, TrapKind
@@ -733,7 +734,7 @@ def ref_src_run(tm: TypedModule, budget: int = 1_000_000,
                 elif t is TMallocArray:
                     work += [("alloca", node), ("eval", node.count)]
                 elif t is TMallocSingle:
-                    ptr = do_alloc(cells_of(mod, node.wtype), 1, node.wtype)
+                    ptr = do_alloc(ref_cells(mod, node.wtype), 1, node.wtype)
                     trace.append(SrcAlloc(ptr))
                     vals.append(ptr)
                 elif t is TFree:
@@ -853,19 +854,30 @@ class RefCrossBijection:
     used_tgt_ids: set[int] = field(default_factory=set)
 
 
+def ref_cells(mod, w) -> int:
+    """Cells of a w: one per int or pointer in it."""
+    if isinstance(w, StructType):
+        return sum(ref_cells(mod, ft) for _, ft in mod.struct_fields(w.name))
+    if isinstance(w, ArrayType):
+        return w.count * ref_cells(mod, w.elem)
+    return 1
+
+
 def ref_byte_of_cell(layout: Layout, w, cell: int) -> int:
     """Byte offset of the cell-th value slot inside a region of word type w."""
     if isinstance(w, StructType):
-        _, offsets = layout._struct_layout(w.name)
-        off = 0
-        for fname, ft in layout.mod.struct_fields(w.name):
-            n = cells_of(layout.mod, ft)
+        off = byte = 0
+        for _, ft in layout.mod.struct_fields(w.name):
+            a = layout.alignof(ft)
+            byte = (byte + a - 1) // a * a
+            n = ref_cells(layout.mod, ft)
             if cell < off + n:
-                return offsets[fname][0] + ref_byte_of_cell(layout, ft, cell - off)
+                return byte + ref_byte_of_cell(layout, ft, cell - off)
             off += n
+            byte += layout.sizeof(ft)
         raise ValueError(f"cell {cell} outside struct {w.name}")
     if isinstance(w, ArrayType):
-        per = cells_of(layout.mod, w.elem)
+        per = ref_cells(layout.mod, w.elem)
         return (cell // per) * layout.sizeof(w.elem) \
             + ref_byte_of_cell(layout, w.elem, cell % per)
     if cell != 0:
@@ -912,7 +924,7 @@ def ref_relate_events(layout: Layout, delta: RefCrossBijection, sev, tev) -> boo
         region = ArrayType(ptr.length, ptr.wtype)
         if h.bound != ptr.length * layout.sizeof(ptr.wtype):
             return False
-        delta.allocs[ptr.id] = RefAllocRec(ptr.base, region, cells_of(layout.mod, region),
+        delta.allocs[ptr.id] = RefAllocRec(ptr.base, region, ref_cells(layout.mod, region),
                                            h.base, h.id)
         delta.used_tgt_ids.add(h.id)
         return True

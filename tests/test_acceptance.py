@@ -145,7 +145,9 @@ def test_criterion_5_safety_preservation():
     t0 = time.perf_counter()
     corpus = _safe_source_corpus(200)
     for i, tm in enumerate(corpus):
-        rep = diff_run(tm)
+        m = compile_module(tm)
+        typecheck_module(m)
+        rep = diff_run(tm, m)
         assert rep.related, (i, rep.index, rep.reason)
         assert isinstance(rep.src_verdict, Safe), i
         assert isinstance(check_ms(rep.tgt_trace), Safe), i
@@ -170,7 +172,7 @@ def test_criterion_6_violations_trap():
 
 
 def diff_run_text(text):
-    return diff_run(src_typecheck(parse_source(text)))
+    return diff_run(*_compile_text(text))
 
 
 def test_criterion_7_unconditional_enforcement():
@@ -181,7 +183,9 @@ def test_criterion_7_unconditional_enforcement():
         corpus.append(src_typecheck(parse_source(
             fuzz_source(10_000 + seed, violations=bool(seed % 2)))))
     for i, tm in enumerate(corpus):
-        assert enforce_check(tm), i
+        m = compile_module(tm)
+        typecheck_module(m)
+        assert enforce_check(m), i
     report(f"criterion-7 enforcement ({len(corpus)} programs)",
            time.perf_counter() - t0, 120.0)
 

@@ -482,7 +482,8 @@ def test_fuzz_source_divergences_exit_15_with_a_bundle_each(tmp_path, capsys, mo
     for s in (0, 1):
         assert (out / f"diff-{s}.src").read_text() == \
             cli.conformance.fuzz_source(s, violations=(s % 2 == 0))
-        bytecode.parse_module((out / f"diff-{s}.mswat").read_text())
+        m = bytecode.parse_module((out / f"diff-{s}.mswat").read_text())
+        assert (out / f"diff-{s}.tgt_trace").read_text() == trace_to_jsonl(run(m).trace)
         assert (out / f"diff-{s}.src_trace").read_text().startswith("SrcAlloc(")
         assert (out / f"diff-{s}.tgt_trace").read_text().startswith('{"ev":"salloc"')
         assert "events unrelated" in (out / f"diff-{s}.report").read_text()

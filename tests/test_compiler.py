@@ -190,14 +190,12 @@ def test_layout_cell_byte_agreement():
       heap 0
     }
     """
-    tm = src_typecheck(parse_source(text))
-    layout = Layout(tm.mod)
-    from mswasm.minic import field_cell_offset
+    layout = parse_source(text).mod.layout
     cells = layout.cell_bytes(StructType("Mix"))
     for fname in ("a", "p", "b"):
-        cell, _ = field_cell_offset(tm.mod, "Mix", fname)
+        f = layout.field("Mix", fname)
         o1, _ = layout.field_offsets("Mix", fname)
-        assert cells[cell] == o1
+        assert cells[f.cell] == o1 == f.offset
     # the array's elements are 4 bytes apart, and the struct has 5 cells
     assert cells[2:] == (o1, o1 + 4, o1 + 8) and len(cells) == 5
 

@@ -43,6 +43,13 @@ EMPTY_MOD = src_typecheck(parse_source(
     "module { fn main() -> int { var (); 0 } heap 0 }")).mod
 
 
+def _checked(tm):
+    """tm's compiled, typechecked module."""
+    cm = compile_module(tm)
+    typecheck_module(cm)
+    return cm
+
+
 def _delta_with_alloc(length=4, wtype=INT, tgt_base=0, tgt_id=0):
     delta = CrossBijection()
     layout = Layout(EMPTY_MOD)
@@ -212,7 +219,7 @@ def test_source_int_min_divided_by_minus_one_traps_as_compiled():
     run trapped, and the report was "trace lengths differ (0 vs 1)"."""
     tm = src_typecheck(parse_source(INT_MIN_DIV_MINUS_ONE))
     assert src_run(tm).outcome == "trap"
-    rep = diff_run(tm)
+    rep = diff_run(tm, _checked(tm))
     assert rep.related, rep.reason
     assert rep.src_trace == [] and rep.tgt_trace == [TrapEv()]
 
@@ -223,7 +230,7 @@ def test_source_sum_wraps_to_i32_as_compiled():
     tm = src_typecheck(parse_source(STORE_OF_A_WRAPPED_SUM))
     assert src_run(tm).result == SInt(-(2**31))
     assert run(compile_module(tm)).results == [Value(ValueType.I32, -(2**31))]
-    assert diff_run(tm).related
+    assert diff_run(tm, _checked(tm)).related
 
 
 def test_unsafe_suite_all_trap_shaped():
@@ -238,8 +245,30 @@ def test_unsafe_suite_all_trap_shaped():
 
 def test_enforce_check_on_unsafe_suite():
     for name, text in UNSAFE_SUITE.items():
-        tm = src_typecheck(parse_source(text))
-        assert enforce_check(tm), name
+        assert enforce_check(_checked(parse_source(text))), name
+
+
+SAFE_AND_UNSAFE = {"safe": fuzz_source(0), "unsafe": UNSAFE_SUITE["uaf-read"]}
+
+
+@pytest.mark.parametrize("name", list(SAFE_AND_UNSAFE))
+def test_diff_run_judges_the_module_it_is_given(monkeypatch, name):
+    """diff_run compiles and typechecks nothing: given the module, it
+    reports what diff_run_source reports."""
+    from mswasm import conformance
+
+    text = SAFE_AND_UNSAFE[name]
+    want = diff_run_source(text)
+    tm = parse_source(text)
+    cm = _checked(tm)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("diff_run compiled or typechecked the module")
+
+    monkeypatch.setattr(conformance, "compile_module", refuse)
+    monkeypatch.setattr(conformance, "typecheck_module", refuse)
+    assert diff_run(tm, cm) == want
+    assert want.related and isinstance(want.src_verdict, Safe) == (name == "safe")
 
 
 def test_fuzz_attacker_deterministic_and_well_typed():

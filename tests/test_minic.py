@@ -420,7 +420,7 @@ def test_nesting_at_the_cap_passes_every_layer(construct):
         m = compile_module(tm)
         typecheck_module(m)
         assert parse_module(print_module(m)) == m
-        return diff_run(tm)
+        return diff_run(tm, m)
 
     report = with_frames(100, chain, nested_source(construct, MAX_NESTING))
     assert report.related, report.reason
@@ -459,10 +459,40 @@ def test_deep_straight_line_program_compiles_and_relates():
     from mswasm.typecheck import typecheck_module
 
     tm = load(straight_line_source(1500))
-    typecheck_module(compile_module(tm))
+    m = compile_module(tm)
+    typecheck_module(m)
     assert src_run(tm).result == SInt(sum(i % 7 for i in range(1500)))
-    report = diff_run(tm)
+    report = diff_run(tm, m)
     assert report.related and isinstance(report.src_verdict, Safe)
+
+
+def test_a_field_past_2_to_the_30_cells_is_read_without_the_cell_tables():
+    """The layout builds a struct's per-cell tables at their first use:
+    parsing, compiling, running and judging a read of the field after an
+    array of 2^30 ints reads the struct's record only."""
+    import tracemalloc
+
+    from mswasm.compiler import compile_module
+
+    text = """module {
+      struct Big { a: array 1073741824 int, n: int }
+      fn main() -> int { var (b: ptr<struct Big>); *(b.n) }
+      heap 0
+    }"""
+    tracemalloc.start()
+    try:
+        tm = parse_source(text)
+        with pytest.raises(SrcTypeError, match="does not fit in i32"):
+            compile_module(tm)
+        res = src_run(tm)
+        verdict = src_ms(tm.mod, res.trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    f = tm.mod.layout.field("Big", "n")
+    assert (f.cell, f.offset, f.size) == (1 << 30, 1 << 32, 4)
+    assert res.outcome == "hosterror" and verdict.reason == "access through a raw integer"
+    assert peak < 1 << 20, peak
 
 
 def test_bad_character_reports_its_offset():
@@ -472,6 +502,14 @@ def test_bad_character_reports_its_offset():
         parse_source("module { heap é }   \n")
     # inside a comment any character goes
     parse_source("module { // ! é\n fn main() -> int { var (); 0 } heap 0 }")
+
+
+def test_a_struct_with_two_fields_of_one_name_is_a_parse_error():
+    """A field name names one field: the second `a` could never be read,
+    yet it would take cells and bytes."""
+    with pytest.raises(SrcParseError, match="duplicate field name in struct D"):
+        parse_source("module { struct D { a: int, a: array 2 int } "
+                     "fn main() -> int { var (); 0 } heap 0 }")
 
 
 # -- which error a text reports --------------------------------------------
