@@ -10,7 +10,8 @@ and the benchmark's copy, churn and frontend programs of seeds 1-3 (not
 the deep one).  N defaults to 200.  Every module runs on both backends at
 budgets 1,000,000 and 37; the digest covers each source's typed tree
 (`repr(tm.fns)`) and compiled module text, each run's outcome, steps,
-results, JSONL trace, trace repr and `check_ms` verdict, each source's
+results, JSONL trace, trace repr and `check_ms` verdict (under constant
+shading, a two-field shading and a shade per byte), each source's
 `diff_run_source` report (related, index, reason and both traces), and
 each source run's `src_ms` verdict, alone and with a forged read of a raw
 integer appended.
@@ -60,6 +61,16 @@ CODE_MUTANTS = 10
 ODD_LINES = ("i64.add", "get 99", "call 9", "(if", ")", "(then", "(else", "return", "trap",
              "i32.const", "i32.const 4294967296", "f32.const 1e999", "handle.const 0",
              "handle.segload", "slice", "bogus", "; a comment", "\x0c", "\u00e9")
+
+
+def two_field(index, handle, size) -> tuple[int, ...]:
+    """An int field and the rest of the segment, each one shade."""
+    return tuple(0 if j < 4 else 1 for j in range(size))
+
+
+def per_byte(index, handle, size) -> tuple[int, ...]:
+    """A shade of its own for every byte."""
+    return tuple(range(size))
 
 
 def sources(n: int) -> list[str]:
@@ -135,7 +146,8 @@ def digest(n: int) -> str:
             for budget in BUDGETS:
                 res = run(m, backend, budget)
                 add(res.outcome, res.steps, repr(res.results),
-                    trace_to_jsonl(res.trace), repr(res.trace), repr(check_ms(res.trace)))
+                    trace_to_jsonl(res.trace), repr(res.trace), repr(check_ms(res.trace)),
+                    repr(check_ms(res.trace, two_field)), repr(check_ms(res.trace, per_byte)))
     for t in texts:
         rep = diff_run_source(t)
         add(rep.related, rep.index, rep.reason, repr(rep.src_trace), repr(rep.tgt_trace))

@@ -12,7 +12,10 @@ so no event costs in proportion to a region's size.  The monitor consumes
 events one at a time and reports the first one that cannot be consumed:
 the relaters (`tracerel.relate`, `minic.src_relate`) call `monitor_step`
 on each abstract event as they make it, so a verdict keeps no abstract
-trace, and `check_trace` folds it over a list of events.
+trace, and `check_trace` folds it over a list of events.  A read or write
+is one abstract event per byte, and indices count them; `monitor_access`
+judges a whole access in one call, with the kind and byte `monitor_step`
+would give, so `tracerel.check_ms` judges each compiled access once.
 """
 
 from __future__ import annotations
@@ -120,6 +123,26 @@ def monitor_step(shadow: ShadowMemory, ev) -> str | None:
         return None
 
     raise TypeError(f"not an abstract event: {ev!r}")
+
+
+def monitor_access(shadow: ShadowMemory, cls, addr: int, width: int, color: int, shade: int):
+    """(kind, k) for the first of the `width` bytes from addr, read (cls
+    ARead) or written (AWrite) at one colour and shade, that `monitor_step`
+    rejects, or None.  Reads and writes leave the shadow as it is, so an
+    access inside its colour's live block whose shades agree is one lookup."""
+    block = shadow.blocks.get(color)
+    if block is not None:
+        base, size, shades, live = block
+        j, n = addr - base, len(shades)
+        if live and 0 <= j and j + width <= size and (
+                shades[0] == shade if n == 1
+                else all(shades[(j + k) % n] == shade for k in range(width))):
+            return None
+    for k in range(width):
+        kind = monitor_step(shadow, tuple.__new__(cls, (addr + k, color, shade)))
+        if kind is not None:
+            return kind, k
+    return None
 
 
 @dataclass(frozen=True)

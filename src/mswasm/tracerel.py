@@ -12,10 +12,12 @@ addresses themselves: colours already disambiguate reuse, so the identity
 embedding is the simplest witness.  The source relation
 (`minic.src_relate`) resolves pointers through the same records.
 
-`relate` hands each abstract event to a `step` callback as it makes it,
-and stops at the first event in trace order that has no image or whose
-image `step` rejects.  `check_ms` steps the monitor, so a verdict keeps
-no abstract trace; `relate_trace` collects the image as a list.
+`relate` hands each allocation and free to a `step` callback and each
+read or write, whole, to an `access` callback, and stops at the first
+event in trace order that has no image or whose image a callback rejects,
+at an index that counts the image's events.  `check_ms` binds them to the
+monitor, so a verdict keeps no abstract trace and judges each access
+once; `relate_trace` collects the image as a list.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from functools import partial
 
 from .bytecode import SIZEOF
 from .interp import ReadEv, SAllocEv, SFreeEv, TrapEv, WriteEv
-from .monitor import AAlloc, AFree, ARead, AWrite, SAFE, ShadowMemory, Violation, monitor_step
+from .monitor import (
+    AAlloc, AFree, ARead, AWrite, SAFE, ShadowMemory, Violation, monitor_access, monitor_step)
 
 _new = tuple.__new__
 _WIDTH = {t._value_: n for t, n in SIZEOF.items()}
@@ -88,11 +91,13 @@ class BijectionDelta:
         return None
 
 
-def relate(trace, step, delta: BijectionDelta, shading=constant_shading):
-    """Pass trace's abstract image to step, one event at a time, extending
-    delta.  step returns None to accept an event, or a violation kind to
-    stop.  Returns SAFE, Unrelatable, or TraceViolation(Violation(kind, n),
-    i) when step rejects the n-th abstract event, made from trace[i]."""
+def relate(trace, step, access, delta: BijectionDelta, shading=constant_shading):
+    """Pass trace's abstract image to the callbacks, extending delta: each
+    allocation or free to step, which returns None or a violation kind, and
+    each read or write to access(cls, addr, width, colour, shade), which
+    returns None or (kind, k) for its k-th byte, as `monitor_access` does.
+    Returns SAFE, Unrelatable, or TraceViolation(Violation(kind, n), i)
+    when the n-th abstract event, made from trace[i], is rejected."""
     n = 0  # abstract events made so far
     for i, ev in enumerate(trace):
         cls = type(ev)
@@ -113,13 +118,11 @@ def relate(trace, step, delta: BijectionDelta, shading=constant_shading):
                 return Unrelatable(i, f"no image for base {h.base} id {h.id}")
             color, shade = image
             if cls is ReadEv or cls is WriteEv:
-                addr = h.base + h.offset
                 width = _WIDTH[ev.ty._value_]
-                acls = ARead if cls is ReadEv else AWrite
-                for a in range(addr, addr + width):  # one abstract event per byte
-                    kind = step(_new(acls, (a, color, shade)))
-                    if kind is not None:
-                        return TraceViolation(Violation(kind, n + a - addr), i)
+                bad = access(ARead if cls is ReadEv else AWrite, h.base + h.offset,
+                             width, color, shade)
+                if bad is not None:
+                    return TraceViolation(Violation(bad[0], n + bad[1]), i)
                 n += width
                 continue
             delta.live.discard(h.id)
@@ -134,12 +137,20 @@ def relate_trace(trace, shading=constant_shading):
     """(abs_events, delta): the whole abstract image as a list and the
     bijection that made it; or Unrelatable."""
     abs_events: list = []
+    append = abs_events.append
+
+    def expand(cls, addr, width, color, shade):
+        for a in range(addr, addr + width):
+            append(_new(cls, (a, color, shade)))
+
     delta = BijectionDelta()
-    out = relate(trace, abs_events.append, delta, shading)
+    out = relate(trace, append, expand, delta, shading)
     return out if isinstance(out, Unrelatable) else (abs_events, delta)
 
 
 def check_ms(trace, shading=constant_shading):
     """Safety of the related abstract trace: SAFE, TraceViolation, or
     Unrelatable, whichever the first offending event gives."""
-    return relate(trace, partial(monitor_step, ShadowMemory()), BijectionDelta(), shading)
+    shadow = ShadowMemory()
+    return relate(trace, partial(monitor_step, shadow), partial(monitor_access, shadow),
+                  BijectionDelta(), shading)

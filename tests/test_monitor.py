@@ -15,11 +15,12 @@ from mswasm.monitor import (
     abs_event_from_json,
     abs_event_to_json,
     check_trace,
+    monitor_access,
     monitor_step,
     parse_abs_trace,
 )
 
-from oracles import brute_check_trace
+from oracles import BruteMonitor, brute_check_trace
 
 
 def alloc(n, a, c, shades=None):
@@ -179,6 +180,66 @@ def test_events_compare_by_type_and_hash():
               ARead(1, 0, 0), alloc(1, 1, 0)}
     assert len(events) == 4
     assert hash(alloc(2, 0, 3, [0, 1])) == hash(AAlloc(2, 0, 3, (0, 1)))
+
+
+# -- one call per access ------------------------------------------------
+
+
+@st.composite
+def _shadow_and_access(draw):
+    """A random alloc/free history, then one target block with a pattern of
+    1, 2, 4 or 16 shades or one per byte, and an access of 1, 4, 8 or 16
+    bytes: inside the target, across its start or its end, past it, in it
+    after its free, or far from every block.  The history's events may be
+    rejected, which leaves both monitors as they were."""
+    history = []
+    for color in range(draw(st.integers(0, 4))):
+        size = draw(st.integers(0, 3)) * 4
+        history.append(AAlloc(size, draw(st.integers(0, 48)), draw(st.integers(0, color)),
+                              tuple(draw(st.lists(st.integers(0, 1), min_size=4, max_size=4))
+                                    if size else ())))
+        if draw(st.booleans()):
+            history.append(AFree(history[-1].addr, draw(st.integers(0, color))))
+    plen = draw(st.sampled_from([1, 2, 4, 16, None]))  # None: one shade per byte
+    size = draw(st.integers(1, 40)) if plen is None else plen * draw(st.integers(1, 3))
+    shades = tuple(draw(st.lists(st.integers(0, 1), min_size=plen or size,
+                                 max_size=plen or size)))
+    target = AAlloc(size, 64 + draw(st.integers(0, 8)), 5, shades)
+    history.append(target)
+    width = draw(st.sampled_from([1, 4, 8, 16]))
+    where = draw(st.sampled_from(["inside", "start", "end", "past", "freed", "unmapped"]))
+    j = {"inside": lambda: draw(st.integers(0, max(size - width, 0))),
+         "start": lambda: -draw(st.integers(1, width)),
+         "end": lambda: size - draw(st.integers(1, min(width, size))),
+         "past": lambda: size + draw(st.integers(0, 8)),
+         "freed": lambda: draw(st.integers(0, size - 1)),
+         "unmapped": lambda: 200 + draw(st.integers(0, 8))}[where]()
+    if where == "freed":
+        history.append(AFree(target.addr, 5))
+    color = draw(st.sampled_from([5, 5, 5, 0, 9]))
+    shade = shades[j % len(shades)] if draw(st.booleans()) else draw(st.integers(0, 1))
+    return history, draw(st.sampled_from([ARead, AWrite])), target.addr + j, width, color, shade
+
+
+@settings(max_examples=400, deadline=None)
+@given(_shadow_and_access())
+def test_an_access_is_judged_as_its_bytes_are(case):
+    """monitor_access gives the verdict and first rejected byte of folding
+    monitor_step over the access's byte events, agrees with the interval
+    oracle, and leaves the shadow as it was."""
+    import copy
+
+    history, cls, addr, width, color, shade = case
+    shadow, brute = ShadowMemory(), BruteMonitor()
+    for ev in history:
+        assert monitor_step(shadow, ev) == brute.step_kind(ev)
+    before = copy.deepcopy(shadow)
+    got = monitor_access(shadow, cls, addr, width, color, shade)
+    assert shadow == before
+    byte_events = [cls(addr + k, color, shade) for k in range(width)]
+    for judge in (lambda ev: monitor_step(shadow, ev), brute.step_kind):
+        kinds = [judge(ev) for ev in byte_events]
+        assert got == next(((kind, k) for k, kind in enumerate(kinds) if kind), None)
 
 
 # -- long traces against the oracle ------------------------------------

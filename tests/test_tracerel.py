@@ -1,19 +1,39 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mswasm.bytecode import ValueType, parse_module
-from mswasm.interp import ReadEv, SAllocEv, SFreeEv, TrapEv, WriteEv, run
-from mswasm.monitor import AAlloc, AFree, ARead, AWrite, Safe, Violation
+from mswasm.bytecode import SIZEOF, ValueType, parse_module
+from mswasm.interp import BACKENDS, ReadEv, SAllocEv, SFreeEv, TrapEv, WriteEv, run
+from mswasm.monitor import SAFE, AAlloc, AFree, ARead, AWrite, Safe, Violation, check_trace
 from mswasm.segmem import Handle
 from mswasm.tracerel import (
     TraceViolation,
     Unrelatable,
     check_ms,
+    constant_shading,
     relate_trace,
 )
 
+from oracles import mutate_handle
+
 I32 = ValueType.I32
+I64 = ValueType.I64
+
+
+def two_field(index, handle, size):
+    return tuple(0 if i < 4 else 1 for i in range(size))
+
+
+def by_byte(index, handle, size):
+    return tuple(range(size))
+
+
+def one_segment_reads(n):
+    """One segment of n i64s and a read of each."""
+    trace = [SAllocEv(Handle(0, 0, 8 * n, True, 0))]
+    return trace + [ReadEv(I64, Handle(8 * k, 0, 8, True, 0)) for k in range(n)]
 
 
 def test_alloc_write_expansion():
@@ -59,8 +79,7 @@ def test_verdicts_take_memory_that_does_not_grow_with_the_trace(n):
 
     from mswasm.minic import INT, SAFE, SPtr, SrcAlloc, SrcModule, SrcRead, src_ms
 
-    trace = [SAllocEv(Handle(0, 0, 8 * n, True, 0))]
-    trace += [ReadEv(ValueType.I64, Handle(8 * k, 0, 8, True, 0)) for k in range(n)]
+    trace = one_segment_reads(n)
     src_trace = [SrcAlloc(SPtr(0, 0, n, INT, 0))]
     src_trace += [SrcRead(INT, SPtr(k, 0, n, INT, 0)) for k in range(n)]
     mod = SrcModule({}, [], 0)
@@ -74,6 +93,92 @@ def test_verdicts_take_memory_that_does_not_grow_with_the_trace(n):
             tracemalloc.stop()
         assert verdict is SAFE
     assert max(peaks) < 8 << 10, peaks
+
+
+def test_in_bounds_reads_take_no_per_byte_monitor_step(monkeypatch):
+    """check_ms judges each read inside its live segment in one lookup: over
+    one segment and 16,000 i64 reads the monitor steps no byte.  A read that
+    leaves the segment is judged byte by byte and names its first bad one."""
+    from mswasm import monitor
+
+    stepped = []
+    real_step = monitor.monitor_step
+    monkeypatch.setattr(monitor, "monitor_step",
+                        lambda shadow, ev: stepped.append(ev) or real_step(shadow, ev))
+    n = 16_000
+    trace = one_segment_reads(n)
+    assert check_ms(trace) is SAFE and stepped == []
+    over = check_ms(trace + [ReadEv(I64, Handle(8 * n - 4, 0, 8, True, 0))])
+    assert over == TraceViolation(Violation("temporal-unmapped", 1 + 8 * n + 4), n + 1)
+    assert stepped == [ARead(8 * n - 4 + k, 0, 0) for k in range(5)]
+
+
+@pytest.mark.parametrize("neighbour, kind", [(True, "spatial-color"), (False, "temporal-unmapped")])
+def test_an_i64_read_over_its_segments_end_names_its_fifth_byte(neighbour, kind):
+    """An i64 read whose window starts 4 bytes before its segment's end:
+    its first four bytes are in, so the n-th abstract event it violates at
+    is n + 4, the event of its fifth byte."""
+    h = Handle(0, 0, 8, True, 0)
+    trace = [SAllocEv(h)] + [SAllocEv(Handle(8, 0, 8, True, 1))] * neighbour
+    n = len(trace)
+    trace.append(ReadEv(I64, Handle(0, 4, 8, True, 0)))
+    assert check_ms(trace) == TraceViolation(Violation(kind, n + 4), n)
+    abs_events, _ = relate_trace(trace)
+    assert abs_events[n + 4] == ARead(8, 0, 0)
+    assert check_trace(abs_events) == Violation(kind, n + 4)
+
+
+def test_a_shade_violation_names_the_byte_in_the_next_field():
+    """Under a two-field shading, an i32 read from byte 2 through a handle
+    of the first field is the first field's shade for bytes 2 and 3 and
+    crosses into the second at its third byte: index 1 + 2."""
+    trace = [SAllocEv(Handle(0, 0, 8, True, 0)), ReadEv(I32, Handle(0, 2, 8, True, 0))]
+    assert check_ms(trace, shading=two_field) == TraceViolation(Violation("shade", 3), 1)
+    abs_events, _ = relate_trace(trace, shading=two_field)
+    assert check_trace(abs_events) == Violation("shade", 3)
+
+
+def _image_verdict(trace, shading):
+    """check_trace over relate_trace's per-byte image, with the trace index
+    of the violating byte found by counting each event's image."""
+    out = relate_trace(trace, shading)
+    if isinstance(out, Unrelatable):
+        verdict = check_trace(relate_trace(trace[:out.index], shading)[0])
+        if verdict is SAFE:
+            return out
+    else:
+        verdict = check_trace(out[0])
+        if verdict is SAFE:
+            return SAFE
+    made = 0
+    for i, ev in enumerate(trace):
+        made += SIZEOF[ev.ty] if type(ev) in (ReadEv, WriteEv) else type(ev) is not TrapEv
+        if made > verdict.index:
+            return TraceViolation(verdict, i)
+    raise AssertionError("no event made the violating one")
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_check_ms_is_the_monitor_over_the_per_byte_image(backend):
+    """check_ms, which judges each access in one call, gives on every trace
+    the verdict of check_trace over relate_trace's image: kind, abstract
+    index and trace index, or the same Unrelatable.  The traces are of
+    fuzz modules and of compiled fuzz sources, a quarter of their accesses
+    go through `mutate_handle`, and three shadings are tried."""
+    from mswasm.compiler import compile_module
+    from mswasm.conformance import fuzz_module, fuzz_source
+    from mswasm.minic import parse_source
+
+    modules = [fuzz_module(seed) for seed in range(100)]
+    modules += [compile_module(parse_source(fuzz_source(seed, violations=v)))
+                for seed in range(40) for v in (False, True)]
+    rng = random.Random(backend)
+    for j, m in enumerate(modules):
+        trace = [type(ev)(ev.ty, mutate_handle(rng, ev.handle))
+                 if type(ev) in (ReadEv, WriteEv) and rng.random() < 0.25 else ev
+                 for ev in run(m, backend).trace]
+        for shading in (constant_shading, two_field, by_byte):
+            assert check_ms(trace, shading) == _image_verdict(trace, shading), (j, shading)
 
 
 def test_sliced_handle_reads_at_moved_base():
@@ -122,9 +227,6 @@ def test_delta_keys_cover_segment_and_are_bijective():
     h1 = Handle(0, 0, 8, True, 0)
     h2 = Handle(16, 0, 4, True, 1)
 
-    def by_byte(index, handle, size):
-        return tuple(range(size))
-
     for color, h in enumerate((h1, h2)):
         for j in range(h.bound):
             sliced = Handle(h.base + j, 0, h.bound - j, True, h.id)
@@ -172,9 +274,6 @@ def test_shading_refinement():
     """
     res = run(parse_module(src))
 
-    def two_field(index, handle, size):
-        return tuple(0 if i < 4 else 1 for i in range(size))
-
     refined = check_ms(res.trace, shading=two_field)
     constant = check_ms(res.trace)
     assert isinstance(refined, Safe)
@@ -191,9 +290,6 @@ def test_refined_shading_catches_cross_field_access():
     # read of the second field through a handle based at the first
     src = src.replace("i32.handle.add", "handle.add")
     res = run(parse_module(src))
-
-    def two_field(index, handle, size):
-        return tuple(0 if i < 4 else 1 for i in range(size))
 
     refined = check_ms(res.trace, shading=two_field)
     assert isinstance(refined, TraceViolation)
