@@ -1,28 +1,31 @@
 #!/usr/bin/env python3
-"""One SHA-256 over what the front end and the interpreters do on a fixed
-corpus, to show that a change leaves behaviour where it was.
+"""Two SHA-256 digests of what the front end and the interpreters do on a
+fixed corpus, to show that a change leaves behaviour where it was, and
+which part moved if it did not.
 
     python3 scripts/trace_digest.py [N]
+
+prints two lines: the *behaviour* digest, over what well-formed inputs
+give, and the *failure paths* digest, over what their mutants give.
 
 The corpus is `fuzz_module` seeds 0..N-1, the victim/attacker pairs of
 seeds 0..N-1, `fuzz_source` seeds 0..N-1 with and without violations,
 and the benchmark's copy, churn and frontend programs of seeds 1-3 (not
 the deep one).  N defaults to 200.  Every module runs on both backends at
-budgets 1,000,000 and 37; the digest covers each source's typed tree
-(`repr(tm.fns)`) and compiled module text, each run's outcome, steps,
-results, JSONL trace, trace repr and `check_ms` verdict (under constant
-shading, a two-field shading and a shade per byte), each source's
-`diff_run_source` report (related, index, reason and both traces), and
-each source run's `src_ms` verdict, alone and with a forged read of a raw
-integer appended.
+budgets 1,000,000 and 37.  The behaviour digest covers each source's
+typed tree (`repr(tm.fns)`) and compiled module text, whether
+`parse_module(print_module(m)) == m`, each run's outcome, steps, results,
+JSONL trace, trace repr and `check_ms` verdict (under constant shading, a
+two-field shading and a shade per byte), each source's `diff_run_source`
+report (related, index, reason and both traces), and each source run's
+`src_ms` verdict, alone and with a forged read of a raw integer appended.
 
-It also covers the front end's failure paths and the text round trip:
-the exception class and message of `parse_source` on 20 token mutants of
-each source (`tests/fixtures.token_mutants`), and for each compiled
-module whether `parse_module(print_module(m)) == m`, and what
-`parse_module` and then `typecheck_module` give on 10 line mutants of its
-text (`code_mutants`): the exception class and message, and a
-ParseError's line and column.
+The failure paths digest covers the exception class and message of
+`parse_source` on 20 token mutants of each source
+(`tests/fixtures.token_mutants`), and what `parse_module` and then
+`typecheck_module` give on 10 line mutants of each compiled module's text
+(`code_mutants`): the exception class and message, and a ParseError's
+line and column.  A change to error messages alone moves only this one.
 
 It imports mswasm, chainbench's `programs` and the tests' `fixtures`
 from the checkout it lies in, so running it in two checkouts compares
@@ -119,10 +122,12 @@ def check_text(text: str) -> None:
     typecheck_module(parse_module(text))
 
 
-def digest(n: int) -> str:
-    h = hashlib.sha256()
+def digest(n: int) -> tuple[str, str]:
+    """(behaviour, failure paths): the SHA-256 of what well-formed inputs
+    give, and that of what the mutants give."""
+    behaviour, failures = hashlib.sha256(), hashlib.sha256()
 
-    def add(*parts) -> None:
+    def add(*parts, h=behaviour) -> None:
         for p in parts:
             h.update(str(p).encode())
             h.update(b"\0")
@@ -138,9 +143,9 @@ def digest(n: int) -> str:
         code = print_module(modules[-1])
         add(repr(tm.fns), code, parse_module(code) == modules[-1])
         for mutant in token_mutants(t, j, SOURCE_MUTANTS):
-            add(outcome(parse_source, mutant))
+            add(outcome(parse_source, mutant), h=failures)
         for mutant in code_mutants(code, j, CODE_MUTANTS):
-            add(outcome(check_text, mutant))
+            add(outcome(check_text, mutant), h=failures)
     for m in modules:
         for backend in BACKENDS:
             for budget in BUDGETS:
@@ -154,8 +159,10 @@ def digest(n: int) -> str:
         tm = parse_source(t)
         trace = src_run(tm).trace
         add(repr(src_ms(tm.mod, trace)), repr(src_ms(tm.mod, trace + [SrcRead(INT, SInt(3))])))
-    return h.hexdigest()
+    return behaviour.hexdigest(), failures.hexdigest()
 
 
 if __name__ == "__main__":
-    print(digest(int(sys.argv[1]) if len(sys.argv) > 1 else 200))
+    behaviour, failures = digest(int(sys.argv[1]) if len(sys.argv) > 1 else 200)
+    print(f"behaviour     {behaviour}")
+    print(f"failure paths {failures}")

@@ -193,10 +193,6 @@ class ParseError(Exception):
         self.col = col
 
 
-class ValidationError(Exception):
-    """Structural index out of range (local or function index)."""
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 
@@ -391,7 +387,12 @@ class _Parser:
 
 
 def parse_module(text: str) -> ModuleDef:
-    """Parse the text format; raises ParseError / ValidationError."""
+    """Parse the text format; raises ParseError on text it cannot read.
+
+    A `get`, `set` or `call` index out of range is read as written: the
+    module is well formed but invalid, and typecheck_module reports the
+    index as `bad-index`, unless it follows an unconditional trap or
+    return, where code is neither typed nor run."""
     p = _Parser(text)
     p.expect("(")
     p.expect("module")
@@ -407,28 +408,7 @@ def parse_module(text: str) -> ModuleDef:
     extra = p.toks[p.pos]
     if extra != "":
         raise p.error(f"trailing input {extra!r}")
-    m = ModuleDef(tuple(funcs), tuple(imports), heap_size, segment_size)
-    validate_indices(m)
-    return m
-
-
-def validate_indices(m: ModuleDef) -> None:
-    n_callable = len(m.imports) + len(m.funcs)
-
-    def walk(body: tuple[Instr, ...], n_vars: int):
-        for ins in body:
-            if ins.op in ("get", "set") and not (0 <= ins.idx < n_vars):
-                raise ValidationError(
-                    f"local index {ins.idx} out of range (have {n_vars})")
-            if ins.op == "call" and not (0 <= ins.idx < n_callable):
-                raise ValidationError(
-                    f"call index {ins.idx} out of range (have {n_callable})")
-            if ins.op == "if":
-                walk(ins.then_body, n_vars)
-                walk(ins.else_body, n_vars)
-
-    for f in m.funcs:
-        walk(f.body, len(f.params) + len(f.locals))
+    return ModuleDef(tuple(funcs), tuple(imports), heap_size, segment_size)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 ok, 2 usage (also `run` or `check` on a module with imports,
-and `diff` on a source with imports), 10 trap, 11 type error, 12 parse
+and `diff` on a source with imports), 10 trap, 11 type error (also a
+`get`, `set` or `call` index out of range in code that can run), 12 parse
 error (also text nested past bytecode.MAX_NESTING), 13 monitor violation
 (also `fuzz` and `fuzz --attacker` with a counterexample), 14 step budget
 exhausted, 15 differential divergence (also `fuzz --source` with a
@@ -246,8 +247,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (bytecode.ParseError, bytecode.ValidationError, SrcParseError,
-            monitor.AbsTraceError, UnicodeDecodeError) as e:
+    except (bytecode.ParseError, SrcParseError, monitor.AbsTraceError,
+            UnicodeDecodeError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (TypeError_, SrcTypeError) as e:

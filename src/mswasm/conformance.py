@@ -329,10 +329,6 @@ class ModuleGen:
             return (self._gen_value(findex, all_vars, ty, depth - 1)
                     + [bc.segload(ValueType.HANDLE)])
 
-        if ty in (ValueType.F32, ValueType.F64):
-            self._spend()
-            return [bc.const(ty, float(rng.randint(-8, 8)))]
-
         # integers
         choices = ["const"] * 2
         if slots:

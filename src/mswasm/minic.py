@@ -31,16 +31,20 @@ parse_source builds the typed tree (TNum ... TIntAsPtr) directly: the
 parser types each node as it builds it, so there is one tree.
 src_typecheck is the identity; it stays only because the benchmark
 (chainbench/bench.py) imports it.  A let may call a function defined
-later in the text, so the parser makes two passes over the tokens: the
-first reads the structs, imports and function signatures and skips each
-body by counting braces; the second parses and types the bodies in text
-order.  A text with more than one error reports the first of these, in
-this order:
+later in the text, so the parser makes two passes over the tokens.  The
+first reads the structs, imports and function signatures.  It finds the
+tokens that start an item (`fn`, `import`, `heap`, `struct NAME {`),
+which no body holds, once per text, and ends each body where the next
+item starts.  The second parses and types the bodies in text order, and
+a body's closing "}" must be its last token.  A text with more than one
+error reports the first of these, in this order:
 
-  1. a parse error outside the bodies, or a body without its closing "}";
+  1. a parse error outside the bodies;
   2. two functions of one name, or a function both defined and imported;
   3. the first error in the bodies, parse or type, in text order: each
-     check runs as soon as the tokens it needs have been read;
+     check runs as soon as the tokens it needs have been read; a body
+     without its closing "}" fails where the grammar does, and a token
+     between that "}" and the next item is "expected item";
   4. no main function, or a main that takes a parameter.
 
 Parse errors are SrcParseError and type errors SrcTypeError.
@@ -67,6 +71,7 @@ from __future__ import annotations
 
 import re
 import string
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import NamedTuple
@@ -294,12 +299,27 @@ _OP_START = frozenset("-+*/<>(){},;:.=")
 _KEYWORDS = {"module", "struct", "fn", "var", "heap", "int", "ptr", "array",
              "malloc", "free", "let", "in", "if", "else", "import"}
 
-# Tokens that no function body holds: the first pass's body skip stops at
-# them, so a body without its "}" is reported where the next item starts.
-_NOT_IN_BODY = frozenset({"fn", "import", "heap", ""})
-
 # Binary operators by precedence; all are left-associative.
 _BINARY = {"==": 1, "<": 1, "+": 2, "-": 2, "*": 3, "/": 3}
+
+
+def _item_starts(toks: list[str]) -> list[int]:
+    """The sorted positions of the tokens that start an item: each `fn`,
+    `import` and `heap`, each `struct` whose next token but one is "{",
+    and the end.  No function body holds any of them, so a body ends
+    where the next one starts."""
+    starts = [len(toks) - 1]
+    for word in ("fn", "import", "heap", "struct"):
+        i = -1
+        try:
+            while True:
+                i = toks.index(word, i + 1)
+                if word != "struct" or toks[i + 2:i + 3] == ["{"]:
+                    starts.append(i)
+        except ValueError:
+            pass
+    starts.sort()
+    return starts
 
 
 def _tokenize_src(text: str) -> list[str]:
@@ -389,13 +409,14 @@ class _SrcParser:
     # -- module --
 
     def module(self) -> TypedModule:
-        """Pass 1 reads the declarations and skips each body; then come
-        the checks on function names, pass 2 over the bodies in text
-        order, and the checks on main."""
+        """Pass 1 reads the declarations and steps over each body to the
+        next item; then come the checks on function names, pass 2 over
+        the bodies in text order, and the checks on main."""
         self.eat("module", "{")
+        starts = _item_starts(self.toks)
         structs: dict[str, StructDef] = {}
         imports: list[ImportDef] = []
-        fns = []  # (name, param, result, locals, position of the body)
+        fns = []  # (name, param, result, locals, start and end of the body)
         while not self.at("heap"):
             if self.at("struct"):
                 self.next()
@@ -419,8 +440,9 @@ class _SrcParser:
                 self.eat("{", "var", "(")
                 locals_ = [] if self.at(")") else self.listed(self.var_decl)
                 self.eat(")", ";")
-                fns.append((fname, param, result, locals_, self.pos))
-                self.skip_body()
+                end = starts[bisect_left(starts, self.pos)]
+                fns.append((fname, param, result, locals_, self.pos, end))
+                self.pos = end
             else:
                 raise SrcParseError(f"expected item, got {self.toks[self.pos]!r}")
         self.eat("heap")
@@ -435,7 +457,7 @@ class _SrcParser:
         if len({f[0] for f in fns}) != len(fns):
             raise SrcTypeError("duplicate function names")
         order = sorted(fns, key=lambda f: f[0] != "main")
-        for j, (fname, param, result, _, _) in enumerate(order):
+        for j, (fname, param, result, *_) in enumerate(order):
             if fname in self.sigs:
                 raise SrcTypeError(f"{fname} defined and imported")
             self.sigs[fname] = (param and param[1], result)
@@ -448,22 +470,9 @@ class _SrcParser:
             raise SrcTypeError("main takes no parameter")
         return TypedModule(self.mod, typed, self.indices)
 
-    def skip_body(self):
-        """Move past the "}" that closes the body starting at pos."""
-        toks, pos, depth = self.toks, self.pos, 1
-        while depth:
-            t = toks[pos]
-            pos += 1
-            if t == "}":
-                depth -= 1
-            elif t == "{":
-                depth += 1
-            elif t in _NOT_IN_BODY:
-                raise SrcParseError(f"expected '}}', got {t!r}")
-        self.pos = pos
-
-    def fn_body(self, name, param, result, locals_, start) -> TypedFn:
-        """Parse and type the body at start, which pass 1 skipped."""
+    def fn_body(self, name, param, result, locals_, start, end) -> TypedFn:
+        """Parse and type the body at start, which pass 1 skipped; its "}"
+        is the last token before end, where the next item starts."""
         env: dict[str, object] = dict([param] if param else [])
         for var, ty in locals_:
             if var in env:
@@ -472,6 +481,8 @@ class _SrcParser:
         self.env, self.n_lets, self.pos = env, 0, start
         body, _ = self.block(0)
         self.eat("}")
+        if self.pos != end:
+            raise SrcParseError(f"expected item, got {self.toks[self.pos]!r}")
         return TypedFn(name, param, result, locals_, _coerce(body, body.ty, result),
                        self.indices[name], self.n_lets)
 
@@ -1022,8 +1033,7 @@ def _flat_code(mod: SrcModule, fn: TypedFn) -> tuple[list, int]:
     return code, n_slots
 
 
-def src_run(tm: TypedModule, budget: int = 1_000_000,
-            strip_annotations: bool = False) -> SrcRunResult:
+def src_run(tm: TypedModule, budget: int = 1_000_000) -> SrcRunResult:
     """Run main to completion, collecting the memory-event trace.
 
     Each function's body becomes flat code at its first call (see
@@ -1036,9 +1046,6 @@ def src_run(tm: TypedModule, budget: int = 1_000_000,
     outside the heap (after its event), and at a heap of more than
     MAX_HEAP_CELLS cells, declared or grown by malloc, before anything is
     allocated.
-
-    strip_annotations zeroes all pointer metadata at creation; the heap
-    and control behaviour must be unaffected (annotations are inert).
     """
     if tm.mod.imports:
         raise SrcHostError("module has imports; cannot run")
@@ -1055,11 +1062,6 @@ def src_run(tm: TypedModule, budget: int = 1_000_000,
     by_base: dict[int, list[int]] = {}
     next_id = 0
 
-    def annotate(addr, base, length, wtype, seg_id) -> SPtr:
-        if strip_annotations:
-            return _new(SPtr, (addr, 0, 0, INT, 0))
-        return _new(SPtr, (addr, base, length, wtype, seg_id))
-
     def do_alloc(ncells: int, length: int, wtype) -> SPtr:
         nonlocal next_id
         seg_id = next_id
@@ -1067,7 +1069,7 @@ def src_run(tm: TypedModule, budget: int = 1_000_000,
         if ncells < 0:
             # The allocator drops impossible requests; the pointer still
             # materializes, annotated with the bogus length.
-            return annotate(len(heap), len(heap), length, wtype, seg_id)
+            return _new(SPtr, (len(heap), len(heap), length, wtype, seg_id))
         base = take(free, ncells, 1)
         if base is None:
             base = len(heap)
@@ -1078,7 +1080,7 @@ def src_run(tm: TypedModule, budget: int = 1_000_000,
         else:
             heap[base:base + ncells] = [_ZERO] * ncells
         by_base.setdefault(base, []).append(ncells)
-        return annotate(base, base, length, wtype, seg_id)
+        return _new(SPtr, (base, base, length, wtype, seg_id))
 
     def do_free(addr: int) -> None:
         # Address-keyed and annotation-blind; invalid requests are dropped.
@@ -1147,8 +1149,6 @@ def src_run(tm: TypedModule, budget: int = 1_000_000,
                 if type(v) is SInt:
                     # Field offset on a forged pointer: still just arithmetic.
                     push(_new(SInt, (a,)))
-                elif strip_annotations:
-                    push(_new(SPtr, (a, 0, 0, INT, 0)))
                 else:
                     push(_new(SPtr, (a, a, op[2], op[3], v[4])))
             elif k == _READ:

@@ -23,7 +23,6 @@ from mswasm.bytecode import (
     ModuleDef,
     OPCODES,
     ParseError,
-    ValidationError,
     ValueType,
     _Parser,
     parse_module,
@@ -49,14 +48,23 @@ def test_alloc_module_parses():
     assert m.funcs[0].body[1] == bc.new_segment()
 
 
+def _parses_and_is_a_bad_index(ins: str) -> None:
+    """The text is well formed, so parse_module reads it as written; the
+    typechecker is the one judge of indices."""
+    from mswasm.typecheck import TypeError_, typecheck_module
+
+    m = parse_module(f"(module (segment 0) (heap 0) (func (result i32) {ins} i32.const 0))")
+    assert parse_module(print_module(m)) == m
+    with pytest.raises(TypeError_, match=f"bad-index: {ins}"):
+        typecheck_module(m)
+
+
 def test_call_index_out_of_range():
-    with pytest.raises(ValidationError):
-        parse_module("(module (segment 0) (heap 0) (func (result i32) call 5))")
+    _parses_and_is_a_bad_index("call 5")
 
 
 def test_local_index_out_of_range():
-    with pytest.raises(ValidationError):
-        parse_module("(module (segment 0) (heap 0) (func (result i32) get 0))")
+    _parses_and_is_a_bad_index("get 0")
 
 
 def test_parse_error_carries_position():
@@ -313,8 +321,6 @@ def _check_against_char_loop(text: str) -> None:
             assert at[e.line, e.col] == "handle.const"
         else:
             assert repr(at[e.line, e.col]) in str(e)
-    except ValidationError:
-        pass
 
 
 def test_tokenizer_matches_the_char_loop_reference():
@@ -333,7 +339,7 @@ def test_tokenizer_matches_the_char_loop_reference():
         _check_against_char_loop(mutant)
         try:
             parse_module(mutant)
-        except (ParseError, ValidationError):
+        except ParseError:
             errors += 1
     assert errors > 100  # the mutants exercise the error paths
 
@@ -365,8 +371,6 @@ def _parse_outcome(text: str) -> str:
         return repr(parse_module(text))
     except ParseError as e:
         return f"ParseError {e} at {e.line}:{e.col}"
-    except ValidationError as e:
-        return f"ValidationError {e}"
 
 
 @settings(max_examples=400, deadline=None)

@@ -160,6 +160,16 @@ def test_compile_and_run(tmp_path):
     assert main(["check", str(out)]) == 0
 
 
+def test_compile_without_output_writes_the_module_text_to_stdout(tmp_path, capsys):
+    src = tmp_path / "p.uc"
+    src.write_text(SAFE_SOURCE)
+    out = tmp_path / "p.mswat"
+    assert main(["compile", str(src), "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["compile", str(src)]) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
 def test_diff_of_a_source_division_by_zero_relates(tmp_path, capsys):
     """The source ends in a trap, as the compiled i32.div_s does; this was
     exit 15, "source hosterror on a safe trace"."""
@@ -188,6 +198,13 @@ def test_compile_reports_the_first_error_in_the_text(tmp_path, text, code):
     src = tmp_path / "p.uc"
     src.write_text(text)
     assert main(["compile", str(src)]) == code
+
+
+def test_a_stray_brace_is_reported_where_the_grammar_fails(tmp_path, capsys):
+    src = tmp_path / "p.uc"
+    src.write_text("module { fn main() -> int { var (); if 1 2 } else { 3 } } heap 0 }")
+    assert main(["compile", str(src)]) == 12
+    assert capsys.readouterr().err == "parse error: expected '{', got '2'\n"
 
 
 def test_diff_safe_and_unsafe(tmp_path, capsys):
@@ -224,6 +241,20 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize("ins", ["get 99", "call 9"])
+def test_an_index_out_of_range_parses_and_is_a_type_error(tmp_path, capsys, ins):
+    """A module text with an index out of range is well formed, so `parse`
+    reprints it; every command that typechecks it exits 11."""
+    f = tmp_path / "bad.mswat"
+    f.write_text(f"(module (segment 0) (heap 0) (func (result i32) {ins} i32.const 0))")
+    assert main(["parse", str(f)]) == 0
+    assert f" {ins}\n" in capsys.readouterr().out
+    for cmd in ("typecheck", "run", "check"):
+        assert main([cmd, str(f)]) == 11
+        captured = capsys.readouterr()
+        assert f"bad-index: {ins}" in captured.err and captured.out == ""
 
 
 IMPORT_MODULE = """

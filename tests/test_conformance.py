@@ -151,6 +151,18 @@ def test_diff_overflow_trap_shape():
     assert [e.kind for e in rep.tgt_trace] == ["salloc", "trap"]
 
 
+def test_a_negative_malloc_is_unsafe_at_once_and_the_compiled_run_traps():
+    rep = diff_run_source("""
+    module {
+      fn main() -> int { var (p: ptr<array int>); p := malloc<int>(0 - 1); 0 }
+      heap 0
+    }""")
+    assert rep.related, rep.reason
+    assert rep.src_verdict.index == 0
+    assert rep.src_verdict.reason == "allocation with negative length"
+    assert rep.tgt_trace == [TrapEv()]
+
+
 DIV_BY_ZERO = """module {
   fn main() -> int {
     var (x: int);

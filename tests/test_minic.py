@@ -21,6 +21,8 @@ from mswasm.minic import (
     SrcWrite,
     StructType,
     TIntAsPtr,
+    TNum,
+    TVar,
     parse_source,
     src_ms,
     src_relate,
@@ -93,6 +95,19 @@ def test_branch_type_mismatch_rejected():
           }
           heap 0
         }""")
+
+
+@pytest.mark.parametrize("arms", [("0", "p"), ("p", "0")])
+def test_an_if_of_an_int_arm_and_a_pointer_arm_has_the_pointer_type(arms):
+    """Either order: the int arm is coerced, as an int is wherever a
+    pointer is expected."""
+    tm = load("module { fn main() -> int { var (p: ptr<array int>, q: ptr<array int>); "
+              "q := if 1 { %s } else { %s }; 0 } heap 0 }" % arms)
+    e = tm.fns[0].body.items[0].e
+    ptr = PtrType(ArrayType(None, INT))
+    int_arm, ptr_arm = (e.t, e.f) if arms[0] == "0" else (e.f, e.t)
+    assert e.ty == ptr
+    assert (int_arm, ptr_arm) == (TIntAsPtr(TNum(0, INT), ptr), TVar("p", ptr))
 
 
 ALLOC_PROGRAM = """
@@ -372,12 +387,14 @@ def _project(value):
 @given(st.integers(0, 3000), st.booleans())
 def test_annotations_are_inert(seed, violations):
     """Stripping pointer metadata changes neither the heap contents nor
-    the result, only the events."""
+    the result, only the events: src_run agrees, up to the metadata, with
+    the tree walker of oracles.py run with the metadata stripped."""
     from mswasm.conformance import fuzz_source
+    from oracles import ref_src_run
 
     tm = load(fuzz_source(seed, violations=violations))
     full = src_run(tm)
-    bare = src_run(tm, strip_annotations=True)
+    bare = ref_src_run(tm, strip_annotations=True)
     assert full.outcome == bare.outcome
     assert [_project(v) for v in full.heap] == [_project(v) for v in bare.heap]
     if full.outcome == "ok":
@@ -540,9 +557,24 @@ def test_main_is_checked_after_the_bodies():
 @pytest.mark.parametrize("after", ["fn f() -> int { var (); 4 } heap 0 }",
                                    "import g() -> int; heap 0 }", "heap 0 }", ""])
 def test_a_body_without_its_closing_brace_is_reported_where_the_next_item_starts(after):
-    got = repr((after.split() or [""])[0])
-    with pytest.raises(SrcParseError, match=f"expected '}}', got {got}"):
+    """The body's grammar fails at the next item.  A text that ends in the
+    body has no next item, and pass 1 misses its `heap` first."""
+    got = f"expected '}}', got {after.split()[0]!r}" if after else "expected item, got ''"
+    with pytest.raises(SrcParseError, match=got):
         parse_source("module { fn main() -> int { var (); if 1 { 2 } else { 3 } " + after)
+
+
+def test_pass_1_finds_the_bodies_of_20000_functions_in_linear_time():
+    """Each body's end comes from one list of item starts made per text; a
+    scan of all the tokens per function would take minutes here."""
+    import time
+
+    fns = "".join(f"fn f{i}() -> int {{ var (); {i} }}\n" for i in range(20_000))
+    text = "module { fn main() -> int { var (); 0 }\n" + fns + "heap 0 }"
+    t0 = time.perf_counter()
+    tm = parse_source(text)
+    assert time.perf_counter() - t0 < 5.0
+    assert len(tm.fns) == 20_001 and tm.fns[-1].body == TNum(19_999, INT)
 
 
 def test_token_mutants_of_sources_end_in_a_module_or_a_source_error():

@@ -66,9 +66,7 @@ def _observed(res):
 def test_src_run_matches_the_tree_walker(group):
     for text in _corpus(group):
         tm = src_typecheck(parse_source(text))
-        for strip in (False, True):
-            assert _observed(src_run(tm, strip_annotations=strip)) == \
-                _observed(ref_src_run(tm, strip_annotations=strip)), text
+        assert _observed(src_run(tm)) == _observed(ref_src_run(tm)), text
 
 
 INFINITE = """

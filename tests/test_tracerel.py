@@ -208,6 +208,21 @@ def test_read_after_free_violation():
     assert verdict.trace_index == 2
 
 
+_SEG = Handle(0, 0, 8, True, 0)
+
+
+@pytest.mark.parametrize("trace, kind", [
+    ([SAllocEv(_SEG), SFreeEv(_SEG), SFreeEv(_SEG)], "double-free"),
+    ([SAllocEv(_SEG), SFreeEv(Handle(4, 0, 4, True, 0))], "free-unmatched"),  # based 4 bytes in
+    ([SAllocEv(_SEG), SAllocEv(Handle(4, 0, 8, True, 1))], "alloc-overlap"),
+])
+def test_an_alloc_or_free_the_monitor_rejects_is_a_violation(trace, kind):
+    """relate hands each allocation and free to the monitor, and check_ms
+    reports the one it rejects at that event."""
+    n = len(trace) - 1
+    assert check_ms(trace) == TraceViolation(Violation(kind, n), n)
+
+
 def test_zero_length_segment_free_is_relatable():
     h = Handle(16, 0, 0, True, 5)
     abs_events, _ = relate_trace([SAllocEv(h), SFreeEv(h)])

@@ -115,12 +115,26 @@ def test_i64_const_under_new_segment_is_a_type_mismatch():
 
 @pytest.mark.parametrize("ins", [bc.get(5), bc.set_(5), bc.call(9)])
 def test_api_built_index_out_of_range_is_a_bad_index(ins):
-    """The text parser's validate_indices catches these first, so only a
-    module built through the API reaches the typechecker's own check."""
+    """The typechecker is the one judge of indices: parse_module reads an
+    index out of range as written, so the module's text fails the same
+    check as the module built through the API."""
     body = (bc.const(I32, 0),) if ins.op == "set" else ()
     m = ModuleDef((FuncDef((), (I32,), (), body + (ins,)),), (), 0, 0)
-    with pytest.raises(TypeError_, match=f"bad-index: {ins.op} {ins.idx}"):
-        typecheck_module(m)
+    for module in (m, parse_module(bc.print_module(m))):
+        with pytest.raises(TypeError_, match=f"bad-index: {ins.op} {ins.idx}"):
+            typecheck_module(module)
+
+
+def test_an_index_out_of_range_after_return_is_neither_typed_nor_run():
+    """Code after an unconditional return is accepted without typing, so
+    its indices are not judged; it never runs."""
+    from mswasm.interp import Value, run
+
+    m = parse_module("(module (segment 0) (heap 0)"
+                     " (func (result i32) i32.const 7 return get 99 call 9))")
+    typecheck_module(m)
+    res = run(m)
+    assert (res.outcome, res.results) == ("ok", [Value(I32, 7)])
 
 
 def test_comparison_produces_i32():
