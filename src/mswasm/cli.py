@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Exit codes: 0 ok, 2 usage (also `run` or `check` on a module with imports,
-and `diff` on a source with imports), 10 trap, 11 type error (also a
-`get`, `set` or `call` index out of range in code that can run), 12 parse
-error (also text nested past bytecode.MAX_NESTING), 13 monitor violation
-(also `fuzz` and `fuzz --attacker` with a counterexample), 14 step budget
-exhausted, 15 differential divergence (also `fuzz --source` with a
-counterexample), 16 internal error (an interpreter bug, interp.InterpBug,
-or memory exhausted, MemoryError).
+`diff` on a source with imports, or an input file that cannot be read),
+10 trap, 11 type error (also a `get`, `set` or `call` index out of range
+in code that can run), 12 parse error (also text nested past
+bytecode.MAX_NESTING), 13 monitor violation (also `fuzz` and
+`fuzz --attacker` with a counterexample), 14 step budget exhausted, 15
+differential divergence (also `fuzz --source` with a counterexample), 16
+internal error (an interpreter bug, interp.InterpBug, or memory
+exhausted, MemoryError).
 
 A source text with more than one error exits with the code of the first
 in the order the minic docstring gives: parse errors outside the function

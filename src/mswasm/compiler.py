@@ -14,9 +14,9 @@ written, whose zero-initialized (invalid) value stands in for integers
 used at pointer type.
 
 A function compiles in one walk into flat instruction lists: a block's
-items one after another, each let's slot allocated as the walk reaches
-it.  The walk recurses once per nesting level of the source, which the
-parser bounds by MAX_NESTING.
+items one after another, each variable at the frame slot that the parser
+gave it as its local index.  The walk recurses once per nesting level of
+the source, which the parser bounds by MAX_NESTING.
 """
 
 from __future__ import annotations
@@ -69,13 +69,13 @@ def compile_type(ty) -> ValueType:
 
 @dataclass
 class _FnCompiler:
-    """One function's walk.  Each let gets a fresh slot, so shadowing and
-    type changes are safe; `locals_` collects the slots' types."""
+    """One function's walk.  Each let has its own slot, so shadowing and
+    type changes are safe; `slots` holds each slot's type, and a let's is
+    set when the walk reaches it."""
 
     layout: Layout
     instrs: dict  # (constructor, argument) -> the Instr, for one module
-    locals_: list[ValueType]
-    next_let: int
+    slots: list[ValueType | None]
     drop_i32: int
     drop_handle: int
     null_handle: int
@@ -91,94 +91,84 @@ class _FnCompiler:
             ins = self.instrs[make, arg] = make(arg)
         return ins
 
-    def emit(self, node, env: dict[str, int], out: list) -> None:
+    def emit(self, node, out: list) -> None:
         t = type(node)
         if t is TVar:
-            out.append(self.ins(bc.get, env[node.name]))
+            out.append(self.ins(bc.get, node.slot))
         elif t is TNum:
             out.append(self.ins(_i32, node.n))
         elif t is TBinOp:
-            self.emit(node.a, env, out)
-            self.emit(node.b, env, out)
+            self.emit(node.a, out)
+            self.emit(node.b, out)
             if node.elem is not None:
                 out += (self.ins(_i32, self.layout.sizeof(node.elem)), _MUL,
                         bc.handle_add())
             else:
                 out.append(_SRC_BINOPS[node.op])
         elif t is TAssignVar:
-            self.emit(node.e, env, out)
-            out += (self.ins(bc.set_, env[node.name]), _ZERO)
+            self.emit(node.e, out)
+            out += (self.ins(bc.set_, node.slot), _ZERO)
         elif t is TSeq:
             items = node.items
             for item in items[:-1]:
-                self.emit(item, env, out)
+                self.emit(item, out)
                 # drop the value: there is no drop instruction
                 drop = self.drop_handle if isinstance(item.ty, PtrType) else self.drop_i32
                 out.append(self.ins(bc.set_, drop))
-            self.emit(items[-1], env, out)
+            self.emit(items[-1], out)
         elif t is TDeref:
-            self.emit(node.e, env, out)
+            self.emit(node.e, out)
             out.append(self.ins(bc.segload, compile_type(node.ty)))
         elif t is TAssignPtr:
-            self.emit(node.target, env, out)
-            self.emit(node.e, env, out)
+            self.emit(node.target, out)
+            self.emit(node.e, out)
             out += (self.ins(bc.segstore, compile_type(node.value_ty)), _ZERO)
         elif t is TField:
-            self.emit(node.e, env, out)
+            self.emit(node.e, out)
             o1, o2 = self.layout.field_offsets(node.sname, node.fname)
             out += (self.ins(_i32, o1), self.ins(_i32, o2), bc.slice_())
         elif t is TIf:
-            self.emit(node.c, env, out)
+            self.emit(node.c, out)
             then_code: list = []
             else_code: list = []
-            self.emit(node.t, env, then_code)
-            self.emit(node.f, env, else_code)
+            self.emit(node.t, then_code)
+            self.emit(node.f, else_code)
             out.append(bc.if_(then_code, else_code))
         elif t is TLetCall:
             if node.arg is not None:
-                self.emit(node.arg, env, out)
-            slot = self.next_let
-            self.next_let += 1
-            self.locals_.append(compile_type(node.x_ty))
-            out += (self.ins(bc.call, node.fn_index), self.ins(bc.set_, slot))
-            self.emit(node.body, {**env, node.x: slot}, out)
+                self.emit(node.arg, out)
+            self.slots[node.slot] = compile_type(node.x_ty)
+            out += (self.ins(bc.call, node.fn_index), self.ins(bc.set_, node.slot))
+            self.emit(node.body, out)
         elif t is TIntAsPtr:
             # Discard the i32 and put the never-written (invalid) handle
             # local in its place.
-            self.emit(node.e, env, out)
+            self.emit(node.e, out)
             out += (self.ins(bc.set_, self.drop_i32), self.ins(bc.get, self.null_handle))
         elif t is TMallocArray:
-            self.emit(node.count, env, out)
+            self.emit(node.count, out)
             out += (self.ins(_i32, self.layout.sizeof(node.elem)), _MUL, bc.new_segment())
         elif t is TMallocSingle:
             out += (self.ins(_i32, self.layout.sizeof(node.wtype)), bc.new_segment())
         elif t is TFree:
-            self.emit(node.e, env, out)
+            self.emit(node.e, out)
             out += (bc.segfree(), _ZERO)
         else:
             raise ValueError(f"cannot compile {node!r}")
 
 
 def compile_fn(layout: Layout, fn: TypedFn, instrs: dict) -> FuncDef:
-    """Locals: the declared ones, one slot per let (in walk order), then
-    the three scratch locals."""
-    params = []
-    env: dict[str, int] = {}
-    if fn.param is not None:
-        env[fn.param[0]] = 0
-        params.append(compile_type(fn.param[1]))
-    locals_: list[ValueType] = []
-    for name, ty in fn.locals:
-        env[name] = len(params) + len(locals_)
-        locals_.append(compile_type(ty))
-    first_let = len(params) + len(locals_)
-    base = first_let + fn.n_lets
-    fc = _FnCompiler(layout, instrs, locals_, first_let, base, base + 1, base + 2)
+    """Locals: the declared ones, the lets' slots, then the three scratch
+    locals."""
+    declared = ([fn.param] if fn.param else []) + fn.locals
+    slots = [compile_type(ty) for _, ty in declared] + [None] * fn.n_lets
+    base = len(slots)
     body: list = []
-    fc.emit(fn.body, env, body)
-    locals_ += [ValueType.I32, ValueType.HANDLE, ValueType.HANDLE]
-    return FuncDef(tuple(params), tuple(locals_), (compile_type(fn.result),),
-                   tuple(body))
+    _FnCompiler(layout, instrs, slots, base, base + 1, base + 2).emit(fn.body, body)
+    slots += [ValueType.I32, ValueType.HANDLE, ValueType.HANDLE]
+    n_params = fn.param is not None
+    return FuncDef(tuple(slots[:n_params]), tuple(slots[n_params:]),
+                   (compile_type(fn.result),), tuple(body))
 
 
 def compile_module(tm: TypedModule,

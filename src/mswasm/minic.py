@@ -359,9 +359,9 @@ class _SrcParser:
     stops there too.  A node's own parse checks run before its type checks.
 
     module() reads the declarations first and then the bodies (see the
-    module docstring); while a body is read, `env` maps the variables in
-    scope to their types, and `sigs` and `indices` give each callable's
-    signature and index."""
+    module docstring); while a body is read, `env` maps each variable in
+    scope to its TVar, `n_slots` counts the body's frame slots so far, and
+    `sigs` and `indices` give each callable's signature and index."""
 
     def __init__(self, text: str):
         self.toks = _tokenize_src(text)
@@ -473,18 +473,18 @@ class _SrcParser:
     def fn_body(self, name, param, result, locals_, start, end) -> TypedFn:
         """Parse and type the body at start, which pass 1 skipped; its "}"
         is the last token before end, where the next item starts."""
-        env: dict[str, object] = dict([param] if param else [])
-        for var, ty in locals_:
+        env: dict[str, TVar] = {}
+        for var, ty in ([param] if param else []) + locals_:
             if var in env:
                 raise SrcTypeError(f"duplicate variable {var}")
-            env[var] = ty
-        self.env, self.n_lets, self.pos = env, 0, start
+            env[var] = TVar(var, ty, len(env))
+        self.env, self.n_slots, self.pos = env, len(env), start
         body, _ = self.block(0)
         self.eat("}")
         if self.pos != end:
             raise SrcParseError(f"expected item, got {self.toks[self.pos]!r}")
         return TypedFn(name, param, result, locals_, _coerce(body, body.ty, result),
-                       self.indices[name], self.n_lets)
+                       self.indices[name], self.n_slots - len(env))
 
     def listed(self, item) -> list:
         """item ("," item)*"""
@@ -537,9 +537,9 @@ class _SrcParser:
             if atom_level > MAX_NESTING:
                 raise SrcParseError(_TOO_DEEP)
             t = toks[pos]
-            ty = env.get(t)
-            if ty is not None:
-                e, depth, pos = TVar(t, ty), 0, pos + 1
+            e = env.get(t)
+            if e is not None:
+                depth, pos = 0, pos + 1
             elif t.isdecimal():
                 e, depth, pos = TNum(_number(t), INT), 0, pos + 1
             elif t == "(":
@@ -594,7 +594,7 @@ class _SrcParser:
                 aty, bty = a.ty, e.ty
                 if p < 0:
                     e = _coerce(e, bty, aty)
-                    e = (TAssignVar(a.name, e, INT) if type(a) is TVar
+                    e = (TAssignVar(a.name, e, INT, a.slot) if type(a) is TVar
                          else TAssignPtr(a.e, e, aty, INT))
                 elif aty is INT and bty is INT:
                     e = TBinOp(op, a, e, INT)
@@ -669,15 +669,15 @@ class _SrcParser:
                 arg, depth = self.block(level + 1)
                 arg = _coerce(arg, arg.ty, pty)
             self.eat(")", "in")
-            env = self.env
-            self.env = {**env, x: rty}
-            self.n_lets += 1
+            env, slot = self.env, self.n_slots
+            self.env = {**env, x: TVar(x, rty, slot)}
+            self.n_slots += 1
             body, d = self.block(level + 1)
             self.env = env
             depth = max(depth, d)
             if depth >= MAX_NESTING:
                 raise SrcParseError(_TOO_DEEP)
-            return (TLetCall(x, fname, self.indices[fname], arg, body, rty, body.ty),
+            return (TLetCall(x, fname, self.indices[fname], arg, body, rty, body.ty, slot),
                     depth + 1)
         if t == "if":
             c, depth = self.block(level + 1)
@@ -710,7 +710,10 @@ def parse_source(text: str) -> TypedModule:
 
 # ---------------------------------------------------------------------------
 # Typed AST: every node carries its type; implicit int-to-pointer uses
-# become explicit coercion nodes so the compiler can see them.
+# become explicit coercion nodes so the compiler can see them.  Variable
+# nodes carry the frame slot the parser resolved: the parameter's is 0,
+# the declared locals' follow, and each let binds a fresh one, the next in
+# text order.  It is the compiled local index and src_run's frame index.
 
 
 @dataclass
@@ -723,6 +726,7 @@ class TNum:
 class TVar:
     name: str
     ty: object
+    slot: int  # the variable's frame slot
 
 
 @dataclass
@@ -745,6 +749,7 @@ class TAssignVar:
     name: str
     e: object
     ty: object
+    slot: int  # the assigned variable's frame slot
 
 
 @dataclass
@@ -807,6 +812,7 @@ class TLetCall:
     body: object
     x_ty: object
     ty: object
+    slot: int  # the frame slot that x binds, which holds the call's result
 
 
 @dataclass
@@ -823,7 +829,7 @@ class TypedFn:
     locals: list[tuple[str, object]]
     body: object
     index: int  # callable index: imports first, then main, then the rest
-    n_lets: int  # TLetCall nodes in body, each of which binds a fresh local
+    n_lets: int  # TLetCall nodes in body: the let slots, after the declared ones
 
 
 @dataclass
@@ -948,20 +954,15 @@ _BIN_OPS = {"+": (_ADD,), "-": (_SUB,), "*": (_MUL,), "/": (_DIV,),
 # Work items of the code walk that are not nodes: tuples with a negative
 # first element.  (_HOLE, fix) leaves room for a jump and appends its
 # position to fix; (_LABEL, fix, i, opcode) fills hole fix[i] with a jump
-# to here; (_LET, node) emits a let's call and opens its scope, which
-# (_UNSCOPE, name, slot) closes again.
-_HOLE, _LABEL, _LET, _UNSCOPE = -1, -2, -3, -4
+# to here.
+_HOLE, _LABEL = -1, -2
 
 
 def _flat_code(mod: SrcModule, fn: TypedFn) -> tuple[list, int]:
     """fn's body as flat code ending in _RET, and its frame size: a slot
-    for the parameter, each local, and each let, as the compiler numbers
-    them.  Names resolve to slots here, so a let needs no unbind.  One
-    walk with a work stack: the children of a node go on it in reverse,
-    with the op that follows them below."""
-    declared = ([fn.param] if fn.param else []) + fn.locals
-    slots = {name: i for i, (name, _) in enumerate(declared)}
-    n_slots = len(slots)
+    for the parameter, each local, and each let, as the parser numbered
+    them.  One walk with a work stack: the children of a node go on it in
+    reverse, with the op that follows them below."""
     code: list = []
     work: list = [fn.body]
     while work:
@@ -974,24 +975,11 @@ def _flat_code(mod: SrcModule, fn: TypedFn) -> tuple[list, int]:
             elif k == _HOLE:
                 w[1].append(len(code))
                 code.append(None)
-            elif k == _LABEL:
+            else:
                 _, fix, i, opcode = w
                 code[fix[i]] = (opcode, len(code))
-            elif k == _LET:
-                node = w[1]
-                code.append((_CALL, node.fn_index, node.arg is not None, n_slots))
-                work.append((_UNSCOPE, node.x, slots.get(node.x)))
-                work.append(node.body)
-                slots[node.x] = n_slots
-                n_slots += 1
-            else:
-                _, name, slot = w
-                if slot is None:
-                    del slots[name]
-                else:
-                    slots[name] = slot
         elif t is TVar:
-            code.append((_VAR, slots[w.name]))
+            code.append((_VAR, w.slot))
         elif t is TNum:
             code.append((_LIT, SInt(w.n)))
         elif t is TSeq:
@@ -1002,7 +990,7 @@ def _flat_code(mod: SrcModule, fn: TypedFn) -> tuple[list, int]:
         elif t is TBinOp:
             work += (_BIN_OPS[w.op], w.b, w.a)
         elif t is TAssignVar:
-            work += ((_SET, slots[w.name]), w.e)
+            work += ((_SET, w.slot), w.e)
         elif t is TAssignPtr:
             work += ((_WRITE, w.value_ty), w.e, w.target)
         elif t is TDeref:
@@ -1022,7 +1010,7 @@ def _flat_code(mod: SrcModule, fn: TypedFn) -> tuple[list, int]:
         elif t is TFree:
             work += ((_FREE,), w.e)
         elif t is TLetCall:
-            work.append((_LET, w))
+            work += (w.body, (_CALL, w.fn_index, w.arg is not None, w.slot))
             if w.arg is not None:
                 work.append(w.arg)
         elif t is TIntAsPtr:
@@ -1030,7 +1018,7 @@ def _flat_code(mod: SrcModule, fn: TypedFn) -> tuple[list, int]:
         else:
             raise AssertionError(f"cannot compile {w!r}")
     code.append((_RET,))
-    return code, n_slots
+    return code, (fn.param is not None) + len(fn.locals) + fn.n_lets
 
 
 def src_run(tm: TypedModule, budget: int = 1_000_000) -> SrcRunResult:

@@ -62,10 +62,11 @@ class TypingContext:
 def type_instr(ctx: TypingContext, ins: Instr) -> tuple[StackType, StackType]:
     """The arrow type (consumed, produced) of a single instruction.
 
-    `if` has no fixed arrow; it is handled by type_body.
+    `if`, `trap` and `return` have no fixed arrow: type_body types them
+    itself, and here they are a `bad-opcode` alike.
     """
     op = ins.op
-    if op == "nop" or op == "trap":
+    if op == "nop":
         return [], []
     if op == "const":
         ty, lit = ins.ty, ins.literal
@@ -105,8 +106,6 @@ def type_instr(ctx: TypingContext, ins: Instr) -> tuple[StackType, StackType]:
             raise TypeError_("bad-index", f"call {ins.idx}")
         ft = ctx.functions[ins.idx]
         return list(ft.params), list(ft.results)
-    if op == "return":
-        return list(ctx.results), []
     if op == "segload":
         return [ValueType.HANDLE], [ins.ty]
     if op == "segstore":

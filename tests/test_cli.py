@@ -70,6 +70,12 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["parse", str(f)]) == 12
 
 
+def test_an_input_file_that_cannot_be_read_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.mswat"
+    assert main(["parse", str(missing)]) == 2
+    assert capsys.readouterr().err == f"[Errno 2] No such file or directory: '{missing}'\n"
+
+
 def test_typecheck_ok(ok_file):
     assert main(["typecheck", ok_file]) == 0
 

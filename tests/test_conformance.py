@@ -163,6 +163,28 @@ def test_a_negative_malloc_is_unsafe_at_once_and_the_compiled_run_traps():
     assert rep.tgt_trace == [TrapEv()]
 
 
+def test_a_free_of_an_empty_allocation_relates_at_its_end():
+    """p's zero cells and q's two both sit at base 0, in the source heap
+    and in the segments, so p's base relates as the end of p's segment."""
+    rep = diff_run_source("""
+    module {
+      fn main() -> int {
+        var (p: ptr<array int>, q: ptr<array int>);
+        p := malloc<int>(0);
+        q := malloc<int>(2);
+        free(p);
+        *(q + 1) := 3;
+        free(q);
+        0
+      }
+      heap 0
+    }""")
+    assert rep.related, rep.reason
+    assert isinstance(rep.src_verdict, Safe)
+    assert [ev.ptr.base for ev in rep.src_trace[:2]] == [0, 0]
+    assert [ev.kind for ev in rep.tgt_trace] == ["salloc", "salloc", "sfree", "write", "sfree"]
+
+
 DIV_BY_ZERO = """module {
   fn main() -> int {
     var (x: int);

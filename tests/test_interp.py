@@ -465,6 +465,17 @@ def test_run_stops_exactly_where_step_stops():
 
 
 @pytest.mark.parametrize("backend", ["tagged", "baggy"])
+def test_step_on_a_terminal_configuration_is_an_interp_bug(backend):
+    """ARMS_AND_CALLS ends in a trap on tagged and returns on baggy."""
+    config = init_state(ARMS_AND_CALLS, backend)
+    while not config.terminal:
+        step(config)
+    assert config.trapped == (backend == "tagged")
+    with pytest.raises(InterpBug, match="step on terminal configuration"):
+        step(config)
+
+
+@pytest.mark.parametrize("backend", ["tagged", "baggy"])
 @pytest.mark.parametrize("body", [
     [bc.Instr("bogus")],
     [bc.const(I32, 2), bc.const(I32, 3), bc.Instr("binop", ty=I32, operator="pow")],

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import NESTED_CONSTRUCTS, nested_source, straight_line_source, with_frames
+from mswasm import cli
 from mswasm.bytecode import MAX_NESTING
 from mswasm.minic import (
     INT,
@@ -107,7 +108,30 @@ def test_an_if_of_an_int_arm_and_a_pointer_arm_has_the_pointer_type(arms):
     ptr = PtrType(ArrayType(None, INT))
     int_arm, ptr_arm = (e.t, e.f) if arms[0] == "0" else (e.f, e.t)
     assert e.ty == ptr
-    assert (int_arm, ptr_arm) == (TIntAsPtr(TNum(0, INT), ptr), TVar("p", ptr))
+    assert (int_arm, ptr_arm) == (TIntAsPtr(TNum(0, INT), ptr), TVar("p", ptr, 0))
+
+
+
+def test_the_parser_numbers_the_frame_slots_that_src_run_and_the_compiler_read():
+    """A let in a call's argument takes its slot before the let around
+    it, and the let's x shadows main's x only inside the parenthesis."""
+    from mswasm.bytecode import ValueType
+    from mswasm.compiler import compile_module
+    from mswasm.interp import run
+
+    tm = load("module { fn g() -> int { var (); 5 } fn f(n: int) -> int { var (); n + 1 } "
+              "fn main() -> int { var (x: int); x := 10; "
+              "(let x = f(let y = g() in y) in x) + x } heap 0 }")
+    main = tm.fns[0]
+    assign, add = main.body.items
+    let_x = add.a
+    assert (assign.slot, let_x.arg.slot, let_x.slot, main.n_lets) == (0, 1, 2, 2)
+    assert (let_x.body, add.b) == (TVar("x", INT, 2), TVar("x", INT, 0))
+    assert src_run(tm).result == SInt(16)
+    cm = compile_module(tm)
+    I32, H = ValueType.I32, ValueType.HANDLE
+    assert cm.funcs[0].locals == (I32, I32, I32, I32, H, H)
+    assert [v.v for v in run(cm).results] == [16]
 
 
 ALLOC_PROGRAM = """
@@ -527,6 +551,53 @@ def test_a_struct_with_two_fields_of_one_name_is_a_parse_error():
     with pytest.raises(SrcParseError, match="duplicate field name in struct D"):
         parse_source("module { struct D { a: int, a: array 2 int } "
                      "fn main() -> int { var (); 0 } heap 0 }")
+
+
+def _main(body: str, decls: str = "", var: str = "") -> str:
+    return f"module {{ {decls} fn main() -> int {{ var ({var}); {body} }} heap 0 }}"
+
+
+FRONT_END_ERRORS = [
+    (SrcParseError, "duplicate struct S",
+     _main("0", "struct S { a: int } struct S { b: int }")),
+    (SrcParseError, "struct-typed fields are not supported",
+     _main("0", "struct T { a: int } struct S { t: struct T }")),
+    (SrcParseError, "single malloc cannot take an array type",
+     _main("malloc(array 3 int); 0")),
+    (SrcTypeError, "duplicate function names",
+     _main("0", "fn f() -> int { var (); 0 } fn f() -> int { var (); 1 }")),
+    (SrcTypeError, "f defined and imported",
+     _main("0", "import f() -> int; fn f() -> int { var (); 0 }")),
+    (SrcTypeError, "main takes no parameter",
+     "module { fn main(x: int) -> int { var (); x } heap 0 }"),
+    (SrcTypeError, "duplicate variable x", _main("x", var="x: int, x: int")),
+    (SrcTypeError, "unknown struct Q", _main("malloc(struct Q); 0")),
+    (SrcTypeError, "unknown struct Q", _main("p.a; 0", var="p: ptr<struct Q>")),
+    (SrcTypeError, "array length must be an int",
+     _main("malloc<int>(p); 0", var="p: ptr<int>")),
+    (SrcTypeError, "arity mismatch calling f",
+     _main("let z = f() in z", "fn f(a: int) -> int { var (); a }")),
+    (SrcTypeError, "condition must be an int",
+     _main("if p { 0 } else { 1 }", var="p: ptr<int>")),
+    (SrcTypeError, "struct S has no field zz",
+     _main("p.zz; 0", "struct S { a: int }", "p: ptr<struct S>")),
+    (SrcTypeError, "branch types differ: ptr<array 4 int> vs ptr<array 3 int>",
+     _main("if 1 { p } else { q }; 0", var="p: ptr<array 4 int>, q: ptr<array 3 int>")),
+]
+
+
+@pytest.mark.parametrize("cls,msg,text", FRONT_END_ERRORS)
+def test_each_front_end_error_has_its_class_message_and_exit_code(tmp_path, capsys, cls, msg, text):
+    """parse_source raises it, and `mswasm compile` exits 12 on a parse
+    error and 11 on a type error."""
+    with pytest.raises((SrcParseError, SrcTypeError)) as e:
+        parse_source(text)
+    assert (type(e.value), str(e.value)) == (cls, msg)
+    src = tmp_path / "p.uc"
+    src.write_text(text)
+    code, kind = (12, "parse") if cls is SrcParseError else (11, "type")
+    assert cli.main(["compile", str(src)]) == code
+    assert capsys.readouterr().err == f"{kind} error: {msg}\n"
 
 
 # -- which error a text reports --------------------------------------------

@@ -14,3 +14,24 @@ def test_trace_digest_prints_two_stable_sha256s():
             for _ in range(2)]
     assert re.fullmatch(r"behaviour     [0-9a-f]{64}\nfailure paths [0-9a-f]{64}\n", outs[0]), outs[0]
     assert outs[0] == outs[1]
+
+
+def test_line_reach_prints_the_never_run_lines_per_file_and_their_total():
+    """On tests/test_segmem.py alone: no test fails, each listed file has
+    its never-run lines ascending, and the last line sums them.  segmem's
+    own tests leave few of its lines unrun, and most of minic's."""
+    cmd = [sys.executable, str(ROOT / "scripts" / "line_reach.py"), "-q",
+           "-p", "no:cacheprovider", str(ROOT / "tests" / "test_segmem.py")]
+    out = subprocess.run(cmd, capture_output=True, text=True, check=True, timeout=120).stdout
+    *files, last = out.splitlines()
+    total = re.fullmatch(r"(\d+) never-run statement lines", last)
+    assert total, out
+    missed = {}
+    for line in files:
+        m = re.fullmatch(r"src/mswasm/(\w+\.py): (\d+(?: \d+)*)", line)
+        assert m, line
+        lines = [int(n) for n in m[2].split()]
+        assert lines == sorted(set(lines))
+        missed[m[1]] = len(lines)
+    assert sum(missed.values()) == int(total[1])
+    assert missed.get("segmem.py", 0) < 20 < missed["minic.py"]

@@ -60,6 +60,15 @@ def test_binop_on_handle_rejected():
     assert e.value.kind == "binop-on-handle"
 
 
+@pytest.mark.parametrize("ins", [bc.trap(), bc.return_(), bc.if_([], [])],
+                         ids=["trap", "return", "if"])
+def test_type_instr_leaves_trap_return_and_if_to_type_body(ins):
+    """No fixed arrow: type_body types these itself."""
+    with pytest.raises(TypeError_) as e:
+        type_instr(ctx(results=[I32]), ins)
+    assert e.value.kind == "bad-opcode"
+
+
 @pytest.mark.parametrize("ty,literal", [
     (I32, 1 << 31), (I32, -(1 << 31) - 1), (I32, 99999999999),
     (I64, 1 << 63), (I64, -(1 << 63) - 1),
