@@ -1,13 +1,12 @@
 """Small-step, trace-emitting interpreter.
 
 `_steps` is the one machine loop.  It fetches the next instruction of the
-top frame, from an iterator over the function's own code, and runs it:
-the seven silent stack and handle opcodes inline, every other one through
-`_HANDLERS`, one table from opcode to a small function that mutates the
-configuration and returns the event it emits, or None.  `step` is that
-loop run for one step; `run` runs it from function 0 until the
-configuration is terminal or the step budget is spent, and collects the
-trace.
+top frame, from an iterator over the function's own code, and runs it by
+one if-chain with one arm per opcode: each opcode's reduction rule is
+written there and nowhere else.  Only the `call` and `return` arms change
+the top frame, so only they read it again.  `step` is that loop run for
+one step; `run` runs it from function 0 until the configuration is
+terminal or the step budget is spent, and collects the trace.
 
 Execution is deterministic: one rule applies per step.  Any failed
 premise of an operation raises MemTrap, and `_steps` is the one place
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 from .baggy import BuddyMemory
-from .bytecode import OPCODES, FuncDef, Instr, ModuleDef, ValueType
+from .bytecode import FuncDef, Instr, ModuleDef, ValueType
 from .monitor import other_event, same_event
 from .segmem import MAX_MEMORY, Handle, MemTrap, SegmentMemory, TrapKind
 
@@ -263,116 +262,19 @@ _BINOPS = {"i32": _int_ops(32), "i64": _int_ops(64),
            "f32": _float_ops(_fit), "f64": _float_ops(lambda r: r)}
 
 
-# -- instructions ------------------------------------------------------
-#
-# `_steps` runs const, get, set, binop, if, slice and handle_add itself.
-# Every other opcode has a handler here, which takes (config, top frame,
-# instruction), the instruction already fetched, and returns the emitted
-# event or None.  A failed premise raises MemTrap, which `_steps` catches.
-
-
-def _nop(config, frame, ins):
-    return None
-
-
-def _trap_ins(config, frame, ins):
-    return _trap(config)
-
-
-def _load(config, frame, ins):
-    assert ins.ty is not HANDLE, "handle load from flat heap"
-    layout = _NUM[ins.ty._value_]
-    n = frame.operands.pop()
-    if not (0 <= n and n + layout.size <= len(config.heap)):
-        raise MemTrap(TrapKind.HEAP, f"load at {n}")
-    frame.operands.append(layout.unpack_from(config.heap, n)[0])
-
-
-def _store(config, frame, ins):
-    assert ins.ty is not HANDLE, "handle store to flat heap"
-    layout = _NUM[ins.ty._value_]
-    v = frame.operands.pop()
-    n = frame.operands.pop()
-    if not (0 <= n and n + layout.size <= len(config.heap)):
-        raise MemTrap(TrapKind.HEAP, f"store at {n}")
-    config.heap[n:n + layout.size] = layout.pack(v)
-
-
-def _call(config, frame, ins):
-    m = config.module
-    ops = frame.operands
-    first_arg = len(ops) - len(m.funcs[ins.idx].params)
-    args = ops[first_arg:]
-    del ops[first_arg:]
-    config.frames.append(_new_frame(m, ins.idx, args, config.backend))
-
-
-def _return(config, frame, ins):
-    return _do_return(config, frame)
-
-
-def _segload(config, frame, ins):
-    backend = config.backend
-    ops = frame.operands
-    h = ops.pop()
-    ty = ins.ty
-    if ty is HANDLE:
-        ops.append(backend.load_handle(h))
-    else:
-        ops.append(backend.load(h, _NUM[ty._value_]))
-    return _new(ReadEv, (ty, backend.view(h)))
-
-
-def _segstore(config, frame, ins):
-    backend = config.backend
-    ops = frame.operands
-    v = ops.pop()
-    h = ops.pop()
-    ty = ins.ty
-    if ty is HANDLE:
-        backend.store_handle(h, v)
-    else:
-        backend.store(h, _NUM[ty._value_], v)
-    return _new(WriteEv, (ty, backend.view(h)))
-
-
-def _new_segment(config, frame, ins):
-    backend = config.backend
-    n = frame.operands.pop()
-    h = backend.alloc(n)
-    frame.operands.append(h)
-    return _new(SAllocEv, (backend.view(h),))
-
-
-def _segfree(config, frame, ins):
-    backend = config.backend
-    h = frame.operands.pop()
-    view = backend.view(h)
-    backend.free(h)
-    return _new(SFreeEv, (view,))
-
-
-_HANDLERS = {
-    "nop": _nop, "trap": _trap_ins, "load": _load, "store": _store,
-    "call": _call, "return": _return, "segload": _segload,
-    "segstore": _segstore, "new_segment": _new_segment, "segfree": _segfree,
-}
-_INLINE = {"const", "get", "set", "binop", "if", "slice", "handle_add"}
-assert _INLINE.isdisjoint(_HANDLERS) and _INLINE | _HANDLERS.keys() == set(OPCODES)
-
-
 def _steps(config: Config, budget: int, emit) -> int:
     """The machine loop: run up to `budget` steps of a non-terminal
     configuration, passing each event to `emit`, and return the steps run.
 
-    The top frame's running block, operands and locals live in local
-    variables; a handler may push or pop a frame, so they are read again
-    after each one.  Ending an `if` arm resumes the enclosing block within
-    the same step; ending a body is the implicit return, a step of its own.
-    This is the one catch of MemTrap: a trap of any kind becomes the trap
-    event here, and the configuration halts with no frames left."""
+    Each opcode's rule is one arm of the if-chain below.  The top frame's
+    running block, operands and locals live in local variables; only
+    `call` and `return` change the top frame, so only they read it again.
+    Ending an `if` arm resumes the enclosing block within the same step;
+    ending a body is the implicit return, a step of its own.  This is the
+    one catch of MemTrap: a trap of any kind becomes the trap event here,
+    and the configuration halts with no frames left."""
     frames = config.frames
-    backend = config.backend
+    module, heap, backend = config.module, config.heap, config.backend
     frame = frames[-1]
     code, ops, locs = frame.code, frame.operands, frame.locals
     n = 0
@@ -417,17 +319,67 @@ def _steps(config: Config, budget: int, emit) -> int:
                 o2 = ops.pop()
                 o1 = ops.pop()
                 ops[-1] = backend.slice_handle(ops[-1], o1, o2)
-            else:
-                handler = _HANDLERS.get(op)
-                if handler is None:
-                    raise InterpBug(f"unknown opcode {op}")
-                ev = handler(config, frame, ins)
-                if ev is not None:
-                    emit(ev)
+            elif op == "segload":
+                h = ops.pop()
+                ty = ins.ty
+                if ty is HANDLE:
+                    ops.append(backend.load_handle(h))
+                else:
+                    ops.append(backend.load(h, _NUM[ty._value_]))
+                emit(_new(ReadEv, (ty, backend.view(h))))
+            elif op == "segstore":
+                v = ops.pop()
+                h = ops.pop()
+                ty = ins.ty
+                if ty is HANDLE:
+                    backend.store_handle(h, v)
+                else:
+                    backend.store(h, _NUM[ty._value_], v)
+                emit(_new(WriteEv, (ty, backend.view(h))))
+            elif op == "call":
+                first_arg = len(ops) - len(module.funcs[ins.idx].params)
+                args = ops[first_arg:]
+                del ops[first_arg:]
+                frame = _new_frame(module, ins.idx, args, backend)
+                frames.append(frame)
+                code, ops, locs = frame.code, frame.operands, frame.locals
+            elif op == "return":
+                _do_return(config, frame)
                 if not frames:
                     break
                 frame = frames[-1]
                 code, ops, locs = frame.code, frame.operands, frame.locals
+            elif op == "new_segment":
+                h = backend.alloc(ops.pop())
+                ops.append(h)
+                emit(_new(SAllocEv, (backend.view(h),)))
+            elif op == "segfree":
+                h = ops.pop()
+                view = backend.view(h)
+                backend.free(h)
+                emit(_new(SFreeEv, (view,)))
+            elif op == "load":
+                assert ins.ty is not HANDLE, "handle load from flat heap"
+                layout = _NUM[ins.ty._value_]
+                a = ops.pop()
+                if not (0 <= a and a + layout.size <= len(heap)):
+                    raise MemTrap(TrapKind.HEAP, f"load at {a}")
+                ops.append(layout.unpack_from(heap, a)[0])
+            elif op == "store":
+                assert ins.ty is not HANDLE, "handle store to flat heap"
+                layout = _NUM[ins.ty._value_]
+                v = ops.pop()
+                a = ops.pop()
+                if not (0 <= a and a + layout.size <= len(heap)):
+                    raise MemTrap(TrapKind.HEAP, f"store at {a}")
+                heap[a:a + layout.size] = layout.pack(v)
+            elif op == "trap":
+                emit(_trap(config))
+                break
+            elif op == "nop":
+                pass
+            else:
+                raise InterpBug(f"unknown opcode {op}")
     except MemTrap:
         emit(_trap(config))
     return n
@@ -451,7 +403,6 @@ def _do_return(config: Config, frame: Frame):
         config.frames[-1].operands.extend(results)
     else:
         config.results = list(map(Value, frame.func.results, results))
-    return None
 
 
 @dataclass

@@ -117,6 +117,20 @@ def test_check_safe(ok_file):
     assert main(["check", ok_file]) == 0
 
 
+def test_check_of_a_run_that_breaks_safety_is_a_violation(tmp_path, capsys, monkeypatch):
+    """A seeded defect: segfree leaves the segment allocated, so the read
+    after it runs on instead of trapping, and the monitor rejects it."""
+    from mswasm.segmem import SegmentMemory
+    monkeypatch.setattr(SegmentMemory, "free", lambda self, h: None)
+    f = tmp_path / "uaf.mswat"
+    f.write_text("(module (segment 64) (heap 0)"
+                 " (func (local handle) (result i32)"
+                 " i32.const 8 new_segment set 0 get 0 segfree get 0 i32.segload))")
+    assert main(["check", str(f)]) == cli.EXIT_VIOLATION == 13
+    err = capsys.readouterr().err
+    assert err.startswith("violation: ") and "temporal-freed" in err
+
+
 def test_monitor_safe_and_violation(tmp_path):
     safe = tmp_path / "safe.jsonl"
     safe.write_text('{"ev":"alloc","n":2,"a":0,"c":0,"phi":[0,0]}\n'
@@ -225,6 +239,25 @@ def test_diff_safe_and_unsafe(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["related"] is True
     assert payload["src_verdict"].startswith("unsafe@")
+
+
+def test_diff_of_a_broken_chain_reports_where_and_why(tmp_path, capsys, monkeypatch):
+    """A seeded defect: the compiled side runs on baggy, whose handles do
+    not relate to the source's pointers."""
+    from functools import partial
+
+    from mswasm import conformance
+    monkeypatch.setattr(conformance, "run", partial(run, backend="baggy"))
+    src = tmp_path / "p.uc"
+    src.write_text(OVERFLOW_SOURCE)
+    assert main(["diff", str(src)]) == cli.EXIT_DIVERGED == 15
+    lines = capsys.readouterr().out.splitlines()
+    assert "index: 0" in lines
+    assert any(line.startswith("reason: prefix events unrelated: ") for line in lines)
+    assert main(["diff", str(src), "--json"]) == 15
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["related"] is False and payload["index"] == 0
+    assert payload["reason"].startswith("prefix events unrelated: ")
 
 
 def test_fuzz_smoke(tmp_path, capsys):

@@ -1,13 +1,13 @@
+import sys
 import tracemalloc
 
 import pytest
 
 from mswasm import bytecode as bc
+from mswasm import interp
 from mswasm.baggy import NULL_BAGGY, BaggyHandle
-from mswasm.bytecode import FuncDef, FuncType, ModuleDef, ValueType, parse_module
+from mswasm.bytecode import OPCODES, FuncDef, FuncType, ModuleDef, ValueType, parse_module
 from mswasm.interp import (
-    _BINOPS,
-    _HANDLERS,
     BACKENDS,
     Config,
     InitError,
@@ -26,7 +26,7 @@ from mswasm.interp import (
     step,
     trace_to_jsonl,
 )
-from mswasm.segmem import Handle, MemTrap, TrapKind
+from mswasm.segmem import Handle, TrapKind
 from mswasm.typecheck import typecheck_module
 
 I32, I64, F64, H = ValueType.I32, ValueType.I64, ValueType.F64, ValueType.HANDLE
@@ -193,21 +193,19 @@ def test_div_overflow_traps():
     ([bc.const(I32, 61), bc.load(I32)], TrapKind.HEAP),
     ([bc.const(I32, -1), bc.const(I32, 0), bc.store(I32)], TrapKind.HEAP),
 ])
-def test_arithmetic_and_heap_traps_raise_memtrap_with_their_kind(body, kind):
-    """Operators and handlers raise; the machine loop is the one place
+def test_arithmetic_and_heap_traps_raise_memtrap_with_their_kind(body, kind, monkeypatch):
+    """Operators and heap accesses raise; the machine loop is the one place
     that turns MemTrap into the trap event (the outcome tests above)."""
-    config = init_state(module(body, results=(), heap=64))
-    for _ in body[:-1]:
-        step(config)
-    frame = config.frames[-1]
-    ins = next(frame.code)
-    with pytest.raises(MemTrap) as e:
-        if ins.op == "binop":
-            b = frame.operands.pop()
-            _BINOPS[ins.ty._value_][ins.operator](frame.operands.pop(), b)
-        else:
-            _HANDLERS[ins.op](config, frame, ins)
-    assert e.value.kind is kind
+    kinds = []
+    trap = interp._trap
+
+    def record(config):
+        kinds.append(sys.exc_info()[1].kind)
+        return trap(config)
+
+    monkeypatch.setattr(interp, "_trap", record)
+    res = run(module(body, results=(), heap=64))
+    assert res.outcome == "trap" and kinds == [kind]
 
 
 def test_i32_wrapping():
@@ -290,6 +288,19 @@ def test_init_rejects_imported_modules():
         init_state(m)
 
 
+@pytest.mark.parametrize("entry,message", [
+    ((), "no entry function"),
+    ((FuncDef((I32,), (), (), ()),), "entry function must take no parameters"),
+])
+def test_init_rejects_a_module_without_a_runnable_entry(entry, message):
+    with pytest.raises(InitError, match=message):
+        init_state(ModuleDef(entry, (), 0, 0))
+
+
+def test_value_repr_names_type_and_payload():
+    assert repr(Value(I32, 3)) == "i32:3"
+
+
 def test_call_and_return_balance():
     src = """
     (module (segment 0) (heap 0)
@@ -360,6 +371,15 @@ def test_link_type_mismatch():
     ctx = parse_module("(module (segment 0) (heap 0)"
                        " (func (param i64) (result i32) i32.const 0))")
     with pytest.raises(LinkError):
+        link(_victim(), ctx)
+
+
+@pytest.mark.parametrize("ctx,message", [
+    (ModuleDef((), (FuncType((), ()),), 0, 0), "context module must be whole"),
+    (ModuleDef((), (), 0, 0), "context exports 0 functions, need 1"),
+])
+def test_link_rejects_a_context_that_cannot_fill_the_imports(ctx, message):
+    with pytest.raises(LinkError, match=message):
         link(_victim(), ctx)
 
 
@@ -487,6 +507,43 @@ def test_malformed_instructions_are_interp_bugs(backend, body):
     a trap or a result."""
     with pytest.raises(InterpBug):
         run(module(body, locals_=(H,), results=()), backend)
+
+
+EVERY_OPCODE = """
+(module (segment 64) (heap 8)
+  (func (local handle i32)
+    nop
+    i32.const 8 new_segment set 0
+    get 0 i32.const 4 handle.add i32.const 7 i32.segstore
+    get 0 i32.const 0 i32.const 0 slice i32.const 4 handle.add i32.segload
+    call 1 set 1
+    i32.const 0 get 1 i32.store
+    i32.const 0 i32.load
+    (if (then get 0 segfree))
+    trap)
+  (func (param i32) (result i32) get 0 i32.const 1 i32.add return))
+"""
+
+
+def _ops(body):
+    for ins in body:
+        yield ins.op
+        yield from _ops(ins.then_body)
+        yield from _ops(ins.else_body)
+
+
+@pytest.mark.parametrize("backend", ["tagged", "baggy"])
+def test_every_opcode_has_a_rule_on_both_backends(backend):
+    """Each instruction of EVERY_OPCODE runs once, and between them they
+    use every opcode: the loop has an arm for each."""
+    m = parse_module(EVERY_OPCODE)
+    typecheck_module(m)
+    ops = [op for f in m.funcs for op in _ops(f.body)]
+    assert set(ops) == set(OPCODES)
+    res = run(m, backend)
+    assert res.outcome == "trap" and res.steps == len(ops)
+    assert [e.kind for e in res.trace] == ["salloc", "write", "read", "sfree", "trap"]
+    assert res.config.heap[:4] == (8).to_bytes(4, "little")  # 7 read, plus 1
 
 
 def test_run_counts_steps_up_to_the_budget():

@@ -492,6 +492,27 @@ def test_depth_counts_every_construct_on_the_longest_path():
             parse_source(shell.format(body))
 
 
+def _chain(n):
+    return " + ".join(["x"] * (n + 1))  # n operators deep
+
+
+@pytest.mark.parametrize("body", [
+    f"if {_chain(99)} {{ s }} else {{ s }}.a",  # the field after `.`
+    f"*({_chain(99)})",                         # the deref after `*`
+    f"free({_chain(100)})",                     # the parentheses of `enclosed`
+    f"let y = f() in {_chain(100)}",            # a let body
+    f"if {_chain(100)} {{ 1 }} else {{ 2 }}",   # an if condition
+], ids=["field", "deref", "enclosed", "let", "if"])
+def test_each_construct_counts_its_own_level_past_its_operand(body):
+    """Each construct adds one level above an operand already at the cap,
+    which alone parses."""
+    shell = ("module {{ struct S {{ a: int }} fn f() -> int {{ var (); 0 }}"
+             " fn main() -> int {{ var (x: int, s: ptr<struct S>); {} }} heap 0 }}")
+    parse_source(shell.format(_chain(100)))
+    with pytest.raises(SrcParseError, match=f"nesting deeper than {MAX_NESTING}"):
+        parse_source(shell.format(body))
+
+
 def test_deep_straight_line_program_compiles_and_relates():
     """1,500 statements in one block: the frontend benchmark's deep
     program, which the tree walks could not handle when blocks nested."""

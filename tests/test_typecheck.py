@@ -264,6 +264,9 @@ _ADD, _ONE = bc.binop(I32, "add"), bc.const(I32, 1)
      "need [<ValueType.I32: 'i32'>], have []"),
     ((I32,), (), (bc.get(0), bc.get(0), bc.segfree()), "type-mismatch",
      "need [<ValueType.HANDLE: 'handle'>], have [<ValueType.I32: 'i32'>]"),
+    # API-built only: parse_module rejects the word `i32.pow` first
+    ((), (I32,), (_ONE, _ONE, bc.Instr("binop", ty=I32, operator="pow")), "bad-operator",
+     "i32.pow"),
 ])
 def test_ill_typed_bodies_keep_their_kind_and_message(locals_, results, body, kind, msg):
     with pytest.raises(TypeError_) as e:
