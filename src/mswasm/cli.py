@@ -1,14 +1,19 @@
 """Command-line front end.
 
-Exit codes: 0 ok, 2 usage (also `run` or `check` on a module with imports,
-`diff` on a source with imports, or an input file that cannot be read),
-10 trap, 11 type error (also a `get`, `set` or `call` index out of range
-in code that can run), 12 parse error (also text nested past
+Exit codes: 0 ok, 2 usage (also `run` or `check` on a module that
+interp.init_state rejects: one with imports, no function, or a function 0
+with parameters; `diff` on a source with imports; `fuzz --attacker
+--source`; or an input file that cannot be read), 10 trap, 11 type error
+(ill-typed code only; also a `get`, `set` or `call` index out of range in
+code that can run), 12 parse error (also text nested past
 bytecode.MAX_NESTING), 13 monitor violation (also `fuzz` and
 `fuzz --attacker` with a counterexample), 14 step budget exhausted, 15
 differential divergence (also `fuzz --source` with a counterexample), 16
 internal error (an interpreter bug, interp.InterpBug, or memory
-exhausted, MemoryError).
+exhausted, MemoryError).  `check` and a fuzz bundle's report print
+`Violation(kind=..., index=..., at=...)`: the kind, the rejected abstract
+event's index, and the index of the trace event it came from.  `fuzz
+--budget` bounds each bytecode run; `fuzz --source` ignores it.
 
 A source text with more than one error exits with the code of the first
 in the order the minic docstring gives: parse errors outside the function
@@ -120,14 +125,14 @@ def cmd_diff(args) -> int:
         "src_events": len(report.src_trace),
         "tgt_events": len(report.tgt_trace),
     }
-    if report.diverged:
+    if not report.related:
         payload.update({"index": report.index, "reason": report.reason})
     if args.json:
         print(json.dumps(payload))
     else:
         for k, v in payload.items():
             print(f"{k}: {v}")
-    return EXIT_DIVERGED if report.diverged else EXIT_OK
+    return EXIT_OK if report.related else EXIT_DIVERGED
 
 
 def _save_counterexample(outdir: Path, name: str, bundle: dict) -> None:
@@ -169,7 +174,7 @@ def cmd_fuzz(args) -> int:
             m = compile_module(tm)
             typecheck_module(m)
             report = conformance.diff_run(tm, m)
-            bad = report.diverged
+            bad = not report.related
             if bad:
                 _save_counterexample(outdir, f"diff-{seed}", {
                     "src": text,
@@ -233,11 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("fuzz", help="fuzz campaigns")
     sp.add_argument("--n", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--attacker", action="store_true",
-                    help="victim+attacker linking campaign")
-    sp.add_argument("--source", action="store_true",
-                    help="source-program differential campaign")
-    sp.add_argument("--budget", type=int, default=1_000_000)
+    campaign = sp.add_mutually_exclusive_group()
+    campaign.add_argument("--attacker", action="store_true",
+                          help="victim+attacker linking campaign")
+    campaign.add_argument("--source", action="store_true",
+                          help="source-program differential campaign (ignores --budget)")
+    sp.add_argument("--budget", type=int, default=1_000_000,
+                    help="step budget of each bytecode run (module and attacker campaigns)")
     sp.add_argument("--out", default="counterexamples")
     sp.set_defaults(fn=cmd_fuzz)
 

@@ -97,6 +97,9 @@ def relate_value(layout: Layout, delta: CrossBijection, sv, tv) -> bool:
             and tv.offset == (sv.addr - sv.base) * width)
 
 
+_TARGET_OF = {SrcRead: ReadEv, SrcWrite: WriteEv, SrcFree: SFreeEv}
+
+
 def relate_events(layout: Layout, delta: CrossBijection, sev, tev) -> bool:
     """Event relation; a related allocation pair extends the bijection."""
     if isinstance(sev, SrcAlloc):
@@ -117,22 +120,14 @@ def relate_events(layout: Layout, delta: CrossBijection, sev, tev) -> bool:
                                          w, elem_cells, elem_bytes, cell_bytes, h.bound)
         delta.used_tgt_ids.add(h.id)
         return True
-    if isinstance(sev, (SrcRead, SrcWrite)):
-        if isinstance(sev.v, SInt):
-            return isinstance(tev, TrapEv)  # forged accesses relate to trap
-        want = ReadEv if isinstance(sev, SrcRead) else WriteEv
-        if not isinstance(tev, want):
-            return False
-        if compile_type(sev.ty) is not tev.ty:
-            return False
-        return tev.handle.valid and relate_value(layout, delta, sev.v, tev.handle)
-    if isinstance(sev, SrcFree):
-        if isinstance(sev.v, SInt):
-            return isinstance(tev, TrapEv)
-        if not isinstance(tev, SFreeEv):
-            return False
-        return tev.handle.valid and relate_value(layout, delta, sev.v, tev.handle)
-    return False
+    want = _TARGET_OF.get(type(sev))
+    if want is None:
+        return False
+    if isinstance(sev.v, SInt):
+        return isinstance(tev, TrapEv)  # forged accesses and frees relate to trap
+    return (isinstance(tev, want)
+            and (want is SFreeEv or compile_type(sev.ty) is tev.ty)
+            and relate_value(layout, delta, sev.v, tev.handle))
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +142,6 @@ class RelationReport:
     src_verdict: object = None
     src_trace: list = field(default_factory=list)
     tgt_trace: list = field(default_factory=list)
-
-    @property
-    def diverged(self) -> bool:
-        return not self.related
 
 
 def diff_run(tm: TypedModule, cm: ModuleDef) -> RelationReport:

@@ -78,7 +78,8 @@ from typing import NamedTuple
 
 from .bytecode import MAX_NESTING
 from .monitor import (
-    AAlloc, AFree, ARead, AWrite, SAFE, Safe, ShadowMemory, monitor_step, other_event, same_event,
+    AAlloc, AFree, ARead, AWrite, SAFE, Safe, ShadowMemory, Violation, monitor_step, other_event,
+    same_event,
 )
 from .segmem import give, take
 from .tracerel import BijectionDelta
@@ -1204,56 +1205,50 @@ def src_run(tm: TypedModule, budget: int = 1_000_000) -> SrcRunResult:
 # Source-side memory safety: relate the trace to monitor events.
 
 
-@dataclass(frozen=True)
-class SrcUnsafe:
-    index: int   # first violating event in the source trace
-    reason: str
-
-
 def src_relate(mod: SrcModule, trace: list, step):
     """Pass the abstract image of a source trace to step, one abstract
-    event per source event, and return the verdict: SAFE, or SrcUnsafe at
-    the first event that is forged, has no image, or whose image step
-    rejects.  step returns None to accept an event, or a violation kind,
-    which becomes the SrcUnsafe's reason.  Pointers resolve through one
+    event per source event, and return SAFE, or Violation(kind, i, i) at
+    the first event i that is forged, has no image, or whose image step
+    rejects: kind is one of the six reasons below, or the violation kind
+    step returns (None accepts an event).  Pointers resolve through one
     record per allocation id, as handles do in tracerel."""
     delta, layout = BijectionDelta(), mod.layout
     for i, ev in enumerate(trace):
         if isinstance(ev, SrcAlloc):
             ptr = ev.ptr
             if ptr.length < 0:
-                return SrcUnsafe(i, "allocation with negative length")
+                return Violation("allocation with negative length", i, i)
             ncells = ptr.length * layout.cells(ptr.wtype)
             shades = layout.shades(ptr.wtype) if ncells else ()
             color = delta.bind_segment(ptr.id, ptr.base, ncells, shades)
             kind = step(AAlloc(ncells, ptr.base, color, shades))
         elif isinstance(ev, (SrcRead, SrcWrite)):
             if isinstance(ev.v, SInt):
-                return SrcUnsafe(i, "access through a raw integer")
+                return Violation("access through a raw integer", i, i)
             ptr = ev.v
             image = delta.resolve(ptr.id, ptr.base)
             if image is None:
-                return SrcUnsafe(i, "pointer with unknown provenance")
+                return Violation("pointer with unknown provenance", i, i)
             cls = ARead if isinstance(ev, SrcRead) else AWrite
             kind = step(cls(ptr.addr, *image))
         elif isinstance(ev, SrcFree):
             if isinstance(ev.v, SInt):
-                return SrcUnsafe(i, "free of a raw integer")
+                return Violation("free of a raw integer", i, i)
             ptr = ev.v
             if ptr.addr != ptr.base:
-                return SrcUnsafe(i, "free not at allocation start")
+                return Violation("free not at allocation start", i, i)
             image = delta.resolve(ptr.id, ptr.base)
             if image is None:
-                return SrcUnsafe(i, "free with unknown provenance")
+                return Violation("free with unknown provenance", i, i)
             kind = step(AFree(ptr.base, image[0]))
         else:
             raise TypeError(f"not a source event: {ev!r}")
         if kind is not None:
-            return SrcUnsafe(i, kind)
+            return Violation(kind, i, i)
     return SAFE
 
 
 def src_ms(mod: SrcModule, trace: list):
-    """SAFE, or SrcUnsafe carrying the index of the first memory violation
-    (a forged event, or the first event the monitor rejects)."""
+    """SAFE, or the Violation at the first memory violation (a forged event,
+    or the first event the monitor rejects)."""
     return src_relate(mod, trace, partial(monitor_step, ShadowMemory()))

@@ -67,11 +67,11 @@ class AFree(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Violation:
-    kind: str   # spatial-color | shade | temporal-freed | temporal-unmapped
-                # | alloc-overlap | double-free | color-reuse | free-unmatched
-    index: int
-    detail: str = ""
+class Violation:  # the unsafe verdict of check_trace, tracerel.check_ms and minic.src_ms
+    kind: str   # spatial-color | shade | temporal-freed | temporal-unmapped | alloc-overlap
+                # | double-free | color-reuse | free-unmatched, or a minic.src_relate reason
+    index: int  # the rejected abstract event's position
+    at: int     # the position of the judged trace's event that it came from
 
 
 @dataclass
@@ -155,12 +155,12 @@ SAFE = Safe()
 
 def check_trace(events: list):
     """Fold the monitor over a trace from the empty shadow memory.
-    Returns SAFE or the first Violation."""
+    Returns SAFE, or Violation(kind, i, i) for the first event i rejected."""
     shadow = ShadowMemory()
     for i, ev in enumerate(events):
         kind = monitor_step(shadow, ev)
         if kind is not None:
-            return Violation(kind, i)
+            return Violation(kind, i, i)
     return SAFE
 
 

@@ -178,7 +178,7 @@ class SegmentMemory:
             raise MemTrap(TrapKind.OOM, f"no free range fits {n} bytes")
         seg_id = self.next_id
         if seg_id > MAX_ID:
-            raise RuntimeError("segment id space exhausted")
+            raise MemTrap(TrapKind.OOM, "segment id space exhausted")
         self.next_id += 1
         grow = base + n - len(self.data)
         if grow > 0:

@@ -46,12 +46,6 @@ class Unrelatable:
     reason: str
 
 
-@dataclass(frozen=True)
-class TraceViolation:
-    violation: Violation
-    trace_index: int  # index of the concrete event it came from
-
-
 class BijectionDelta:
     """Segment id -> (base, size, colour, shades), one record per segment,
     plus the ids whose segment is live.  Colours are fresh per allocation,
@@ -96,8 +90,8 @@ def relate(trace, step, access, delta: BijectionDelta, shading=constant_shading)
     allocation or free to step, which returns None or a violation kind, and
     each read or write to access(cls, addr, width, colour, shade), which
     returns None or (kind, k) for its k-th byte, as `monitor_access` does.
-    Returns SAFE, Unrelatable, or TraceViolation(Violation(kind, n), i)
-    when the n-th abstract event, made from trace[i], is rejected."""
+    Returns SAFE, Unrelatable, or Violation(kind, n, i) when the n-th
+    abstract event, made from trace[i], is rejected."""
     n = 0  # abstract events made so far
     for i, ev in enumerate(trace):
         cls = type(ev)
@@ -122,13 +116,13 @@ def relate(trace, step, access, delta: BijectionDelta, shading=constant_shading)
                 bad = access(ARead if cls is ReadEv else AWrite, h.base + h.offset,
                              width, color, shade)
                 if bad is not None:
-                    return TraceViolation(Violation(bad[0], n + bad[1]), i)
+                    return Violation(bad[0], n + bad[1], i)
                 n += width
                 continue
             delta.live.discard(h.id)
             kind = step(AFree(h.base, color))
         if kind is not None:
-            return TraceViolation(Violation(kind, n), i)
+            return Violation(kind, n, i)
         n += 1
     return SAFE
 
@@ -149,7 +143,7 @@ def relate_trace(trace, shading=constant_shading):
 
 
 def check_ms(trace, shading=constant_shading):
-    """Safety of the related abstract trace: SAFE, TraceViolation, or
+    """Safety of the related abstract trace: SAFE, a monitor Violation, or
     Unrelatable, whichever the first offending event gives."""
     shadow = ShadowMemory()
     return relate(trace, partial(monitor_step, shadow), partial(monitor_access, shadow),

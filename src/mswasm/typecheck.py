@@ -201,10 +201,10 @@ def typecheck_func(functions: list[FuncType], f: FuncDef) -> None:
                          f"body gives {out}, declared {list(f.results)}")
 
 
-def typecheck_module(m: ModuleDef, library: bool = False) -> None:
-    """Check every function; whole modules also need a no-param entry
-    (skipped for library=True, e.g. link contexts that only export).
-    Raises TypeError_ for an ill-typed module."""
+def typecheck_module(m: ModuleDef) -> None:
+    """Check every function, whatever its type: whether a module can run
+    (an entry function 0 without parameters, no imports) is judged by
+    interp.init_state.  Raises TypeError_ for an ill-typed module."""
     functions = m.func_types()
     errors = []
     for i, f in enumerate(m.funcs):
@@ -214,9 +214,4 @@ def typecheck_module(m: ModuleDef, library: bool = False) -> None:
             errors.append(f"func {len(m.imports) + i}: {e}")
     if errors:
         raise TypeError_("module", "; ".join(errors))
-    if m.is_whole and not library:
-        if not m.funcs:
-            raise TypeError_("no-entry", "whole module has no functions")
-        if m.funcs[0].params:
-            raise TypeError_("entry-params", "entry function must take no parameters")
 

@@ -180,7 +180,7 @@ def brute_check_trace(events):
     for i, ev in enumerate(events):
         kind = bm.step_kind(ev)
         if kind is not None:
-            return Violation(kind, i)
+            return Violation(kind, i, i)
     return SAFE
 
 

@@ -260,7 +260,7 @@ def test_monitor_scales_linearly_with_frees():
     verdict = check_trace(trace)
     elapsed = time.perf_counter() - t0
     assert verdict == SAFE
-    assert check_trace(trace + [ARead(0, 0, 0)]) == Violation("temporal-freed", 6000)
+    assert check_trace(trace + [ARead(0, 0, 0)]) == Violation("temporal-freed", 6000, 6000)
     report("monitor scaling (6000 events)", elapsed, 0.25)
 
 

@@ -319,6 +319,30 @@ def test_module_with_imports_is_a_usage_error(tmp_path, capsys, cmd):
     assert "imports" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("(module (segment 0) (heap 0) (func (param i32) (result i32) get 0))",
+     "entry function must take no parameters"),
+    ("(module (segment 0) (heap 0))", "no entry function"),
+])
+def test_a_well_typed_module_that_cannot_run_is_a_usage_error(tmp_path, capsys, text, message):
+    """typecheck judges the code alone; run and check meet init_state."""
+    f = tmp_path / "entry.mswat"
+    f.write_text(text)
+    assert main(["typecheck", str(f)]) == 0
+    assert capsys.readouterr().out == "well-typed\n"
+    for cmd in ("run", "check"):
+        assert main([cmd, str(f)]) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+def test_fuzz_runs_one_campaign_at_a_time(tmp_path, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["fuzz", "--attacker", "--source", "--n", "1", "--out", str(tmp_path / "cex")])
+    assert e.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "cex").exists()
+
+
 def test_diff_of_source_with_imports_is_a_usage_error(tmp_path, capsys):
     f = tmp_path / "imp.uc"
     f.write_text(IMPORT_SOURCE)
@@ -521,8 +545,7 @@ def test_fuzz_counterexamples_exit_13_with_a_bundle_each(tmp_path, capsys, monke
     from mswasm import bytecode, tracerel
     from mswasm.monitor import Violation
 
-    monkeypatch.setattr(tracerel, "check_ms",
-                        lambda trace: tracerel.TraceViolation(Violation("shade", 0), 0))
+    monkeypatch.setattr(tracerel, "check_ms", lambda trace: Violation("shade", 0, 0))
     out = tmp_path / "cex"
     assert main(["fuzz", "--n", "2", "--seed", "5", "--out", str(out)] + campaign) == 13
     assert "2 runs, 2 counterexamples" in capsys.readouterr().out
@@ -533,7 +556,7 @@ def test_fuzz_counterexamples_exit_13_with_a_bundle_each(tmp_path, capsys, monke
         assert (out / f"{prefix}-{s}.tgt_trace").read_text() == \
             trace_to_jsonl(run(m, budget=1_000_000).trace)
         assert (out / f"{prefix}-{s}.report").read_text() == \
-            "TraceViolation(violation=Violation(kind='shade', index=0, detail=''), trace_index=0)"
+            "Violation(kind='shade', index=0, at=0)"
 
 
 def test_fuzz_source_divergences_exit_15_with_a_bundle_each(tmp_path, capsys, monkeypatch):

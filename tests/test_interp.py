@@ -26,7 +26,7 @@ from mswasm.interp import (
     step,
     trace_to_jsonl,
 )
-from mswasm.segmem import Handle, TrapKind
+from mswasm.segmem import MAX_ID, Handle, TrapKind
 from mswasm.typecheck import typecheck_module
 
 I32, I64, F64, H = ValueType.I32, ValueType.I64, ValueType.F64, ValueType.HANDLE
@@ -54,6 +54,19 @@ def exec_instr(body, operands, locals_=(), segment=64, heap=0):
 def test_new_segment_event_and_value():
     config, events = exec_instr([bc.const(I32, 8), bc.new_segment()], [])
     assert events == [SAllocEv(Handle(0, 0, 8, True, 0))]
+
+
+def test_new_segment_past_the_last_segment_id_traps():
+    """Zero-byte segments take no memory, so only the step budget bounds
+    how many ids a run takes; the one past MAX_ID is an OOM trap."""
+    config = init_state(module([bc.const(I32, 0), bc.new_segment()], results=()))
+    config.backend.next_id = MAX_ID + 1
+    events = []
+    while not config.terminal:
+        ev = step(config)
+        if ev is not None:
+            events.append(ev)
+    assert events == [TrapEv()] and config.trapped
 
 
 def test_handle_add_moves_offset_silently():

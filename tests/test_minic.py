@@ -18,7 +18,6 @@ from mswasm.minic import (
     SrcParseError,
     SrcRead,
     SrcTypeError,
-    SrcUnsafe,
     SrcWrite,
     StructType,
     TIntAsPtr,
@@ -30,6 +29,7 @@ from mswasm.minic import (
     src_run,
     src_typecheck,
 )
+from mswasm.monitor import Violation
 
 
 def load(text):
@@ -283,14 +283,14 @@ def test_src_ms_unsafe_overflow_index():
     }""")
     res = src_run(tm)
     verdict = src_ms(tm.mod, res.trace)
-    assert isinstance(verdict, SrcUnsafe) and verdict.index == 1
+    assert isinstance(verdict, Violation) and verdict.index == 1
 
 
 def test_src_ms_forged_is_unsafe():
     tm = load("module { fn main() -> int { var (); *(2) } heap 8 }")
     res = src_run(tm)
     verdict = src_ms(tm.mod, res.trace)
-    assert isinstance(verdict, SrcUnsafe) and verdict.index == 0
+    assert isinstance(verdict, Violation) and verdict.index == 0
 
 
 def test_src_ms_shade_violation():
@@ -308,8 +308,8 @@ def test_src_ms_shade_violation():
     }""")
     res = src_run(tm)
     verdict = src_ms(tm.mod, res.trace)
-    assert isinstance(verdict, SrcUnsafe)
-    assert verdict.reason == "shade"
+    assert isinstance(verdict, Violation)
+    assert verdict.kind == "shade"
 
 
 def test_src_ms_interior_free_unsafe():
@@ -325,7 +325,31 @@ def test_src_ms_interior_free_unsafe():
     }""")
     res = src_run(tm)
     verdict = src_ms(tm.mod, res.trace)
-    assert isinstance(verdict, SrcUnsafe)
+    assert isinstance(verdict, Violation)
+
+
+_P = SPtr(0, 0, 2, INT, 0)
+_OUTSIDE = SPtr(5, 5, 1, INT, 0)  # id 0, but based past its allocation
+
+
+@pytest.mark.parametrize("event,reason", [
+    (SrcAlloc(SPtr(0, 0, -1, INT, 1)), "allocation with negative length"),
+    (SrcRead(INT, SInt(3)), "access through a raw integer"),
+    (SrcWrite(INT, _OUTSIDE), "pointer with unknown provenance"),
+    (SrcRead(INT, _OUTSIDE), "pointer with unknown provenance"),
+    (SrcFree(SInt(0)), "free of a raw integer"),
+    (SrcFree(SPtr(1, 0, 2, INT, 0)), "free not at allocation start"),
+    (SrcFree(_OUTSIDE), "free with unknown provenance"),
+])
+def test_src_ms_names_each_forged_or_imageless_event_by_its_reason(event, reason):
+    mod = load("module { fn main() -> int { var (); 0 } heap 0 }").mod
+    assert src_ms(mod, [SrcAlloc(_P), event]) == Violation(reason, 1, 1)
+
+
+def test_src_ms_rejects_what_is_no_source_event():
+    mod = load("module { fn main() -> int { var (); 0 } heap 0 }").mod
+    with pytest.raises(TypeError, match="not a source event"):
+        src_ms(mod, [SrcAlloc(_P), Violation("shade", 0, 0)])
 
 
 def test_src_relate_struct_shading():
@@ -374,7 +398,7 @@ def test_src_ms_costs_one_record_per_allocation_not_one_per_cell():
     finally:
         tracemalloc.stop()
     assert verdict == SAFE
-    assert stale == SrcUnsafe(6, "temporal-freed")
+    assert stale == Violation("temporal-freed", 6, 6)
     assert peak < 1 << 20 and elapsed < 1.0
 
 
@@ -392,10 +416,10 @@ def test_prefix_monotone_first_unsafe_index():
     }""")
     trace = src_run(tm).trace
     full = src_ms(tm.mod, trace)
-    assert isinstance(full, SrcUnsafe)
+    assert isinstance(full, Violation)
     for k in range(full.index + 1, len(trace) + 1):
         v = src_ms(tm.mod, trace[:k])
-        assert isinstance(v, SrcUnsafe) and v.index == full.index
+        assert isinstance(v, Violation) and v.index == full.index
 
 
 # -- annotation inertness ----------------------------------------------
@@ -553,7 +577,7 @@ def test_a_field_past_2_to_the_30_cells_is_read_without_the_cell_tables():
         tracemalloc.stop()
     f = tm.mod.layout.field("Big", "n")
     assert (f.cell, f.offset, f.size) == (1 << 30, 1 << 32, 4)
-    assert res.outcome == "hosterror" and verdict.reason == "access through a raw integer"
+    assert res.outcome == "hosterror" and verdict.kind == "access through a raw integer"
     assert peak < 1 << 20, peak
 
 

@@ -35,36 +35,36 @@ def test_in_bounds_read_ok():
 def test_read_after_free_is_temporal():
     t = [alloc(4, 0, 0), AFree(0, 0), ARead(0, 0, 0)]
     v = check_trace(t)
-    assert v == Violation("temporal-freed", 2)
+    assert v == Violation("temporal-freed", 2, 2)
 
 
 def test_shade_mismatch():
     t = [alloc(8, 0, 0, [0, 0, 0, 0, 1, 1, 1, 1]), ARead(5, 0, 0)]
-    assert check_trace(t) == Violation("shade", 1)
+    assert check_trace(t) == Violation("shade", 1, 1)
 
 
 def test_alloc_overlap():
     t = [alloc(4, 0, 0), alloc(4, 2, 1)]
-    assert check_trace(t) == Violation("alloc-overlap", 1)
+    assert check_trace(t) == Violation("alloc-overlap", 1, 1)
 
 
 def test_double_free():
     t = [alloc(4, 0, 0), AFree(0, 0), AFree(0, 0)]
-    assert check_trace(t) == Violation("double-free", 2)
+    assert check_trace(t) == Violation("double-free", 2, 2)
 
 
 def test_color_reuse_rejected():
     t = [alloc(1, 0, 0), alloc(1, 4, 0)]
-    assert check_trace(t) == Violation("color-reuse", 1)
+    assert check_trace(t) == Violation("color-reuse", 1, 1)
 
 
 def test_unmapped_read():
-    assert check_trace([ARead(0, 0, 0)]) == Violation("temporal-unmapped", 0)
+    assert check_trace([ARead(0, 0, 0)]) == Violation("temporal-unmapped", 0, 0)
 
 
 def test_wrong_color_read():
     t = [alloc(4, 0, 0), ARead(1, 9, 0)]
-    assert check_trace(t) == Violation("spatial-color", 1)
+    assert check_trace(t) == Violation("spatial-color", 1, 1)
 
 
 def test_free_reallocate_same_cells():
@@ -157,7 +157,7 @@ def test_shades_are_one_elements_pattern():
     pattern = AAlloc(4, 8, 0, (0, 1))
     reads = [ARead(8 + j, 0, j % 2) for j in range(4)]
     assert check_trace([pattern] + reads) is SAFE
-    assert check_trace([pattern, ARead(9, 0, 0)]) == Violation("shade", 1)
+    assert check_trace([pattern, ARead(9, 0, 0)]) == Violation("shade", 1, 1)
     line = abs_event_to_json(pattern)
     assert line == '{"ev":"alloc","n":4,"a":8,"c":0,"phi":[0,1,0,1]}'
     assert abs_event_to_json(abs_event_from_json(line)) == line
@@ -169,6 +169,13 @@ def test_shades_are_one_elements_pattern():
 def test_alloc_whose_shades_are_no_pattern_for_its_size_is_rejected(ev):
     with pytest.raises(TypeError, match="not an abstract event"):
         monitor_step(ShadowMemory(), ev)
+
+
+@pytest.mark.parametrize("judge", [lambda ev: monitor_step(ShadowMemory(), ev), abs_event_to_json],
+                         ids=["monitor_step", "abs_event_to_json"])
+def test_what_is_no_abstract_event_is_a_type_error(judge):
+    with pytest.raises(TypeError, match="not an abstract event"):
+        judge((0, 0, 0))
 
 
 def test_events_compare_by_type_and_hash():

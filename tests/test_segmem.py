@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mswasm.segmem import (
     HANDLE_TAGS,
+    MAX_ID,
     Handle,
     MemTrap,
     SegmentMemory,
@@ -149,6 +150,14 @@ def test_oom_when_nothing_fits():
     mem.alloc(20)
     with pytest.raises(MemTrap) as e:
         mem.alloc(16)
+    assert e.value.kind is TrapKind.OOM
+
+
+def test_segment_id_exhaustion_is_an_oom_trap():
+    mem = SegmentMemory(32)
+    mem.next_id = MAX_ID + 1
+    with pytest.raises(MemTrap, match="segment id space exhausted") as e:
+        mem.alloc(0)
     assert e.value.kind is TrapKind.OOM
 
 

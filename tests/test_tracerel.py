@@ -9,7 +9,6 @@ from mswasm.interp import BACKENDS, ReadEv, SAllocEv, SFreeEv, TrapEv, WriteEv, 
 from mswasm.monitor import SAFE, AAlloc, AFree, ARead, AWrite, Safe, Violation, check_trace
 from mswasm.segmem import Handle
 from mswasm.tracerel import (
-    TraceViolation,
     Unrelatable,
     check_ms,
     constant_shading,
@@ -55,7 +54,7 @@ def test_violation_names_the_byte_and_its_access():
              ReadEv(I32, Handle(0, 6, 8, True, 0))]
     abs_events, _ = relate_trace(trace)
     assert abs_events[8] == ARead(8, 0, 0)
-    assert check_ms(trace) == TraceViolation(Violation("spatial-color", 8), 3)
+    assert check_ms(trace) == Violation("spatial-color", 8, 3)
 
 
 def test_first_offending_event_decides():
@@ -65,7 +64,7 @@ def test_first_offending_event_decides():
     h = Handle(0, 0, 8, True, 0)
     unknown = Handle(32, 0, 8, True, 9)
     trace = [SAllocEv(h), SFreeEv(h), ReadEv(I32, h), ReadEv(I32, unknown)]
-    assert check_ms(trace) == TraceViolation(Violation("temporal-freed", 2), 2)
+    assert check_ms(trace) == Violation("temporal-freed", 2, 2)
     out = check_ms([SAllocEv(h), SFreeEv(h), ReadEv(I32, unknown), ReadEv(I32, h)])
     assert isinstance(out, Unrelatable) and out.index == 2
 
@@ -109,7 +108,7 @@ def test_in_bounds_reads_take_no_per_byte_monitor_step(monkeypatch):
     trace = one_segment_reads(n)
     assert check_ms(trace) is SAFE and stepped == []
     over = check_ms(trace + [ReadEv(I64, Handle(8 * n - 4, 0, 8, True, 0))])
-    assert over == TraceViolation(Violation("temporal-unmapped", 1 + 8 * n + 4), n + 1)
+    assert over == Violation("temporal-unmapped", 1 + 8 * n + 4, n + 1)
     assert stepped == [ARead(8 * n - 4 + k, 0, 0) for k in range(5)]
 
 
@@ -122,10 +121,10 @@ def test_an_i64_read_over_its_segments_end_names_its_fifth_byte(neighbour, kind)
     trace = [SAllocEv(h)] + [SAllocEv(Handle(8, 0, 8, True, 1))] * neighbour
     n = len(trace)
     trace.append(ReadEv(I64, Handle(0, 4, 8, True, 0)))
-    assert check_ms(trace) == TraceViolation(Violation(kind, n + 4), n)
+    assert check_ms(trace) == Violation(kind, n + 4, n)
     abs_events, _ = relate_trace(trace)
     assert abs_events[n + 4] == ARead(8, 0, 0)
-    assert check_trace(abs_events) == Violation(kind, n + 4)
+    assert check_trace(abs_events) == Violation(kind, n + 4, n + 4)
 
 
 def test_a_shade_violation_names_the_byte_in_the_next_field():
@@ -133,9 +132,9 @@ def test_a_shade_violation_names_the_byte_in_the_next_field():
     of the first field is the first field's shade for bytes 2 and 3 and
     crosses into the second at its third byte: index 1 + 2."""
     trace = [SAllocEv(Handle(0, 0, 8, True, 0)), ReadEv(I32, Handle(0, 2, 8, True, 0))]
-    assert check_ms(trace, shading=two_field) == TraceViolation(Violation("shade", 3), 1)
+    assert check_ms(trace, shading=two_field) == Violation("shade", 3, 1)
     abs_events, _ = relate_trace(trace, shading=two_field)
-    assert check_trace(abs_events) == Violation("shade", 3)
+    assert check_trace(abs_events) == Violation("shade", 3, 3)
 
 
 def _image_verdict(trace, shading):
@@ -154,7 +153,7 @@ def _image_verdict(trace, shading):
     for i, ev in enumerate(trace):
         made += SIZEOF[ev.ty] if type(ev) in (ReadEv, WriteEv) else type(ev) is not TrapEv
         if made > verdict.index:
-            return TraceViolation(verdict, i)
+            return Violation(verdict.kind, verdict.index, i)
     raise AssertionError("no event made the violating one")
 
 
@@ -203,9 +202,9 @@ def test_read_after_free_violation():
     h = Handle(0, 0, 8, True, 0)
     trace = [SAllocEv(h), SFreeEv(h), ReadEv(I32, h)]
     verdict = check_ms(trace)
-    assert isinstance(verdict, TraceViolation)
-    assert verdict.violation.kind == "temporal-freed"
-    assert verdict.trace_index == 2
+    assert isinstance(verdict, Violation)
+    assert verdict.kind == "temporal-freed"
+    assert verdict.at == 2
 
 
 _SEG = Handle(0, 0, 8, True, 0)
@@ -220,7 +219,7 @@ def test_an_alloc_or_free_the_monitor_rejects_is_a_violation(trace, kind):
     """relate hands each allocation and free to the monitor, and check_ms
     reports the one it rejects at that event."""
     n = len(trace) - 1
-    assert check_ms(trace) == TraceViolation(Violation(kind, n), n)
+    assert check_ms(trace) == Violation(kind, n, n)
 
 
 def test_zero_length_segment_free_is_relatable():
@@ -267,8 +266,8 @@ def test_reuse_same_base_extends_delta_monotonically():
     assert old is not None and new is not None
     assert old[0] != new[0]  # never reused
     stale = check_ms(trace + [ReadEv(I32, h1)])
-    assert isinstance(stale, TraceViolation)
-    assert stale.violation.kind == "spatial-color" and stale.trace_index == 4
+    assert isinstance(stale, Violation)
+    assert stale.kind == "spatial-color" and stale.at == 4
 
 
 def test_well_typed_fuzz_traces_are_safe():
@@ -307,8 +306,8 @@ def test_refined_shading_catches_cross_field_access():
     res = run(parse_module(src))
 
     refined = check_ms(res.trace, shading=two_field)
-    assert isinstance(refined, TraceViolation)
-    assert refined.violation.kind == "shade"
+    assert isinstance(refined, Violation)
+    assert refined.kind == "shade"
     assert isinstance(check_ms(res.trace), Safe)
 
 
@@ -361,8 +360,8 @@ def test_baggy_slot_reuse_rebinds_freed_key():
 def test_baggy_read_after_free_is_temporal():
     from fixtures import UAF_READ
     verdict = check_ms(_baggy_trace(UAF_READ))
-    assert isinstance(verdict, TraceViolation)
-    assert verdict.violation.kind == "temporal-freed"
+    assert isinstance(verdict, Violation)
+    assert verdict.kind == "temporal-freed"
 
 
 def test_allocation_over_live_key_is_unrelatable():
@@ -392,7 +391,7 @@ def test_a_segment_costs_one_record_not_one_per_byte():
     finally:
         tracemalloc.stop()
     assert isinstance(verdict, Safe)
-    assert stale.violation.kind == "temporal-freed" and stale.trace_index == 3
+    assert stale.kind == "temporal-freed" and stale.at == 3
     assert peak < 1 << 20 and elapsed < 1.0
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from mswasm import bytecode as bc
 from mswasm.bytecode import FuncDef, FuncType, ModuleDef, ValueType, parse_module
+from mswasm.interp import InitError, init_state
 from mswasm.typecheck import (
     TypeError_,
     TypingContext,
@@ -193,17 +194,19 @@ def test_unreachable_if_arm_adopts_other():
 
 
 def test_module_entry_must_be_paramless():
+    """A function 0 that takes a parameter is well-typed code; init_state
+    alone rejects the module as unrunnable."""
     m = ModuleDef((FuncDef((I32,), (), (I32,), (bc.get(0),)),), (), 0, 0)
-    with pytest.raises(TypeError_) as e:
-        typecheck_module(m)
-    assert e.value.kind == "entry-params"
-    typecheck_module(m, library=True)
+    typecheck_module(m)
+    with pytest.raises(InitError, match="entry function must take no parameters"):
+        init_state(m)
 
 
 def test_empty_module_has_no_entry():
-    with pytest.raises(TypeError_) as e:
-        typecheck_module(ModuleDef((), (), 0, 0))
-    assert e.value.kind == "no-entry"
+    m = ModuleDef((), (), 0, 0)
+    typecheck_module(m)
+    with pytest.raises(InitError, match="no entry function"):
+        init_state(m)
 
 
 def test_store_handle_to_linear_memory_rejected_in_module():
@@ -242,7 +245,7 @@ def test_one_shared_instruction_is_typed_in_each_function():
     assert m.funcs[1].body[0] is shared and m.funcs[2].body[0] is shared
     typecheck_module(m)
     flipped = ModuleDef((m.funcs[1], m.funcs[0]), (), 0, 64)
-    typecheck_module(flipped, library=True)
+    typecheck_module(flipped)
 
 
 F64 = ValueType.F64
