@@ -13,6 +13,9 @@ i32s, one to discard handles, and one handle local that is never
 written, whose zero-initialized (invalid) value stands in for integers
 used at pointer type.
 
+A source operator on ints compiles to the i32 operator that
+minic.I32_OPERATORS names, the one src_run runs.
+
 A function compiles in one walk into flat instruction lists: a block's
 items one after another, each variable at the frame slot that the parser
 gave it as its local index.  The walk recurses once per nesting level of
@@ -27,6 +30,7 @@ from functools import partial
 from . import bytecode as bc
 from .bytecode import FuncDef, FuncType, ModuleDef, ValueType
 from .minic import (
+    I32_OPERATORS,
     IntType,
     Layout,
     PtrType,
@@ -51,9 +55,7 @@ from .minic import (
 
 DEFAULT_SEGMENT_SIZE = 1 << 16
 
-_SRC_BINOPS = {op: bc.binop(ValueType.I32, name) for op, name in
-               {"+": "add", "-": "sub", "*": "mul", "/": "div_s",
-                "==": "eq", "<": "lt_s"}.items()}
+_SRC_BINOPS = {op: bc.binop(ValueType.I32, name) for op, name in I32_OPERATORS.items()}
 _MUL = _SRC_BINOPS["*"]
 _ZERO = bc.const(ValueType.I32, 0)
 _i32 = partial(bc.const, ValueType.I32)

@@ -9,9 +9,10 @@ run are compared event by event through a growing bijection between
 source allocations (cell base, id) and target segments (byte base, id),
 laid out by the module's one SrcModule.layout.  The trace shape required
 depends on the source verdict: a memory-safe source program must produce
-a fully related pair of traces with a monitor-safe target trace; an
-unsafe one, or a safe one that traps, must produce the related image of
-its prefix followed by exactly one trap.
+a fully related pair of traces with a monitor-safe target trace, and
+related entry results when both runs end "ok"; an unsafe one, or a safe
+one that traps, must produce the related image of its prefix followed by
+exactly one trap.
 """
 
 from __future__ import annotations
@@ -147,14 +148,16 @@ class RelationReport:
 def diff_run(tm: TypedModule, cm: ModuleDef) -> RelationReport:
     """Run tm and cm, its compiled and typechecked module, and check the
     trace shape that the source verdict requires: for a safe source that
-    ends "ok", traces of one length, related event by event, and a
-    monitor-safe target trace; for a source unsafe at index k, or a safe
-    one that trapped (a division by zero) after k events, k related events
+    ends "ok", traces of one length, related event by event, a
+    monitor-safe target trace and, when the compiled run ends "ok" too,
+    related entry results; for a source unsafe at index k, or a safe one
+    that trapped (a division by zero) after k events, k related events
     and then exactly one trap."""
     sres = src_run(tm)
     s_tr = sres.trace
     verdict = src_ms(tm.mod, s_tr)
-    t_tr = run(cm).trace
+    tres = run(cm)
+    t_tr = tres.trace
 
     def report(index: int = -1, reason: str = "") -> RelationReport:
         return RelationReport(not reason, index, reason, verdict, s_tr, t_tr)
@@ -177,6 +180,10 @@ def diff_run(tm: TypedModule, cm: ModuleDef) -> RelationReport:
         return report(k, f"expected trap, got {t_tr[k]!r}")
     if whole and not isinstance(check_ms(t_tr), Safe):
         return report(k, "target trace not monitor-safe")
+    if whole and tres.outcome == "ok":
+        tv = tres.results[0].v
+        if not relate_value(layout, delta, sres.result, tv):
+            return report(k, f"results differ: {sres.result!r} vs {tv!r}")
     return report()
 
 

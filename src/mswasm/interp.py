@@ -257,9 +257,10 @@ def _float_ops(fit) -> dict:
 
 
 # Type name -> operator -> f(a, b), whose result is a value of the type; a
-# failed premise raises MemTrap.
-_BINOPS = {"i32": _int_ops(32), "i64": _int_ops(64),
-           "f32": _float_ops(_fit), "f64": _float_ops(lambda r: r)}
+# failed premise raises MemTrap.  The source interpreter runs the "i32"
+# operators as its integer operators.
+BINOPS = {"i32": _int_ops(32), "i64": _int_ops(64),
+          "f32": _float_ops(_fit), "f64": _float_ops(lambda r: r)}
 
 
 def _steps(config: Config, budget: int, emit) -> int:
@@ -304,7 +305,7 @@ def _steps(config: Config, budget: int, emit) -> int:
                 locs[ins.idx] = ops.pop()
             elif op == "binop":
                 try:
-                    f = _BINOPS[ins.ty._value_][ins.operator]
+                    f = BINOPS[ins.ty._value_][ins.operator]
                 except (AttributeError, KeyError):
                     raise InterpBug(f"operator {ins.ty}.{ins.operator}") from None
                 b = ops.pop()

@@ -61,6 +61,10 @@ and runs the code with an explicit frame stack.
 
 The function called main takes no parameter; it is the entry point.
 
+Ints are i32: each binary operator on ints is the compiled code's i32
+operator that I32_OPERATORS names, and src_run runs it by interp's own
+function for it, so the two sides compute alike by construction.
+
 Layout is where each value of a source type sits, in cells (src_run's
 heap) and in bytes (the compiled segments); SrcModule.layout is the one
 Layout of a module, which the parser, src_run, src_relate, the compiler
@@ -77,11 +81,12 @@ from functools import cached_property, partial
 from typing import NamedTuple
 
 from .bytecode import MAX_NESTING
+from .interp import BINOPS
 from .monitor import (
     AAlloc, AFree, ARead, AWrite, SAFE, Safe, ShadowMemory, Violation, monitor_step, other_event,
     same_event,
 )
-from .segmem import give, take
+from .segmem import MemTrap, give, take
 from .tracerel import BijectionDelta
 
 
@@ -145,12 +150,6 @@ class SrcParseError(Exception):
 
 
 @dataclass
-class StructDef:
-    name: str
-    fields: list[tuple[str, object]]  # (name, wtype); no struct-typed fields, no name twice
-
-
-@dataclass
 class ImportDef:
     name: str
     param: object | None  # param type
@@ -159,12 +158,10 @@ class ImportDef:
 
 @dataclass
 class SrcModule:
-    structs: dict[str, StructDef]
+    # name -> its fields, (name, wtype) each; no struct-typed field, no name twice
+    structs: dict[str, list[tuple[str, object]]]
     imports: list[ImportDef]
     heap_size: int
-
-    def struct_fields(self, name: str):
-        return self.structs[name].fields
 
     @cached_property
     def layout(self) -> Layout:
@@ -212,7 +209,7 @@ class Layout:
         rec = self._structs.get(sname)
         if rec is None:
             fields, off, cell, align = {}, 0, 0, 1
-            for fname, ft in self.mod.struct_fields(sname):
+            for fname, ft in self.mod.structs[sname]:
                 size, a, cells = self._place(ft)
                 off = (off + a - 1) // a * a
                 fields[fname] = Field(off, size, cell, ft)
@@ -302,6 +299,10 @@ _KEYWORDS = {"module", "struct", "fn", "var", "heap", "int", "ptr", "array",
 
 # Binary operators by precedence; all are left-associative.
 _BINARY = {"==": 1, "<": 1, "+": 2, "-": 2, "*": 3, "/": 3}
+
+# On ints each binary operator is the i32 operator of this name: the
+# compiler emits it, and src_run calls interp.BINOPS["i32"][name].
+I32_OPERATORS = {"+": "add", "-": "sub", "*": "mul", "/": "div_s", "==": "eq", "<": "lt_s"}
 
 
 def _item_starts(toks: list[str]) -> list[int]:
@@ -415,7 +416,7 @@ class _SrcParser:
         the bodies in text order, and the checks on main."""
         self.eat("module", "{")
         starts = _item_starts(self.toks)
-        structs: dict[str, StructDef] = {}
+        structs: dict[str, list[tuple[str, object]]] = {}
         imports: list[ImportDef] = []
         fns = []  # (name, param, result, locals, start and end of the body)
         while not self.at("heap"):
@@ -429,7 +430,7 @@ class _SrcParser:
                     raise SrcParseError(f"duplicate struct {sname}")
                 if len({fname for fname, _ in fields}) != len(fields):
                     raise SrcParseError(f"duplicate field name in struct {sname}")
-                structs[sname] = StructDef(sname, fields)
+                structs[sname] = fields
             elif self.at("import"):
                 self.next()
                 iname, param, rty = self.signature()
@@ -469,7 +470,7 @@ class _SrcParser:
             raise SrcTypeError("a main function is required")
         if typed[0].param is not None:
             raise SrcTypeError("main takes no parameter")
-        return TypedModule(self.mod, typed, self.indices)
+        return TypedModule(self.mod, typed)
 
     def fn_body(self, name, param, result, locals_, start, end) -> TypedFn:
         """Parse and type the body at start, which pass 1 skipped; its "}"
@@ -837,7 +838,6 @@ class TypedFn:
 class TypedModule:
     mod: SrcModule
     fns: list[TypedFn]  # main first
-    fn_indices: dict[str, int]
 
 
 def _coerce(e_typed, actual, expected):
@@ -889,7 +889,6 @@ SrcValue = object  # SInt or SPtr; field 0 is the int or the address
 # the interpreter builds a value on most ops.
 _new = tuple.__new__
 _ZERO = SInt(0)
-_I32_HALF, _I32_MASK = 1 << 31, (1 << 32) - 1
 
 
 # Trace events, built on the hot paths with _new(cls, fields); equality
@@ -945,12 +944,10 @@ class SrcRunResult:
 # opcode first.  A value-less item of a block still pushes a zero, which
 # the _DROP after it pops.  Jumps only go forward, so a call runs each op
 # of its function's code at most once.  The opcodes are numbered in the
-# order src_run tests them, the most frequent first: the binary operators
-# are _ADD to _LT.
-(_VAR, _LIT, _ADD, _SUB, _MUL, _DIV, _EQ, _LT, _DROP, _FIELD, _READ, _WRITE,
- _SET, _JZ, _JMP, _CALL, _RET, _FREE, _NEW, _NEWARR) = range(20)
-_BIN_OPS = {"+": (_ADD,), "-": (_SUB,), "*": (_MUL,), "/": (_DIV,),
-            "==": (_EQ,), "<": (_LT,)}
+# order src_run tests them, the most frequent first.  A binary operator is
+# one _BIN op, which carries the i32 function it runs on ints.
+(_VAR, _LIT, _BIN, _DROP, _FIELD, _READ, _WRITE, _SET, _JZ, _JMP, _CALL, _RET,
+ _FREE, _NEW, _NEWARR) = range(15)
 
 # Work items of the code walk that are not nodes: tuples with a negative
 # first element.  (_HOLE, fix) leaves room for a jump and appends its
@@ -989,7 +986,7 @@ def _flat_code(mod: SrcModule, fn: TypedFn) -> tuple[list, int]:
                 work += (item, (_DROP,))
             work.append(items[0])
         elif t is TBinOp:
-            work += (_BIN_OPS[w.op], w.b, w.a)
+            work += ((_BIN, BINOPS["i32"][I32_OPERATORS[w.op]]), w.b, w.a)
         elif t is TAssignVar:
             work += ((_SET, w.slot), w.e)
         elif t is TAssignPtr:
@@ -1029,12 +1026,13 @@ def src_run(tm: TypedModule, budget: int = 1_000_000) -> SrcRunResult:
     _flat_code).  One budget step is one op of that code.  A call, and
     the start of main, charges the callee's whole code at once, as one
     call runs each op at most once; a call past the budget ends the run
-    in "budget" before it starts.  Integer +, -, * and / wrap to i32, and
-    a division by zero or of int_min by -1 ends the run in "trap", as the
-    compiled `i32.div_s` traps.  The run ends in "hosterror" at an access
-    outside the heap (after its event), and at a heap of more than
-    MAX_HEAP_CELLS cells, declared or grown by malloc, before anything is
-    allocated.
+    in "budget" before it starts.  An operator on ints is the compiled
+    code's: it runs interp's function for the i32 operator that
+    I32_OPERATORS names, so +, -, * and / wrap to i32, and a division by
+    zero or of int_min by -1 raises that function's MemTrap, which ends
+    the run in "trap".  The run ends in "hosterror" at an access outside
+    the heap (after its event), and at a heap of more than MAX_HEAP_CELLS
+    cells, declared or grown by malloc, before anything is allocated.
     """
     if tm.mod.imports:
         raise SrcHostError("module has imports; cannot run")
@@ -1102,34 +1100,14 @@ def src_run(tm: TypedModule, budget: int = 1_000_000) -> SrcRunResult:
                 push(env[op[1]])
             elif k == _LIT:
                 push(op[1])
-            elif k <= _LT:
+            elif k == _BIN:
                 b = pop()
                 a = pop()
                 if type(a) is SPtr:
                     # Arithmetic moves the address, never the metadata.
                     push(_new(SPtr, (a[0] + b[0], a[1], a[2], a[3], a[4])))
-                    continue
-                x, y = a[0], b[0]
-                # Integer arithmetic is i32, as in the compiled code.
-                if k == _ADD:
-                    r = ((x + y + _I32_HALF) & _I32_MASK) - _I32_HALF
-                elif k == _SUB:
-                    r = ((x - y + _I32_HALF) & _I32_MASK) - _I32_HALF
-                elif k == _MUL:
-                    r = ((x * y + _I32_HALF) & _I32_MASK) - _I32_HALF
-                elif k == _DIV:
-                    if y == 0:
-                        return SrcRunResult(trace, "trap", None, heap)
-                    r = abs(x) // abs(y)
-                    if (x < 0) != (y < 0):
-                        r = -r
-                    if r != ((r + _I32_HALF) & _I32_MASK) - _I32_HALF:
-                        return SrcRunResult(trace, "trap", None, heap)  # int_min / -1
-                elif k == _EQ:
-                    r = 1 if x == y else 0
                 else:
-                    r = 1 if x < y else 0
-                push(_new(SInt, (r,)))
+                    push(_new(SInt, (op[1](a[0], b[0]),)))
             elif k == _DROP:
                 pop()
             elif k == _FIELD:
@@ -1196,6 +1174,8 @@ def src_run(tm: TypedModule, budget: int = 1_000_000) -> SrcRunResult:
                 ptr = do_alloc(count, count, op[1])
                 emit(_new(SrcAlloc, (ptr,)))
                 push(ptr)
+    except MemTrap:
+        return SrcRunResult(trace, "trap", None, heap)
     except SrcHostError:
         return SrcRunResult(trace, "hosterror", None, heap)
     return SrcRunResult(trace, "ok", vals[-1], heap)

@@ -142,7 +142,6 @@ def monitor_access(shadow: ShadowMemory, cls, addr: int, width: int, color: int,
         kind = monitor_step(shadow, tuple.__new__(cls, (addr + k, color, shade)))
         if kind is not None:
             return kind, k
-    return None
 
 
 @dataclass(frozen=True)

@@ -207,6 +207,47 @@ module {
 }
 
 
+# -- i32 arithmetic at its edges -------------------------------------------
+
+def _i32_program(stmts: str) -> str:
+    """stmts run with p six fresh cells, the whole heap, and m int_min."""
+    return f"""
+module {{
+  fn main() -> int {{
+    var (p: ptr<array int>, m: int);
+    p := malloc<int>(6);
+    m := 0 - 2147483647 - 1;
+    {stmts}
+  }}
+  heap 0
+}}
+"""
+
+
+# name -> (program, outcome, result or None, the heap's six cells at the end)
+I32_EDGES = {
+    "wrap": (_i32_program(
+        "*(p) := 2147483647 + 1; *(p + 1) := m - 1; *(p + 2) := 65536 * 65536 + 7; "
+        "*(p + 3) := m * (0 - 1); *(p + 4) := 2147483647 * 2147483647; *(p + 5) := m + m; "
+        "*(p + 1)"),
+        "ok", 2147483647, [-2147483648, 2147483647, 7, -2147483648, 1, 0]),
+    "negative-truncation": (_i32_program(
+        "*(p) := (0 - 7) / 2; *(p + 1) := 7 / (0 - 2); *(p + 2) := (0 - 7) / (0 - 2); "
+        "*(p + 3) := m / 2; *(p + 4) := m / (0 - 2147483647); *(p + 5) := 2147483647 / m; "
+        "(0 - 1) / 2"),
+        "ok", 0, [-3, -3, 3, -1073741824, 1, 0]),
+    "compare-extremes": (_i32_program(
+        "*(p) := m < 2147483647; *(p + 1) := 2147483647 < m; *(p + 2) := m == 2147483647 + 1; "
+        "*(p + 3) := m - 1 < m; *(p + 4) := m + 0 == m; *(p + 5) := 2147483647 + 1 < 0; "
+        "m - 1 == 2147483647"),
+        "ok", 1, [1, 0, 1, 0, 1, 1]),
+    "division-by-zero": (_i32_program("*(p) := 7; *(p + 1) := 7 / (*(p) - 7); 0"),
+                         "trap", None, [7, 0, 0, 0, 0, 0]),
+    "int-min-by-minus-one": (_i32_program("*(p) := 0 - 1; *(p + 1) := m / *(p); 0"),
+                             "trap", None, [-1, 0, 0, 0, 0, 0]),
+}
+
+
 # -- nesting: programs that nest one construct n levels deep ---------------
 
 NESTED_CONSTRUCTS = ("parens", "ifs", "lets", "derefs", "assigns", "operators", "types")

@@ -642,12 +642,20 @@ class RefFreeList:
 _MISSING = object()
 
 
+def ref_i32(n: int) -> int:
+    """n's low 32 bits as a two's-complement int."""
+    n %= 1 << 32
+    return n - (1 << 32) if n >= 1 << 31 else n
+
+
 def ref_src_run(tm: TypedModule, budget: int = 1_000_000,
                 strip_annotations: bool = False) -> SrcRunResult:
     """src_run as an explicit-continuation machine over the typed tree:
     one tagged work item per node and per continuation, one name-keyed
     dict per frame, and a free that scans every live allocation.  A budget
-    step is one work item."""
+    step is one work item.  Int arithmetic is i32 by its own formula: a
+    result reduced mod 2^32, and a floored quotient moved toward zero,
+    where a zero divisor or a quotient past i32 ends the run in "trap"."""
     mod = tm.mod
     fns = {f.name: f for f in tm.fns}
     heap: list = [SInt(0)] * mod.heap_size
@@ -760,12 +768,15 @@ def ref_src_run(tm: TypedModule, budget: int = 1_000_000,
                 x, y, op = a.n, addr_of(b), item[1].op
                 if op == "/":
                     if y == 0:
-                        raise SrcHostError("division by zero")
-                    q = abs(x) // abs(y)
-                    r = -q if (x < 0) != (y < 0) else q
+                        return SrcRunResult(trace, "trap", None, heap)
+                    r = x // y  # floored; truncate an inexact negative quotient
+                    if r < 0 and r * y != x:
+                        r += 1
+                    if ref_i32(r) != r:  # int_min / -1
+                        return SrcRunResult(trace, "trap", None, heap)
                 else:
-                    r = {"+": x + y, "-": x - y, "*": x * y,
-                         "==": int(x == y), "<": int(x < y)}[op]
+                    r = ref_i32({"+": x + y, "-": x - y, "*": x * y,
+                                 "==": int(x == y), "<": int(x < y)}[op])
                 vals.append(SInt(r))
             elif tag == "setvar":
                 env_stack[-1][item[1]] = vals.pop()
@@ -857,7 +868,7 @@ class RefCrossBijection:
 def ref_cells(mod, w) -> int:
     """Cells of a w: one per int or pointer in it."""
     if isinstance(w, StructType):
-        return sum(ref_cells(mod, ft) for _, ft in mod.struct_fields(w.name))
+        return sum(ref_cells(mod, ft) for _, ft in mod.structs[w.name])
     if isinstance(w, ArrayType):
         return w.count * ref_cells(mod, w.elem)
     return 1
@@ -867,7 +878,7 @@ def ref_byte_of_cell(layout: Layout, w, cell: int) -> int:
     """Byte offset of the cell-th value slot inside a region of word type w."""
     if isinstance(w, StructType):
         off = byte = 0
-        for _, ft in layout.mod.struct_fields(w.name):
+        for _, ft in layout.mod.structs[w.name]:
             a = layout.alignof(ft)
             byte = (byte + a - 1) // a * a
             n = ref_cells(layout.mod, ft)

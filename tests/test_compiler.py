@@ -2,7 +2,7 @@ import pytest
 
 from mswasm import bytecode as bc
 from mswasm.bytecode import ValueType
-from mswasm.compiler import Layout, compile_module, compile_type
+from mswasm.compiler import Layout, _FnCompiler, compile_module, compile_type
 from mswasm.interp import SAllocEv, run
 from mswasm.minic import (
     INT,
@@ -10,6 +10,9 @@ from mswasm.minic import (
     PtrType,
     StructType,
     SrcTypeError,
+    TypedFn,
+    _deref_elem,
+    _flat_code,
     parse_source,
     src_run,
     src_typecheck,
@@ -280,3 +283,23 @@ def test_source_and_compiled_division_agree(expr, quotient):
     else:
         assert (sres.outcome, tres.outcome) == ("ok", "ok")
         assert sres.result.n == tres.results[0].v == quotient
+
+
+_MOD = parse_source("module { fn main() -> int { var (); 0 } heap 0 }").mod
+_NOT_A_NODE = object()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: compile_type(StructType("S")), ValueError, "not an expression type: struct S"),
+    (lambda: _FnCompiler(_MOD.layout, {}, [], 0, 1, 2).emit(_NOT_A_NODE, []),
+     ValueError, "cannot compile"),
+    (lambda: _flat_code(_MOD, TypedFn("f", None, INT, [], _NOT_A_NODE, 0, 0)),
+     AssertionError, "cannot compile"),
+    (lambda: _MOD.layout.sizeof(ArrayType(None, INT)), ValueError, "no size for array int"),
+    (lambda: _deref_elem(INT), SrcTypeError, "cannot dereference int"),
+], ids=["compile_type", "emit", "flat_code", "sizeof", "deref_elem"])
+def test_defensive_arms_refuse_what_the_parser_never_builds(call, error, message):
+    """The last arm of each type or node dispatch, which no parsed program
+    reaches: each refuses what it cannot handle, loudly."""
+    with pytest.raises(error, match=message):
+        call()

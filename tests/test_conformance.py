@@ -286,6 +286,28 @@ def test_source_sum_wraps_to_i32_as_compiled():
     assert diff_run(tm, _checked(tm)).related
 
 
+def _returning(expr: str, ty: str = "int"):
+    return parse_source(f"module {{ fn main() -> {ty} {{ var (p: ptr<array int>); "
+                        f"p := malloc<int>(2); {expr} }} heap 0 }}")
+
+
+@pytest.mark.parametrize("ty, src, tgt, reason", [
+    ("int", "1", "2", "results differ: SInt(n=1) vs 2"),
+    ("ptr<array int>", "p + 1", "p + 0",
+     "results differ: SPtr(addr=1, base=0, length=2, wtype=IntType(), id=0) vs "
+     "Handle(base=0, offset=0, bound=8, valid=True, id=0)"),
+], ids=["int", "pointer"])
+def test_diff_run_compares_the_entry_results(ty, src, tgt, reason):
+    """Related traces, both runs "ok", and entry results that do not relate:
+    a divergence at the end of the traces.  Each program relates to its own
+    compiled module."""
+    tm = _returning(src, ty)
+    assert diff_run(tm, _checked(tm)).related
+    rep = diff_run(tm, _checked(_returning(tgt, ty)))
+    assert not rep.related and isinstance(rep.src_verdict, Safe)
+    assert (rep.index, rep.reason) == (1, reason)
+
+
 def test_unsafe_suite_all_trap_shaped():
     for name, text in UNSAFE_SUITE.items():
         rep = diff_run_source(text)

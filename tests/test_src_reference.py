@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from fixtures import (
+    I32_EDGES,
     NESTED_CONSTRUCTS,
     UAF_READ,
     UNSAFE_SUITE,
@@ -21,9 +22,11 @@ from fixtures import (
 from oracles import RefCrossBijection, ref_relate_events, ref_relate_value, ref_src_run
 from mswasm.bytecode import MAX_NESTING
 from mswasm.compiler import Layout, compile_module
-from mswasm.conformance import CrossBijection, fuzz_source, relate_events, relate_value
+from mswasm.conformance import (
+    CrossBijection, diff_run_source, fuzz_source, relate_events, relate_value)
 from mswasm.interp import ReadEv, SFreeEv, WriteEv, run
-from mswasm.minic import SPtr, SrcFree, SrcRead, SrcWrite, parse_source, src_run, src_typecheck
+from mswasm.minic import (
+    SInt, SPtr, SrcFree, SrcRead, SrcWrite, parse_source, src_run, src_typecheck)
 
 
 def _bench_programs():
@@ -42,6 +45,7 @@ def _corpus(group: str) -> list[str]:
         texts = [trim_copy_program(3, 4), trim_copy_program(6, 4), user_record_program(5),
                  user_record_program(33), UAF_READ, straight_line_source(300)]
         texts += UNSAFE_SUITE.values()
+        texts += [text for text, *_ in I32_EDGES.values()]
         texts += [nested_source(c, MAX_NESTING) for c in NESTED_CONSTRUCTS]
     elif group == "bench":
         programs = _bench_programs()
@@ -67,6 +71,19 @@ def test_src_run_matches_the_tree_walker(group):
     for text in _corpus(group):
         tm = src_typecheck(parse_source(text))
         assert _observed(src_run(tm)) == _observed(ref_src_run(tm)), text
+
+
+@pytest.mark.parametrize("name", list(I32_EDGES))
+def test_both_interpreters_compute_i32(name):
+    """The outcome, result and cells written out by hand: ints wrap, /
+    truncates toward zero, and x / 0 and int_min / -1 trap.  The compiled
+    run relates to the source run, results included."""
+    text, outcome, result, cells = I32_EDGES[name]
+    want = (outcome, None if result is None else SInt(result), [SInt(c) for c in cells])
+    tm = parse_source(text)
+    for res in (src_run(tm), ref_src_run(tm)):
+        assert (res.outcome, res.result, res.heap) == want
+    assert diff_run_source(text).related
 
 
 INFINITE = """
