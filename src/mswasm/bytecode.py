@@ -181,10 +181,6 @@ class ModuleDef:
     def is_whole(self) -> bool:
         return not self.imports
 
-    def func_types(self) -> list[FuncType]:
-        """Callable signatures by index: imports first, then defined funcs."""
-        return [t for t in self.imports] + [f.type for f in self.funcs]
-
 
 class ParseError(Exception):
     def __init__(self, msg: str, line: int, col: int):

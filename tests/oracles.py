@@ -18,13 +18,23 @@ The free-list reference, `RefFreeList`, finds a fit and carves it in two
 scans and sorts and re-merges the whole list on every release, where
 `segmem.take` carves in its one scan and `segmem.give` inserts by
 bisection and merges with two neighbours; the source-interpreter
-reference allocates with it.
+reference allocates with it.  The typing reference, `ref_typecheck_module`,
+is the arrow-based typer that the one typing loop `typecheck.type_body`
+replaced: `ref_type_instr` gives each instruction its (consumes, produces)
+arrow as two fresh lists, memoised per function by `id`, `ref_apply`
+threads the stack type through it by slicing and concatenation, and the
+callees' signatures are `FuncType`s built from the functions.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+
+from mswasm.bytecode import (
+    COMPARISON_OPS, FLOAT_OPS, INT_OPS, MAX_NESTING, FuncDef, FuncType, Instr, ModuleDef,
+    ValueType,
+)
 
 from mswasm.baggy import NULL_BAGGY, pack_baggy, unpack_baggy
 from mswasm.compiler import Layout, compile_type
@@ -37,6 +47,9 @@ from mswasm.minic import (
 )
 from mswasm.monitor import AAlloc, AFree, ARead, AWrite, SAFE, Violation
 from mswasm.segmem import Handle, MemTrap, TrapKind
+from mswasm.typecheck import (
+    _INT_HALF, UNREACHABLE, StackType, TypeError_, TypingContext, _bound_nesting, _is_f32,
+)
 
 
 @dataclass
@@ -953,3 +966,150 @@ def ref_relate_events(layout: Layout, delta: RefCrossBijection, sev, tev) -> boo
             return False
         return tev.handle.valid and ref_relate_value(layout, delta, sev.v, tev.handle)
     return False
+
+
+# -- the arrow-based typer ---------------------------------------------------
+
+
+def ref_type_instr(ctx: TypingContext, ins: Instr) -> tuple[StackType, StackType]:
+    """The arrow type (consumed, produced) of a single instruction.
+
+    `if`, `trap` and `return` have no fixed arrow: ref_type_body types them
+    itself, and here they are a `bad-opcode` alike.
+    """
+    op = ins.op
+    if op == "nop":
+        return [], []
+    if op == "const":
+        ty, lit = ins.ty, ins.literal
+        if ty is ValueType.HANDLE:
+            raise TypeError_("const-of-handle", "no handle literals")
+        half = _INT_HALF.get(ty._value_)
+        if type(lit) is not (int if half else float):
+            raise TypeError_("literal-type", f"{ty.value}.const {lit!r}")
+        if half and not -half <= lit < half or ty is ValueType.F32 and not _is_f32(lit):
+            raise TypeError_("literal-range", f"{ty.value}.const {lit!r}")
+        return [], [ty]
+    if op == "binop":
+        ty = ins.ty
+        if ty is ValueType.HANDLE:
+            raise TypeError_("binop-on-handle", "arithmetic on handle values")
+        if ins.operator not in (FLOAT_OPS if ty in (ValueType.F32, ValueType.F64) else INT_OPS):
+            raise TypeError_("bad-operator", f"{ty}.{ins.operator}")
+        return [ty, ty], [ValueType.I32 if ins.operator in COMPARISON_OPS else ty]
+    if op == "get":
+        if not (0 <= ins.idx < len(ctx.locals)):
+            raise TypeError_("bad-index", f"get {ins.idx}")
+        return [], [ctx.locals[ins.idx]]
+    if op == "set":
+        if not (0 <= ins.idx < len(ctx.locals)):
+            raise TypeError_("bad-index", f"set {ins.idx}")
+        return [ctx.locals[ins.idx]], []
+    if op == "load":
+        if ins.ty is ValueType.HANDLE:
+            raise TypeError_("handle-forging-load", "handle.load from flat heap")
+        return [ValueType.I32], [ins.ty]
+    if op == "store":
+        if ins.ty is ValueType.HANDLE:
+            raise TypeError_("handle-forging-store", "handle.store to flat heap")
+        return [ValueType.I32, ins.ty], []
+    if op == "call":
+        if not (0 <= ins.idx < len(ctx.functions)):
+            raise TypeError_("bad-index", f"call {ins.idx}")
+        ft = ctx.functions[ins.idx]
+        return list(ft.params), list(ft.results)
+    if op == "segload":
+        return [ValueType.HANDLE], [ins.ty]
+    if op == "segstore":
+        return [ValueType.HANDLE, ins.ty], []
+    if op == "slice":
+        # handle at the bottom: compiled field access pushes the handle
+        # first, then the base offset, then the bound reduction.
+        return [ValueType.HANDLE, ValueType.I32, ValueType.I32], [ValueType.HANDLE]
+    if op == "new_segment":
+        return [ValueType.I32], [ValueType.HANDLE]
+    if op == "handle_add":
+        return [ValueType.HANDLE, ValueType.I32], [ValueType.HANDLE]
+    if op == "segfree":
+        return [ValueType.HANDLE], []
+    raise TypeError_("bad-opcode", op)
+
+
+def ref_apply(stack: StackType, consumes: StackType, produces: StackType) -> StackType:
+    if len(stack) < len(consumes):
+        raise TypeError_("stack-underflow", f"need {consumes}, have {stack}")
+    if consumes:
+        got = stack[-len(consumes):]
+        if got != consumes:
+            raise TypeError_("type-mismatch", f"need {consumes}, have {got}")
+        stack = stack[:-len(consumes)]
+    return stack + produces
+
+
+def ref_type_body(ctx: TypingContext, body, stack: StackType, depth: int = 0,
+                  arrows: dict | None = None):
+    """Thread a stack type through an instruction sequence that sits
+    inside `depth` ifs.  arrows maps id(ins) to the arrow of each
+    instruction of ctx's function typed so far, so each is typed once.
+
+    Returns the final stack, or UNREACHABLE when the sequence ended in
+    trap/return (in which case trailing instructions were not typed, only
+    their nesting bounded).
+    """
+    arrows = {} if arrows is None else arrows
+    stack = list(stack)
+    for i, ins in enumerate(body):
+        arrow = arrows.get(id(ins))
+        if arrow is None:
+            op = ins.op
+            if op == "trap":
+                break
+            if op == "return":
+                ref_apply(stack, list(ctx.results), [])
+                break
+            if op == "if":
+                if depth >= MAX_NESTING:
+                    raise TypeError_("nesting", f"if nested deeper than {MAX_NESTING}")
+                stack = ref_apply(stack, [ValueType.I32], [])
+                then_out = ref_type_body(ctx, ins.then_body, stack, depth + 1, arrows)
+                else_out = ref_type_body(ctx, ins.else_body, stack, depth + 1, arrows)
+                if UNREACHABLE not in (then_out, else_out) and then_out != else_out:
+                    raise TypeError_("if-arm-mismatch",
+                                     f"then gives {then_out}, else gives {else_out}")
+                stack = else_out if then_out is UNREACHABLE else then_out
+                if stack is UNREACHABLE:
+                    break
+                continue
+            arrow = arrows[id(ins)] = ref_type_instr(ctx, ins)
+        consumes, produces = arrow
+        n = len(consumes)
+        if n:
+            if stack[-n:] != consumes:
+                ref_apply(stack, consumes, produces)  # raises the underflow or mismatch
+            del stack[-n:]
+        stack += produces
+    else:
+        return stack
+    _bound_nesting(body[i + 1:], depth)
+    return UNREACHABLE
+
+
+def ref_typecheck_func(functions: list[FuncType], f: FuncDef) -> None:
+    ctx = TypingContext(list(f.params) + list(f.locals), functions, f.results)
+    out = ref_type_body(ctx, f.body, [])
+    if out is not UNREACHABLE and out != list(f.results):
+        raise TypeError_("result-mismatch",
+                         f"body gives {out}, declared {list(f.results)}")
+
+
+def ref_typecheck_module(m: ModuleDef) -> None:
+    """Raises TypeError_ for an ill-typed module, as typecheck_module does."""
+    functions = [t for t in m.imports] + [f.type for f in m.funcs]
+    errors = []
+    for i, f in enumerate(m.funcs):
+        try:
+            ref_typecheck_func(functions, f)
+        except TypeError_ as e:
+            errors.append(f"func {len(m.imports) + i}: {e}")
+    if errors:
+        raise TypeError_("module", "; ".join(errors))

@@ -1,73 +1,125 @@
 import re
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from mswasm import bytecode as bc
-from mswasm.bytecode import FuncDef, FuncType, ModuleDef, ValueType, parse_module
+from mswasm.bytecode import OPCODES, FuncDef, FuncType, ModuleDef, ValueType, parse_module
 from mswasm.interp import InitError, init_state
 from mswasm.typecheck import (
     TypeError_,
     TypingContext,
     UNREACHABLE,
     type_body,
-    type_instr,
     typecheck_module,
 )
 
+from oracles import ref_typecheck_module
+
 I32, I64, H = ValueType.I32, ValueType.I64, ValueType.HANDLE
+F32, F64 = ValueType.F32, ValueType.F64
 
 
 def ctx(locals_=(), functions=(), results=()):
     return TypingContext(list(locals_), list(functions), tuple(results))
 
 
+def pin_arrow(ins, consumes, produces, c=None):
+    """ins types the exact operand stack `consumes` to `produces`, leaves
+    what lies below its operands alone, and finds a stack one operand
+    short a stack-underflow."""
+    c = c or ctx()
+    assert type_body(c, [ins], consumes) == produces
+    assert type_body(c, [ins], [F64, *consumes]) == [F64, *produces]
+    if consumes:
+        with pytest.raises(TypeError_) as e:
+            type_body(c, [ins], consumes[1:])
+        assert str(e.value) == f"stack-underflow: need {consumes}, have {consumes[1:]}"
+
+
 def test_segload_arrow():
-    assert type_instr(ctx(), bc.segload(I32)) == ([H], [I32])
+    pin_arrow(bc.segload(I32), [H], [I32])
 
 
 def test_slice_arrow():
     # handle first (deepest), then the two offsets on top of it
-    assert type_instr(ctx(), bc.slice_()) == ([H, I32, I32], [H])
+    pin_arrow(bc.slice_(), [H, I32, I32], [H])
 
 
 def test_new_segment_arrow():
-    assert type_instr(ctx(), bc.new_segment()) == ([I32], [H])
+    pin_arrow(bc.new_segment(), [I32], [H])
 
 
 def test_handle_add_arrow():
-    assert type_instr(ctx(), bc.handle_add()) == ([H, I32], [H])
+    pin_arrow(bc.handle_add(), [H, I32], [H])
+
+
+@pytest.mark.parametrize("ins,consumes,produces", [
+    pytest.param(bc.nop(), [], [], id="nop"),
+    pytest.param(bc.const(I64, -3), [], [I64], id="i64.const"),
+    pytest.param(bc.get(1), [], [H], id="get"),
+    pytest.param(bc.set_(1), [H], [], id="set"),
+    pytest.param(bc.binop(I32, "mul"), [I32, I32], [I32], id="i32.mul"),
+    pytest.param(bc.binop(F32, "div"), [F32, F32], [F32], id="f32.div"),
+    pytest.param(bc.binop(F64, "sub"), [F64, F64], [F64], id="f64.sub"),
+    pytest.param(bc.binop(F32, "lt"), [F32, F32], [I32], id="f32.lt"),
+    pytest.param(bc.load(F64), [I32], [F64], id="f64.load"),
+    pytest.param(bc.store(F32), [I32, F32], [], id="f32.store"),
+    pytest.param(bc.call(0), [I32, H], [I32], id="call"),
+    pytest.param(bc.call(1), [], [], id="call-nullary"),
+    pytest.param(bc.segstore(H), [H, H], [], id="handle.segstore"),
+    pytest.param(bc.segfree(), [H], [], id="segfree"),
+])
+def test_every_other_fixed_arrow(ins, consumes, produces):
+    pin_arrow(ins, consumes, produces,
+              ctx([I32, H], [FuncType((I32, H), (I32,)), FuncType((), ())]))
 
 
 def test_load_of_handle_rejected():
     with pytest.raises(TypeError_) as e:
-        type_instr(ctx(), bc.load(H))
-    assert e.value.kind == "handle-forging-load"
+        type_body(ctx(), [bc.load(H)], [I32])
+    assert str(e.value) == "handle-forging-load: handle.load from flat heap"
 
 
 def test_store_of_handle_rejected():
     with pytest.raises(TypeError_) as e:
-        type_instr(ctx(), bc.store(H))
-    assert e.value.kind == "handle-forging-store"
+        type_body(ctx(), [bc.store(H)], [I32, H])
+    assert str(e.value) == "handle-forging-store: handle.store to flat heap"
 
 
 def test_const_of_handle_rejected():
-    with pytest.raises(TypeError_):
-        type_instr(ctx(), bc.const(H, 0))
+    with pytest.raises(TypeError_) as e:
+        type_body(ctx(), [bc.const(H, 0)], [])
+    assert str(e.value) == "const-of-handle: no handle literals"
 
 
 def test_binop_on_handle_rejected():
     with pytest.raises(TypeError_) as e:
-        type_instr(ctx(), bc.binop(H, "add"))
-    assert e.value.kind == "binop-on-handle"
+        type_body(ctx(), [bc.binop(H, "add")], [H, H])
+    assert str(e.value) == "binop-on-handle: arithmetic on handle values"
 
 
-@pytest.mark.parametrize("ins", [bc.trap(), bc.return_(), bc.if_([], [])],
-                         ids=["trap", "return", "if"])
-def test_type_instr_leaves_trap_return_and_if_to_type_body(ins):
-    """No fixed arrow: type_body types these itself."""
+@pytest.mark.parametrize("ins,consumes,out", [
+    (bc.trap(), [], UNREACHABLE),
+    (bc.return_(), [I32], UNREACHABLE),
+    (bc.if_([], []), [I32], []),
+], ids=["trap", "return", "if"])
+def test_type_body_types_trap_return_and_if(ins, consumes, out):
+    """The rules without a fixed arrow: each is pinned by its result from
+    the exact operand stack, and by the underflow of one operand short."""
+    c = ctx(results=[I32])
+    assert type_body(c, [ins], consumes) == out
+    if consumes:
+        with pytest.raises(TypeError_) as e:
+            type_body(c, [ins], [])
+        assert str(e.value) == f"stack-underflow: need {consumes}, have []"
+
+
+def test_an_opcode_outside_the_instruction_set_is_a_bad_opcode():
     with pytest.raises(TypeError_) as e:
-        type_instr(ctx(results=[I32]), ins)
-    assert e.value.kind == "bad-opcode"
+        type_body(ctx(), [bc.Instr("jump")], [I32])
+    assert str(e.value) == "bad-opcode: jump"
 
 
 @pytest.mark.parametrize("ty,literal", [
@@ -76,17 +128,14 @@ def test_type_instr_leaves_trap_return_and_if_to_type_body(ins):
 ])
 def test_api_built_integer_const_outside_its_type_is_rejected(ty, literal):
     with pytest.raises(TypeError_) as e:
-        type_instr(ctx(), bc.const(ty, literal))
+        type_body(ctx(), [bc.const(ty, literal)], [])
     assert e.value.kind == "literal-range"
     m = ModuleDef((FuncDef((), (), (ty,), (bc.const(ty, literal),)),), (), 0, 0)
     with pytest.raises(TypeError_, match="literal-range"):
         typecheck_module(m)
     half = 1 << (31 if ty is I32 else 63)
     for edge in (-half, half - 1):
-        assert type_instr(ctx(), bc.const(ty, edge)) == ([], [ty])
-
-
-F32, F64 = ValueType.F32, ValueType.F64
+        assert type_body(ctx(), [bc.const(ty, edge)], []) == [ty]
 
 
 @pytest.mark.parametrize("body,kind", [
@@ -148,7 +197,7 @@ def test_an_index_out_of_range_after_return_is_neither_typed_nor_run():
 
 
 def test_comparison_produces_i32():
-    assert type_instr(ctx(), bc.binop(I64, "lt_s")) == ([I64, I64], [I32])
+    pin_arrow(bc.binop(I64, "lt_s"), [I64, I64], [I32])
 
 
 def test_body_alloc_composition():
@@ -248,7 +297,6 @@ def test_one_shared_instruction_is_typed_in_each_function():
     typecheck_module(flipped)
 
 
-F64 = ValueType.F64
 _ADD, _ONE = bc.binop(I32, "add"), bc.const(I32, 1)
 
 
@@ -278,3 +326,106 @@ def test_ill_typed_bodies_keep_their_kind_and_message(locals_, results, body, ki
     with pytest.raises(TypeError_) as e:
         typecheck_module(ModuleDef((FuncDef((), tuple(locals_), tuple(results), body),), (), 0, 0))
     assert str(e.value) == f"module: func 0: {kind}: {msg}"
+
+
+# One row per opcode that takes operands: the instruction, a wrongly typed
+# stack, and the two messages the arrow-based typer gave, with each type
+# written by its name (expanded by `_spelled`).  Locals are [i32] and the
+# function returns [i32]; function 0 is [i32 handle] -> [i32].
+_FAILURES = [
+    (bc.set_(0), [H], "need [i32], have []", "need [i32], have [handle]"),
+    (bc.binop(I32, "add"), [I32, I64],
+     "need [i32, i32], have []", "need [i32, i32], have [i32, i64]"),
+    (bc.load(F32), [H], "need [i32], have []", "need [i32], have [handle]"),
+    (bc.store(I64), [I32, I32], "need [i32, i64], have []", "need [i32, i64], have [i32, i32]"),
+    (bc.if_((), ()), [I64], "need [i32], have []", "need [i32], have [i64]"),
+    (bc.call(0), [H, I32],
+     "need [i32, handle], have []", "need [i32, handle], have [handle, i32]"),
+    (bc.return_(), [F64], "need [i32], have []", "need [i32], have [f64]"),
+    (bc.segload(I32), [I32], "need [handle], have []", "need [handle], have [i32]"),
+    (bc.segstore(F64), [H, F32],
+     "need [handle, f64], have []", "need [handle, f64], have [handle, f32]"),
+    (bc.slice_(), [I32, I32, I32],
+     "need [handle, i32, i32], have []", "need [handle, i32, i32], have [i32, i32, i32]"),
+    (bc.new_segment(), [H], "need [i32], have []", "need [i32], have [handle]"),
+    (bc.handle_add(), [I32, I32],
+     "need [handle, i32], have []", "need [handle, i32], have [i32, i32]"),
+    (bc.segfree(), [I32], "need [handle], have []", "need [handle], have [i32]"),
+]
+
+
+def _spelled(msg: str) -> str:
+    """msg with each type name as a list of ValueTypes prints it."""
+    return re.sub(r"\b(i32|i64|f32|f64|handle)\b",
+                  lambda t: f"<ValueType.{t[1].upper()}: '{t[1]}'>", msg)
+
+
+def test_failure_table_names_every_opcode_that_takes_operands():
+    takes_none = {"nop", "trap", "const", "get"}
+    assert sorted(ins.op for ins, *_ in _FAILURES) == sorted(set(OPCODES) - takes_none)
+
+
+@pytest.mark.parametrize("ins,wrong,underflow,mismatch", _FAILURES,
+                         ids=[ins.op for ins, *_ in _FAILURES])
+def test_each_opcode_rejects_an_empty_and_a_wrongly_typed_stack(ins, wrong, underflow, mismatch):
+    c = ctx([I32], [FuncType((I32, H), (I32,))], [I32])
+    for stack, kind, msg in ([], "stack-underflow", underflow), (wrong, "type-mismatch", mismatch):
+        with pytest.raises(TypeError_) as e:
+            type_body(c, [ins], stack)
+        assert (e.value.kind, str(e.value)) == (kind, f"{kind}: {_spelled(msg)}")
+
+
+def _outcome(check, m):
+    """None for a well-typed module, else the error's kind and message."""
+    try:
+        check(m)
+    except TypeError_ as e:
+        return e.kind, str(e)
+    return None
+
+
+def _one_edit_bodies(body):
+    """Each body one deletion or one swap of neighbours away from body,
+    at any depth of its ifs."""
+    for i, ins in enumerate(body):
+        yield body[:i] + body[i + 1:]
+        if i + 1 < len(body):
+            yield body[:i] + (body[i + 1], ins) + body[i + 2:]
+        if ins.op == "if":
+            for arm in ("then_body", "else_body"):
+                for edited in _one_edit_bodies(getattr(ins, arm)):
+                    yield body[:i] + (replace(ins, **{arm: edited}),) + body[i + 1:]
+
+
+def _typer_corpus():
+    """fuzz_module seeds 0-299; fuzz_victim seeds 0-99, alone and linked
+    with their attackers as `mswasm fuzz --attacker` pairs them; and the
+    compiled fuzz_source seeds 0-99."""
+    from mswasm.compiler import compile_module
+    from mswasm.conformance import fuzz_attacker, fuzz_module, fuzz_source, fuzz_victim
+    from mswasm.interp import link
+    from mswasm.minic import parse_source, src_typecheck
+
+    yield from map(fuzz_module, range(300))
+    for seed in range(100):
+        victim = fuzz_victim(seed)
+        yield victim
+        yield link(victim, fuzz_attacker(victim, seed * 31 + 1))
+    for seed in range(100):
+        yield compile_module(src_typecheck(parse_source(fuzz_source(seed, violations=bool(seed % 2)))))
+
+
+def test_typecheck_module_agrees_with_the_arrow_based_typer():
+    """Each corpus module, and each module one edit of one body away from
+    it, is well-typed for both typers or fails both with the same kind
+    and message."""
+    kinds = Counter()
+    for m in _typer_corpus():
+        for k, f in enumerate(m.funcs):
+            for body in (f.body, *_one_edit_bodies(f.body)):
+                mutant = replace(m, funcs=m.funcs[:k] + (replace(f, body=body),) + m.funcs[k + 1:])
+                got = _outcome(typecheck_module, mutant)
+                assert got == _outcome(ref_typecheck_module, mutant), bc.print_module(mutant)
+                kinds.update(re.findall(r"func \d+: ([a-z-]+)", got[1]) if got else ["ok"])
+    assert {"ok", "stack-underflow", "type-mismatch", "result-mismatch",
+            "if-arm-mismatch"} <= set(kinds), kinds
