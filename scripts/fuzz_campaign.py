@@ -1,11 +1,18 @@
 #!/usr/bin/env python3
 """Long-running fuzz campaign: all three campaign kinds back to back,
-writing any counterexample bundles under counterexamples/.
+writing any counterexample bundles under counterexamples/ of the working
+directory.
 
     python scripts/fuzz_campaign.py [N] [SEED]
+
+It imports mswasm from the checkout it lies in.
 """
 
 import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from mswasm.cli import main
 

@@ -177,10 +177,6 @@ class ModuleDef:
     heap_size: int = 0
     segment_size: int = 0
 
-    @property
-    def is_whole(self) -> bool:
-        return not self.imports
-
 
 class ParseError(Exception):
     def __init__(self, msg: str, line: int, col: int):

@@ -160,11 +160,12 @@ class Config:
 
 
 def _new_frame(m: ModuleDef, idx: int, args: list, backend) -> Frame:
+    """A frame for function idx; its locals are args, which it takes over."""
     f = m.funcs[idx]
     null = backend.NULL
-    locs = args + [0.0 if t is F32 or t is F64 else null if t is HANDLE else 0
-                   for t in f.locals]
-    return Frame(locs, iter(f.body), [], [], f)
+    for t in f.locals:
+        args.append(0.0 if t is F32 or t is F64 else null if t is HANDLE else 0)
+    return Frame(args, iter(f.body), [], [], f)
 
 
 def check_memory_size(what: str, n: int) -> None:
@@ -185,17 +186,20 @@ def init_state(m: ModuleDef, backend_name: str = "tagged",
     if m.funcs[0].params:
         raise InitError("entry function must take no parameters")
     size = m.segment_size if segment_size is None else segment_size
-    check_memory_size("segment", size)
-    check_memory_size("heap", m.heap_size)
+    if not (0 <= size <= MAX_MEMORY and 0 <= m.heap_size <= MAX_MEMORY):
+        check_memory_size("segment", size)
+        check_memory_size("heap", m.heap_size)
     backend = BACKENDS[backend_name](size)
-    return Config(m, bytearray(m.heap_size), backend,
-                  [_new_frame(m, 0, [], backend)])
+    return Config(m, bytearray(m.heap_size), backend, [_new_frame(m, 0, [], backend)])
+
+
+_TRAP = TrapEv()
 
 
 def _trap(config: Config) -> TrapEv:
     config.trapped = True
     config.frames.clear()
-    return TrapEv()
+    return _TRAP
 
 
 # -- arithmetic -------------------------------------------------------
@@ -397,8 +401,7 @@ def step(config: Config):
 
 
 def _do_return(config: Config, frame: Frame):
-    k = len(frame.func.results)
-    results = frame.operands[len(frame.operands) - k:] if k else []
+    results = frame.operands[len(frame.operands) - len(frame.func.results):]
     config.frames.pop()
     if config.frames:
         config.frames[-1].operands.extend(results)
@@ -425,54 +428,56 @@ def run(m: ModuleDef, backend: str = "tagged", budget: int = DEFAULT_BUDGET,
     config = init_state(m, backend, segment_size)
     trace: list = []
     steps = _steps(config, budget, trace.append)
-    if config.frames:
-        return RunResult(trace, "budget", config, steps)
-    return RunResult(trace, "trap" if config.trapped else "ok", config, steps)
+    outcome = "budget" if config.frames else "trap" if config.trapped else "ok"
+    return RunResult(trace, outcome, config, steps)
 
 
 # -- linking ----------------------------------------------------------
 
 
 def _rewrite_calls(body, remap) -> tuple[Instr, ...]:
-    out = []
-    for ins in body:
+    """body with every call index remapped, or body itself if it has no call."""
+    out = None
+    for i, ins in enumerate(body):
         if ins.op == "call":
-            out.append(Instr("call", idx=remap(ins.idx)))
+            ins = Instr("call", idx=remap(ins.idx))
         elif ins.op == "if":
-            out.append(Instr("if", then_body=_rewrite_calls(ins.then_body, remap),
-                             else_body=_rewrite_calls(ins.else_body, remap)))
+            then_body = _rewrite_calls(ins.then_body, remap)
+            else_body = _rewrite_calls(ins.else_body, remap)
+            if then_body is ins.then_body and else_body is ins.else_body:
+                continue
+            ins = Instr("if", then_body=then_body, else_body=else_body)
         else:
-            out.append(ins)
-    return tuple(out)
+            continue
+        out = out or list(body)
+        out[i] = ins
+    return body if out is None else tuple(out)
 
 
 def link(m: ModuleDef, ctx: ModuleDef) -> ModuleDef:
     """Fill m's imports with ctx's functions (positionally, by type).
 
     The result is a whole module: m's own functions first (entry stays at
-    index 0), then all of ctx's, with call indices rewritten.
+    index 0), then all of ctx's, with call indices rewritten.  A function
+    without a call, at any `if` depth, is the same FuncDef object as in m or ctx.
     """
-    if not ctx.is_whole:
+    if ctx.imports:
         raise LinkError("context module must be whole")
     k = len(m.imports)
     if len(ctx.funcs) < k:
         raise LinkError(f"context exports {len(ctx.funcs)} functions, need {k}")
-    for j in range(k):
-        if ctx.funcs[j].type != m.imports[j]:
-            raise LinkError(
-                f"import {j}: expected {m.imports[j]}, got {ctx.funcs[j].type}")
+    for j, (want, f) in enumerate(zip(m.imports, ctx.funcs)):
+        if f.params != want.params or f.results != want.results:
+            raise LinkError(f"import {j}: expected {want}, got {f.type}")
     n = len(m.funcs)
 
     def remap_m(idx: int) -> int:
         return idx - k if idx >= k else n + idx
 
-    def remap_ctx(idx: int) -> int:
-        return n + idx
-
-    funcs = [FuncDef(f.params, f.locals, f.results, _rewrite_calls(f.body, remap_m))
-             for f in m.funcs]
-    funcs += [FuncDef(f.params, f.locals, f.results, _rewrite_calls(f.body, remap_ctx))
-              for f in ctx.funcs]
-    return ModuleDef(tuple(funcs), (),
-                     max(m.heap_size, ctx.heap_size),
+    funcs = []
+    for fs, remap in ((m.funcs, remap_m), (ctx.funcs, lambda idx: n + idx)):
+        for f in fs:
+            body = _rewrite_calls(f.body, remap)
+            funcs.append(f if body is f.body else FuncDef(f.params, f.locals, f.results, body))
+    return ModuleDef(tuple(funcs), (), max(m.heap_size, ctx.heap_size),
                      max(m.segment_size, ctx.segment_size))

@@ -86,7 +86,7 @@ class MemTrap(Exception):
     runs for one step, is the one place that catches it."""
 
     def __init__(self, kind: TrapKind, msg: str = ""):
-        super().__init__(f"{kind.value}: {msg}" if msg else kind.value)
+        super().__init__(f"{kind._value_}: {msg}" if msg else kind._value_)
         self.kind = kind
 
 
@@ -156,7 +156,8 @@ class SegmentMemory:
     `allocated` (id -> (base, size)) partition [0, size).  Ids are issued
     from `next_id` and never handed out twice.  `data` and `tags` start
     empty, so a module pays for the memory it allocates, not for the
-    size it declares."""
+    size it declares.  Bytes outside live segments are 0 (`free` clears
+    them, and the arrays grow with zeros), so `alloc` writes none."""
 
     NULL = NULL_HANDLE
 
@@ -184,10 +185,8 @@ class SegmentMemory:
         if grow > 0:
             self.data.extend(bytes(grow))
             self.tags.extend(bytes(grow))
-        self.data[base:base + n] = bytes(n)
-        self.tags[base:base + n] = bytes(n)
         self.allocated[seg_id] = (base, n)
-        return Handle(base, 0, n, True, seg_id)
+        return _new(Handle, (base, 0, n, True, seg_id))
 
     def free(self, h: Handle) -> None:
         if not h.valid:

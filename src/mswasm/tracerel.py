@@ -105,7 +105,7 @@ def relate(trace, step, access, delta: BijectionDelta, shading=constant_shading)
                 return Unrelatable(i, f"base {h.base} id {h.id} overlaps a live segment")
             shades = tuple(shading(i, h, h.bound))
             color = delta.bind_segment(h.id, h.base, h.bound, shades)
-            kind = step(AAlloc(h.bound, h.base, color, shades))
+            kind = step(_new(AAlloc, (h.bound, h.base, color, shades)))
         else:
             image = delta.resolve(h.id, h.base)
             if image is None:
@@ -120,7 +120,7 @@ def relate(trace, step, access, delta: BijectionDelta, shading=constant_shading)
                 n += width
                 continue
             delta.live.discard(h.id)
-            kind = step(AFree(h.base, color))
+            kind = step(_new(AFree, (h.base, color)))
         if kind is not None:
             return Violation(kind, n, i)
         n += 1

@@ -23,7 +23,10 @@ is the arrow-based typer that the one typing loop `typecheck.type_body`
 replaced: `ref_type_instr` gives each instruction its (consumes, produces)
 arrow as two fresh lists, memoised per function by `id`, `ref_apply`
 threads the stack type through it by slicing and concatenation, and the
-callees' signatures are `FuncType`s built from the functions.
+callees' signatures are `FuncType`s built from the functions.  The
+linking reference, `ref_link`, is the linker before it kept the functions
+that hold no call: it rebuilds every FuncDef and every body, and checks
+each import against a `FuncType` built from its filler.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from mswasm.bytecode import (
 
 from mswasm.baggy import NULL_BAGGY, pack_baggy, unpack_baggy
 from mswasm.compiler import Layout, compile_type
-from mswasm.interp import ReadEv, SAllocEv, SFreeEv, TrapEv, WriteEv
+from mswasm.interp import LinkError, ReadEv, SAllocEv, SFreeEv, TrapEv, WriteEv
 from mswasm.minic import (
     INT, ArrayType, SInt, SPtr, SrcAlloc, SrcFree, SrcHostError,
     SrcRead, SrcRunResult, SrcWrite, StructType, TAssignPtr, TAssignVar, TBinOp,
@@ -1113,3 +1116,51 @@ def ref_typecheck_module(m: ModuleDef) -> None:
             errors.append(f"func {len(m.imports) + i}: {e}")
     if errors:
         raise TypeError_("module", "; ".join(errors))
+
+
+# -- linking reference: the linker that rebuilt every function -------------
+
+
+def ref_rewrite_calls(body, remap) -> tuple[Instr, ...]:
+    out = []
+    for ins in body:
+        if ins.op == "call":
+            out.append(Instr("call", idx=remap(ins.idx)))
+        elif ins.op == "if":
+            out.append(Instr("if", then_body=ref_rewrite_calls(ins.then_body, remap),
+                             else_body=ref_rewrite_calls(ins.else_body, remap)))
+        else:
+            out.append(ins)
+    return tuple(out)
+
+
+def ref_link(m: ModuleDef, ctx: ModuleDef) -> ModuleDef:
+    """Fill m's imports with ctx's functions (positionally, by type).
+
+    The result is a whole module: m's own functions first (entry stays at
+    index 0), then all of ctx's, with call indices rewritten.
+    """
+    if ctx.imports:  # `not ctx.is_whole`: ModuleDef.is_whole was `not self.imports`
+        raise LinkError("context module must be whole")
+    k = len(m.imports)
+    if len(ctx.funcs) < k:
+        raise LinkError(f"context exports {len(ctx.funcs)} functions, need {k}")
+    for j in range(k):
+        if ctx.funcs[j].type != m.imports[j]:
+            raise LinkError(
+                f"import {j}: expected {m.imports[j]}, got {ctx.funcs[j].type}")
+    n = len(m.funcs)
+
+    def remap_m(idx: int) -> int:
+        return idx - k if idx >= k else n + idx
+
+    def remap_ctx(idx: int) -> int:
+        return n + idx
+
+    funcs = [FuncDef(f.params, f.locals, f.results, ref_rewrite_calls(f.body, remap_m))
+             for f in m.funcs]
+    funcs += [FuncDef(f.params, f.locals, f.results, ref_rewrite_calls(f.body, remap_ctx))
+              for f in ctx.funcs]
+    return ModuleDef(tuple(funcs), (),
+                     max(m.heap_size, ctx.heap_size),
+                     max(m.segment_size, ctx.segment_size))

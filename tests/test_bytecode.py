@@ -126,7 +126,6 @@ def test_imports_roundtrip():
     assert m.imports == (FuncType((ValueType.I32, ValueType.HANDLE),
                                   (ValueType.I32,)),)
     assert parse_module(print_module(m)) == m
-    assert not m.is_whole
 
 
 def test_every_instruction_roundtrips():

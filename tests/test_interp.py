@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -7,6 +8,7 @@ from mswasm import bytecode as bc
 from mswasm import interp
 from mswasm.baggy import NULL_BAGGY, BaggyHandle
 from mswasm.bytecode import OPCODES, FuncDef, FuncType, ModuleDef, ValueType, parse_module
+from mswasm.conformance import fuzz_attacker, fuzz_victim
 from mswasm.interp import (
     BACKENDS,
     Config,
@@ -28,6 +30,7 @@ from mswasm.interp import (
 )
 from mswasm.segmem import MAX_ID, Handle, TrapKind
 from mswasm.typecheck import typecheck_module
+from oracles import ref_link
 
 I32, I64, F64, H = ValueType.I32, ValueType.I64, ValueType.F64, ValueType.HANDLE
 
@@ -375,7 +378,7 @@ def test_link_identity_context():
       (func (param i32) (result i32) get 0))
     """)
     whole = link(_victim(), ctx)
-    assert whole.is_whole
+    assert whole.imports == ()
     typecheck_module(whole)
     assert run(whole).results == [Value(I32, 4)]
 
@@ -383,8 +386,9 @@ def test_link_identity_context():
 def test_link_type_mismatch():
     ctx = parse_module("(module (segment 0) (heap 0)"
                        " (func (param i64) (result i32) i32.const 0))")
-    with pytest.raises(LinkError):
+    with pytest.raises(LinkError) as e:
         link(_victim(), ctx)
+    assert str(e.value) == "import 0: expected [i32] -> [i32], got [i64] -> [i32]"
 
 
 @pytest.mark.parametrize("ctx,message", [
@@ -413,6 +417,77 @@ def test_linked_typechecks_iff_halves_do():
         (FuncDef((I32,), (), (I32,), (bc.get(0), bc.get(0),)),), (), 0, 0)
     with pytest.raises(TypeError_):
         typecheck_module(link(_victim(), bad_ctx))
+
+
+# Calls inside nested ifs on both sides, a function with ifs but no call
+# on both sides, and a context that exports two functions more than the
+# victim imports.  Linked, the entry returns 8 through victim functions 3
+# and 4.
+NESTED_VICTIM = """
+(module (segment 64) (heap 8)
+  (import (param i32) (result i32))
+  (import (result i32))
+  (func (result i32)
+    i32.const 1
+    (if (then i32.const 0 (if (then i32.const 5 call 0) (else call 3)))
+        (else call 1)))
+  (func (result i32) i32.const 7 call 4)
+  (func (param i32) (result i32) get 0 i32.const 1 i32.add)
+  (func (result i32) i32.const 9 (if (then i32.const 2) (else i32.const 3))))
+"""
+NESTED_CONTEXT = """
+(module (segment 128) (heap 0)
+  (func (param i32) (result i32)
+    get 0
+    (if (then i32.const 1 (if (then i32.const 0 call 2) (else i32.const 4)))
+        (else i32.const 0 call 2)))
+  (func (result i32) i32.const 3 call 3)
+  (func (param i32) (result i32) get 0 i32.const 100 i32.add)
+  (func (param i32) (result i32) get 0 (if (then i32.const 1) (else i32.const 2))))
+"""
+
+
+def _holds_call(body) -> bool:
+    return any(ins.op == "call" or ins.op == "if" and (
+        _holds_call(ins.then_body) or _holds_call(ins.else_body)) for ins in body)
+
+
+def _linked_or_message(linker, m, ctx):
+    try:
+        return linker(m, ctx)
+    except LinkError as e:
+        return f"LinkError: {e}"
+
+
+def test_link_agrees_with_the_linker_that_rebuilt_every_function():
+    """On fuzz_victim seeds 0-299 with their attackers, on the same victims
+    with the attacker of the next seed, and on the nested pair, also with
+    a context that declares the larger heap and the smaller segment, link
+    gives what `oracles.ref_link` gives: an equal module or the same
+    LinkError message.  A function without a call is the same FuncDef
+    object in the linked module; one with a call is a new one."""
+    pairs = [(fuzz_victim(s), fuzz_attacker(fuzz_victim(s), s * 31 + 1)) for s in range(300)]
+    pairs += [(pairs[s][0], pairs[s + 1][1]) for s in range(299)]
+    nested = parse_module(NESTED_VICTIM), parse_module(NESTED_CONTEXT)
+    grown = nested[0], replace(nested[1], heap_size=16, segment_size=32)
+    pairs += [nested, grown]
+    outcomes = {"linked": 0, "kept": 0, "rebuilt": 0, "refused": 0}
+    for m, ctx in pairs:
+        got = _linked_or_message(link, m, ctx)
+        assert got == _linked_or_message(ref_link, m, ctx)
+        if isinstance(got, str):
+            outcomes["refused"] += 1
+            continue
+        outcomes["linked"] += 1
+        for f, linked in zip(m.funcs + ctx.funcs, got.funcs, strict=True):
+            kept = linked is f
+            assert kept is not _holds_call(f.body)
+            outcomes["kept" if kept else "rebuilt"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+    assert [(w.heap_size, w.segment_size) for w in (link(*nested), link(*grown))] \
+        == [(8, 128), (16, 64)]
+    typecheck_module(link(*nested))
+    assert run(link(*nested)).results == [Value(I32, 8)]
 
 
 # -- run is step in a loop ----------------------------------------------
