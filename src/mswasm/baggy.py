@@ -23,10 +23,9 @@ spatial on load, store and free: its stray window is empty, so no
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left, insort
 from typing import NamedTuple
 
-from .segmem import MAX_MEMORY, Handle, MemTrap, TrapKind
+from .segmem import MAX_MEMORY, Handle, MemTrap, TrapKind, give, take
 
 MIN_ORDER = 4  # smallest slot is 16 bytes
 _ADDR_MASK = (1 << 48) - 1
@@ -55,20 +54,18 @@ class BaggyHandle(NamedTuple):
     order: int
     marked: bool
 
-    @property
-    def slot_size(self) -> int:
-        return 1 << self.order
-
 
 NULL_BAGGY = BaggyHandle(0, 0, False)
 
 
 class BuddyMemory:
-    """The `baggy` backend: a single growable byte store carved by a
-    binary buddy allocator.
+    """The `baggy` backend: one growable byte store of power-of-two slots.
 
-    `free_lists` maps an order to the sorted bases of its free blocks;
-    an allocation takes the lowest base of the smallest order that fits.
+    A slot of 2**k bytes goes at the lowest free base that is a multiple
+    of 2**k (`segmem.take`), the alignment all slot arithmetic needs;
+    when none fits, the store doubles and its upper half is given to the
+    free list.  `free_ranges` and the live slots in `allocated` (slot
+    base -> order) partition [0, len(data)).
     """
 
     NULL = NULL_BAGGY
@@ -77,46 +74,26 @@ class BuddyMemory:
         size = max(16, 1 << (size - 1).bit_length())
         self.cap = cap
         self.data = bytearray(size)
-        self.free_lists: dict[int, list[int]] = {size.bit_length() - 1: [0]}
+        self.free_ranges: list[tuple[int, int]] = [(0, size)]
         self.allocated: dict[int, int] = {}  # slot base -> order
-
-    @property
-    def size(self) -> int:
-        return len(self.data)
-
-    def _grow(self) -> None:
-        old = self.size
-        if old * 2 > self.cap:
-            raise MemTrap(TrapKind.OOM, "backing store at cap")
-        self.data.extend(bytes(old))
-        # The new upper half is one free block of the old total size, and
-        # above every other free base.
-        self.free_lists.setdefault(old.bit_length() - 1, []).append(old)
-
-    def _take_block(self, order: int) -> int:
-        free_lists = self.free_lists
-        while True:
-            for k in range(order, len(self.data).bit_length()):
-                bucket = free_lists.get(k)
-                if bucket:
-                    base = bucket.pop(0)
-                    # No order from `order` to k - 1 has a free block, so
-                    # each upper half becomes its list's only base.
-                    while k > order:
-                        k -= 1
-                        free_lists.setdefault(k, []).append(base + (1 << k))
-                    return base
-            self._grow()
 
     def alloc(self, n: int) -> BaggyHandle:
         if n < 0:
             raise MemTrap(TrapKind.OOM, f"negative size {n}")
         order = max(MIN_ORDER, (n - 1).bit_length())  # least 2**order >= n
-        if (1 << order) > self.cap:
+        size = 1 << order
+        if size > self.cap:
             raise MemTrap(TrapKind.OOM, f"{n} bytes above cap")
-        base = self._take_block(order)
+        base = take(self.free_ranges, size, size)
+        while base is None:
+            old = len(self.data)
+            if old * 2 > self.cap:
+                raise MemTrap(TrapKind.OOM, "backing store at cap")
+            self.data.extend(bytes(old))
+            give(self.free_ranges, old, old)
+            base = take(self.free_ranges, size, size)
         self.allocated[base] = order
-        self.data[base:base + (1 << order)] = bytes(1 << order)
+        self.data[base:base + size] = bytes(size)
         return _new(BaggyHandle, (base, order, False))
 
     def free(self, h: BaggyHandle) -> None:
@@ -130,20 +107,7 @@ class BuddyMemory:
         if self.allocated.get(base) != order:
             raise MemTrap(TrapKind.TEMPORAL, "slot not allocated")
         del self.allocated[base]
-        free_lists = self.free_lists
-        top = self.size.bit_length() - 1
-        while order < top:
-            buddy = base ^ (1 << order)
-            bucket = free_lists.get(order)
-            if not bucket:
-                break
-            i = bisect_left(bucket, buddy)
-            if i == len(bucket) or bucket[i] != buddy:
-                break
-            del bucket[i]
-            base &= buddy
-            order += 1
-        insort(free_lists.setdefault(order, []), base)
+        give(self.free_ranges, base, 1 << order)
 
     # -- handle-modifying checks ---------------------------------------
 

@@ -2,10 +2,12 @@
 ids, handle packing, and the one first-fit free list (`take`/`give`).
 
 The free list is address-ordered first fit with immediate coalescing.
-Segment memory takes from it with 16-byte alignment; the source heap in
-`minic` takes cells with alignment 1 and grows at its end when nothing
-fits.  Freeing merges a range with its two neighbours only, so the list
-never needs a sort.
+It has three users: segment memory takes segments with 16-byte
+alignment; the source heap in `minic` takes cells with alignment 1 and
+grows at its end when nothing fits; and the `baggy` backend takes each
+power-of-two slot aligned to its own size and doubles its store when
+nothing fits.  Freeing merges a range with its two neighbours only, so
+the list never needs a sort.
 
 Memory is two bytearrays of one length, which grows to the end of the
 highest segment carved so far: `data` holds the bytes and `tags` holds

@@ -12,6 +12,11 @@ addresses themselves: colours already disambiguate reuse, so the identity
 embedding is the simplest witness.  The source relation
 (`minic.src_relate`) resolves pointers through the same records.
 
+Only a valid handle has an image, as in `conformance.relate_value`: a
+read, write or free through an invalid (forged) handle is unrelatable.
+Both backends trap such an access before it reaches a trace, so only an
+enforcement fault can show one.
+
 `relate` hands each allocation and free to a `step` callback and each
 read or write, whole, to an `access` callback, and stops at the first
 event in trace order that has no image or whose image a callback rejects,
@@ -107,6 +112,8 @@ def relate(trace, step, access, delta: BijectionDelta, shading=constant_shading)
             color = delta.bind_segment(h.id, h.base, h.bound, shades)
             kind = step(_new(AAlloc, (h.bound, h.base, color, shades)))
         else:
+            if not h.valid:
+                return Unrelatable(i, f"access through an invalid handle, id {h.id}")
             image = delta.resolve(h.id, h.base)
             if image is None:
                 return Unrelatable(i, f"no image for base {h.base} id {h.id}")

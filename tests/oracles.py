@@ -4,8 +4,9 @@ These deliberately use different data structures from the production code:
 the memory oracle keeps one byte-array per allocation id instead of a flat
 store with a free list, the monitor oracle replays allocation interval
 records instead of a shadow map, the baggy reference keeps handles as
-packed 64-bit ints and finds a first fit by sorting instead of decoding
-handles to tuples and keeping sorted per-order free lists, and the
+packed 64-bit ints and places a slot at the least multiple of its size
+that overlaps no live slot instead of decoding handles to tuples and
+taking slots from a free list, and the
 bytecode tokenizer walks the text a character at a time, counting lines
 and columns as it goes, instead of matching one regular expression and
 counting positions only for an error.  The source-interpreter reference
@@ -357,35 +358,25 @@ def ref_slot_base(packed: int) -> int:
 
 
 class RefBuddyMemory:
-    """The buddy allocator over 64-bit packed handles, with the plainest
-    formulas: first fit sorts the orders and takes the least base of the
-    first non-empty one, and a buddy is found by list membership."""
+    """The baggy backend over 64-bit packed handles, with the plainest
+    formulas: a slot goes at the least multiple of its size where it
+    overlaps no live slot, and the store doubles until one fits."""
 
     def __init__(self, size: int, cap: int):
         size = max(16, 1 << (size - 1).bit_length())
         self.cap = cap
         self.data = bytearray(size)
-        self.free_lists: dict[int, list[int]] = {size.bit_length() - 1: [0]}
         self.allocated: dict[int, int] = {}
 
-    def _grow(self) -> None:
-        old = len(self.data)
-        if old * 2 > self.cap:
-            raise MemTrap(TrapKind.OOM)
-        self.data.extend(bytes(old))
-        self.free_lists.setdefault(old.bit_length() - 1, []).append(old)
-
-    def _take_block(self, order: int) -> int:
-        for k in sorted(self.free_lists):
-            if k >= order and self.free_lists[k]:
-                base = min(self.free_lists[k])
-                self.free_lists[k].remove(base)
-                while k > order:
-                    k -= 1
-                    self.free_lists.setdefault(k, []).append(base + (1 << k))
-                return base
-        self._grow()
-        return self._take_block(order)
+    def _place(self, size: int) -> int:
+        while True:
+            for base in range(0, len(self.data) - size + 1, size):
+                if all(base + size <= b or b + (1 << k) <= base
+                       for b, k in self.allocated.items()):
+                    return base
+            if 2 * len(self.data) > self.cap:
+                raise MemTrap(TrapKind.OOM)
+            self.data.extend(bytes(len(self.data)))
 
     def alloc(self, n: int) -> int:
         if n < 0:
@@ -395,7 +386,7 @@ class RefBuddyMemory:
             order += 1
         if (1 << order) > self.cap:
             raise MemTrap(TrapKind.OOM)
-        base = self._take_block(order)
+        base = self._place(1 << order)
         self.allocated[base] = order
         self.data[base:base + (1 << order)] = bytes(1 << order)
         return base | (order << 48)
@@ -412,15 +403,6 @@ class RefBuddyMemory:
         if self.allocated.get(base) != order:
             raise MemTrap(TrapKind.TEMPORAL)
         del self.allocated[base]
-        while order < len(self.data).bit_length() - 1:
-            buddy = base ^ (1 << order)
-            bucket = self.free_lists.get(order, [])
-            if buddy not in bucket:
-                break
-            bucket.remove(buddy)
-            base = min(base, buddy)
-            order += 1
-        self.free_lists.setdefault(order, []).append(base)
 
     def handle_add(self, packed: int, delta: int) -> int:
         addr, order, _ = ref_baggy_fields(packed)
@@ -462,8 +444,17 @@ class RefBuddyMemory:
         base = ref_slot_base(packed)
         return Handle(base, addr - base, 1 << order, not marked, base & 0x7FFFFFFF)
 
-    def free_blocks(self) -> set[tuple[int, int]]:
-        return {(k, b) for k, bases in self.free_lists.items() for b in bases}
+    def free_ranges(self) -> list[tuple[int, int]]:
+        """The gaps between the live slots, as (start, length) in address
+        order."""
+        gaps, at = [], 0
+        for base, order in sorted(self.allocated.items()):
+            if base > at:
+                gaps.append((at, base - at))
+            at = base + (1 << order)
+        if len(self.data) > at:
+            gaps.append((at, len(self.data) - at))
+        return gaps
 
 
 BAGGY_NUM_LAYOUTS = tuple(struct.Struct(f) for f in ("<i", "<q", "<f", "<d"))
@@ -474,7 +465,7 @@ def run_baggy_differential(mem, rng, steps: int) -> None:
     allocs, frees, handle adds, slices, number and handle loads and
     stores, and decodes of random packed bytes, asserting after each op
     the same handle fields, views, loaded values, trap kinds, memory
-    bytes, free blocks and allocated slots."""
+    bytes, free ranges and allocated slots."""
     ref = RefBuddyMemory(len(mem.data), mem.cap)
     pool: list = []  # (handle, the reference's packed int)
 
@@ -541,8 +532,7 @@ def run_baggy_differential(mem, rng, steps: int) -> None:
             keep((got, packed))
         assert mem.data == ref.data
         assert mem.allocated == ref.allocated
-        assert {(k, b) for k, bases in mem.free_lists.items() for b in bases} \
-            == ref.free_blocks()
+        assert mem.free_ranges == ref.free_ranges()
 
 
 # -- bytecode text: a character-loop tokenizer --------------------------

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mswasm.baggy import BuddyMemory, pack_baggy, unpack_baggy
@@ -7,7 +9,7 @@ from mswasm.segmem import MemTrap
 def test_alloc_rounds_to_power_of_two():
     mem = BuddyMemory(256)
     h = mem.alloc(24)
-    assert h.slot_size == 32 and h.order == 5
+    assert 1 << h.order == 32 and h.order == 5
 
 
 def test_alloc_exact_power_of_two():
@@ -17,7 +19,7 @@ def test_alloc_exact_power_of_two():
 
 def test_alloc_zero_gets_minimum_slot():
     mem = BuddyMemory(256)
-    assert mem.alloc(0).slot_size == 16
+    assert 1 << mem.alloc(0).order == 16
 
 
 def test_within_slot_add_is_unmarked():
@@ -113,40 +115,78 @@ def test_slice_beyond_slack_traps():
         mem.slice_handle(h, 96, 0)
 
 
-def test_buddy_coalescing():
+def _assert_slots_and_free_ranges_tile_the_store(mem):
+    """Every live slot's base is a multiple of its size, and the live
+    slots and the free ranges cover the store exactly, with no overlap."""
+    pieces = [(base, 1 << order) for base, order in mem.allocated.items()]
+    for base, size in pieces:
+        assert base % size == 0, (base, size)
+    pieces += mem.free_ranges
+    at = 0
+    for base, size in sorted(pieces):
+        assert base == at and size > 0, (base, size, sorted(pieces))
+        at += size
+    assert at == len(mem.data)
+
+
+def test_freeing_every_slot_leaves_one_free_range():
     mem = BuddyMemory(64)
-    a = mem.alloc(16)
-    b = mem.alloc(16)
-    c = mem.alloc(32)
-    mem.free(a)
-    mem.free(b)
-    mem.free(c)
-    top = mem.size.bit_length() - 1
-    assert mem.free_lists.get(top) == [0]
-    assert all(not lst for k, lst in mem.free_lists.items() if k != top)
+    hs = [mem.alloc(n) for n in (16, 16, 32, 100, 16, 64)]  # grows the store
+    assert len(mem.data) > 64
+    for i in (1, 4, 0, 5, 3, 2):
+        mem.free(hs[i])
+        _assert_slots_and_free_ranges_tile_the_store(mem)
+    assert mem.allocated == {}
+    assert mem.free_ranges == [(0, len(mem.data))]
 
 
-def test_free_lists_disjoint_and_aligned():
-    mem = BuddyMemory(256)
-    hs = [mem.alloc(n) for n in (16, 48, 16, 100)]
-    mem.free(hs[1])
-    mem.free(hs[3])
-    seen = []
-    for order, bases in mem.free_lists.items():
-        for b in bases:
-            assert b % (1 << order) == 0
-            seen.append((b, 1 << order))
-    for i, (b1, s1) in enumerate(seen):
-        for b2, s2 in seen[i + 1:]:
-            assert b1 + s1 <= b2 or b2 + s2 <= b1
+def test_live_slots_are_aligned_and_tile_the_store_with_the_free_ranges():
+    rng = random.Random(5)
+    mem = BuddyMemory(64, cap=1 << 14)
+    live = []
+    for _ in range(300):
+        if live and rng.random() < 0.45:
+            mem.free(live.pop(rng.randrange(len(live))))
+        else:
+            live.append(mem.alloc(rng.choice((0, 1, 16, 17, 40, 64, 100, 300))))
+        _assert_slots_and_free_ranges_tile_the_store(mem)
+
+
+def test_a_slot_goes_at_the_lowest_free_base_aligned_to_its_size():
+    """Placement is first fit over the free list, not a buddy system's
+    smallest free block: after freeing the 32-byte slot at 0 and the
+    16-byte slot at 48, a 16-byte slot goes at 0 (a buddy allocator
+    splits nothing and takes 48), and a 32-byte slot then finds no
+    aligned room and doubles the store (a buddy allocator takes 0)."""
+    mem = BuddyMemory(64)
+    first, _, third = mem.alloc(32), mem.alloc(16), mem.alloc(16)
+    assert (first.addr, third.addr) == (0, 48)
+    mem.free(first)
+    mem.free(third)
+    assert mem.alloc(16).addr == 0
+    assert len(mem.data) == 64
+    assert mem.alloc(32).addr == 64
+    assert len(mem.data) == 128
+    _assert_slots_and_free_ranges_tile_the_store(mem)
 
 
 def test_backing_store_grows_on_demand():
     mem = BuddyMemory(64, cap=1 << 12)
     hs = [mem.alloc(64) for _ in range(8)]
-    assert mem.size >= 512
+    assert len(mem.data) >= 512
     with pytest.raises(MemTrap):
         mem.alloc(1 << 13)
+
+
+def test_growth_stops_at_the_cap_with_an_oom_trap():
+    mem = BuddyMemory(64, cap=128)
+    mem.alloc(64)
+    mem.alloc(64)  # doubles the store to the cap
+    with pytest.raises(MemTrap, match="^oom: backing store at cap$"):
+        mem.alloc(16)
+    with pytest.raises(MemTrap, match="^oom: 129 bytes above cap$"):
+        mem.alloc(129)
+    assert len(mem.data) == 128
 
 
 def test_packed_roundtrip():

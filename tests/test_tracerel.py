@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mswasm.bytecode import SIZEOF, ValueType, parse_module
 from mswasm.interp import BACKENDS, ReadEv, SAllocEv, SFreeEv, TrapEv, WriteEv, run
 from mswasm.monitor import SAFE, AAlloc, AFree, ARead, AWrite, Safe, Violation, check_trace
-from mswasm.segmem import Handle
+from mswasm.segmem import Handle, SegmentMemory
 from mswasm.tracerel import (
     Unrelatable,
     check_ms,
@@ -393,6 +393,42 @@ def test_a_segment_costs_one_record_not_one_per_byte():
     assert isinstance(verdict, Safe)
     assert stale.kind == "temporal-freed" and stale.at == 3
     assert peak < 1 << 20 and elapsed < 1.0
+
+
+FORGED_READ = """
+(module (segment 64) (heap 0)
+  (func (local handle) (result i32)
+    i32.const 32 new_segment set 0
+    get 0 get 0 handle.segstore
+    get 0 i32.const 12 handle.add i32.const -2147483648 i32.segstore
+    get 0 handle.segload set 0
+    get 0 i32.segload))
+"""
+
+
+def test_an_access_through_an_invalid_handle_is_unrelatable(monkeypatch):
+    """The module stores its own handle, overwrites the word holding its
+    id and valid bit with an i32 of the same bits (valid bit set, id 0),
+    loads it back invalid and reads through it.  The tagged backend traps
+    at that read; with the valid check taken out of `_check_access`, the
+    read reaches the trace and the judge must not relate it."""
+    m = parse_module(FORGED_READ)
+    res = run(m)
+    assert res.outcome == "trap"
+    assert isinstance(check_ms(res.trace), Safe)
+
+    check_access = SegmentMemory._check_access
+    monkeypatch.setattr(SegmentMemory, "_check_access",
+                        lambda mem, h, size: check_access(mem, h._replace(valid=True), size))
+    res = run(m)
+    assert res.outcome == "ok"
+    forged = res.trace[4]
+    assert type(forged) is ReadEv and not forged.handle.valid
+    assert forged.handle.id == 0 and forged.handle.base == 0  # the live segment
+    verdict = check_ms(res.trace)
+    assert isinstance(verdict, Unrelatable) and verdict.index == 4
+    assert verdict.reason.startswith("access through an invalid handle")
+    assert relate_trace(res.trace) == verdict
 
 
 @pytest.mark.parametrize("judge", [check_ms, relate_trace])
